@@ -1,0 +1,53 @@
+"""Byte-for-byte pins of the command line and probe outputs.
+
+tests/golden holds small spec files that together reach all 16 check names
+and every failure reason the DSL's constructions produce, next to the
+recorded stdout of `verify --no-timing` in both formats. The recorded files
+come from a run at --jobs 1; every --jobs value must reproduce them. To
+re-record after an intended output change, run from tests/golden:
+
+    python3 -m multigroup verify NAME.mg --no-timing --format json > NAME.json
+    python3 -m multigroup verify NAME.mg --no-timing > NAME.txt
+    python3 -m multigroup demo --no-timing --format json > demo.json
+    python3 ../../scripts/probe_brace_dimonoid.py > probe_brace_dimonoid.txt
+    python3 ../../scripts/probe_op_products.py > probe_op_products.txt
+
+A search over the constructions on small carriers found no spec that fails
+with reason `no-solution` or `quandle_*: distrib_*`; the library tests in
+test_axioms.py cover those reasons.
+"""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from multigroup.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+SPECS = sorted(p.stem for p in GOLDEN.glob("*.mg"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_verify_matches_golden(spec, fmt, jobs, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    main(["verify", f"{spec}.mg", "--no-timing", "--format", fmt, "--jobs", jobs])
+    want = (GOLDEN / f"{spec}.{'json' if fmt == 'json' else 'txt'}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+def test_demo_matches_golden(capsys):
+    assert main(["demo", "--no-timing", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "demo.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("script", ["probe_brace_dimonoid", "probe_op_products"])
+def test_probe_matches_golden(script, capsys, monkeypatch):
+    path = SCRIPTS / f"{script}.py"
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / f"{script}.txt").read_text(encoding="utf-8")
