@@ -2,8 +2,12 @@
 
 Every check scans its whole tuple space (no early exit inside an axiom), so
 the reported witness is the lexicographically first violation in carrier
-order and the `checked` count is a function of the carrier alone. That makes
-reports byte-identical across repeated runs and across thread counts.
+order. `checked` is the tuple-space size of every stage the check ran: n^3
+per triple law, n^2 per pair law and n per element law, on pass and on fail
+alike. A composite check stops at its first failing stage, so its `checked`
+sums the stages up to and including that one. Both are functions of the
+carrier and the tables alone, which makes reports byte-identical across
+repeated runs and across thread counts.
 
 An opt-in sampled mode exists for carriers above SAMPLING_FLOOR elements; its
 reports carry exhaustive=False and `checked` equal to the sample count.
@@ -13,13 +17,14 @@ import random
 
 import numpy as np
 
-from .errors import CarrierMismatchError, NotAGroupError, NotAUnitError
+from .errors import NotAGroupError, NotAUnitError
 from .optables import (
     AxiomReport,
     Multiset,
     OpTable,
     REASON_NO_SOLUTION,
     REASON_NOT_UNIQUE,
+    VERDICT_FAIL,
     failing,
     passing,
     scan_chunks,
@@ -46,51 +51,102 @@ def _sampling_guard(op: OpTable, samples):
         )
 
 
-def _sampled_triples(n: int, samples: int, seed: int):
+def _sampled_law(axiom, carrier, bad, samples: int, seed: int) -> AxiomReport:
+    """Evaluate the one-triple predicate bad(a, b, c) at seeded random triples."""
     rng = random.Random(seed)
-    return [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+    n = len(carrier)
+    triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+    hits = [t for t in triples if bad(*t)]
+    if hits:
+        return failing(axiom, carrier, min(hits), samples, exhaustive=False)
+    return passing(axiom, samples, exhaustive=False)
 
 
-def _triple_scan(axiom, carrier, sides, n, jobs, samples, seed, scalar_bad):
-    """Shared driver for triple identities.
+def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None) -> AxiomReport:
+    """Scan one law over every triple and report its first violation.
 
-    sides(a0, a1) returns (left, right) arrays of shape (a1-a0, n, n);
-    scalar_bad(a, b, c) re-evaluates one triple (sampled mode only).
+    sides(a0, a1) returns the (left, right) values of the law for first
+    coordinates a0..a1-1; their leading axes are (a - a0, b, c), and any
+    further axes are compared too. cells_per_row (default n^2) sizes chunks.
     """
-    if samples is not None:
-        bad = [t for t in _sampled_triples(n, samples, seed) if scalar_bad(*t)]
-        if bad:
-            return failing(axiom, carrier, min(bad), samples, exhaustive=False)
-        return passing(axiom, samples, exhaustive=False)
+    n = len(carrier)
 
     def worker(a0, a1):
         left, right = sides(a0, a1)
         diff = np.argwhere(left != right)
         if diff.size:
-            a, b, c = diff[0]
+            a, b, c = diff[0][:3]
             return (a0 + int(a), int(b), int(c))
         return None
 
-    found = scan_chunks(worker, n, n * n, jobs)
+    found = scan_chunks(worker, n, cells_per_row or n * n, jobs)
     if found is not None:
-        return failing(axiom, carrier, found, n**3)
+        return failing(axiom, carrier, found, n**3, reason)
     return passing(axiom, n**3)
+
+
+# Law shapes: each returns the chunk sides for _law and the one-triple
+# predicate for sampled mode.
+
+
+def _bracket(A, B, C, D):
+    """(x B y) A z = x C (y D z)."""
+    def sides(a0, a1):
+        return A[B[a0:a1], :], C[a0:a1][:, D]
+
+    def bad(x, y, z):
+        return A[B[x, y], z] != C[x, D[y, z]]
+
+    return sides, bad
+
+
+def _mixed_distrib(ta, tb):
+    """(x a y) b z = (x b z) a (y b z)."""
+    def sides(a0, a1):
+        return tb[ta[a0:a1], :], ta[tb[a0:a1][:, None, :], tb[None, :, :]]
+
+    def bad(x, y, z):
+        return tb[ta[x, y], z] != ta[tb[x, z], tb[y, z]]
+
+    return sides, bad
+
+
+def _left_distrib(t):
+    """x t (y t z) = (x t y) t (x t z)."""
+    def sides(a0, a1):
+        sub = t[a0:a1]
+        return sub[:, t], t[sub[:, :, None], sub[:, None, :]]
+
+    def bad(x, y, z):
+        return t[x, t[y, z]] != t[t[x, y], t[x, z]]
+
+    return sides, bad
+
+
+def _stages(name: str, stages) -> AxiomReport:
+    """Run (label, thunk) stages in order and stop at the first failing one.
+
+    `checked` sums the stages that ran. The failing stage is reported as
+    `label`, or as `label: reason` when its own report carries a reason.
+    """
+    checked = 0
+    for label, run in stages:
+        report = run()
+        checked += report.checked
+        if not report.passed:
+            reason = label if report.reason is None else f"{label}: {report.reason}"
+            return AxiomReport(name, VERDICT_FAIL, report.witness, checked, reason)
+    return passing(name, checked)
 
 
 def check_associativity(op: OpTable, jobs: int = 1, samples=None, seed: int = 0) -> AxiomReport:
     """(a*b)*c = a*(b*c) over all triples."""
     _sampling_guard(op, samples)
     t = op.table
-    n = len(op)
-
-    def sides(a0, a1):
-        sub = t[a0:a1]
-        return t[sub, :], sub[:, t]
-
-    def scalar_bad(a, b, c):
-        return t[t[a, b], c] != t[a, t[b, c]]
-
-    return _triple_scan("assoc", op.carrier, sides, n, jobs, samples, seed, scalar_bad)
+    sides, bad = _bracket(t, t, t, t)
+    if samples is not None:
+        return _sampled_law("assoc", op.carrier, bad, samples, seed)
+    return _law("assoc", op.carrier, sides, jobs)
 
 
 def check_interchange(
@@ -100,15 +156,10 @@ def check_interchange(
     carrier = shared_carrier(op_i, op_j)
     _sampling_guard(op_i, samples)
     ti, tj = op_i.table, op_j.table
-    n = len(carrier)
-
-    def sides(a0, a1):
-        return tj[ti[a0:a1], :], ti[a0:a1][:, tj]
-
-    def scalar_bad(a, b, c):
-        return tj[ti[a, b], c] != ti[a, tj[b, c]]
-
-    return _triple_scan("interchange", carrier, sides, n, jobs, samples, seed, scalar_bad)
+    sides, bad = _bracket(tj, ti, ti, tj)
+    if samples is not None:
+        return _sampled_law("interchange", carrier, bad, samples, seed)
+    return _law("interchange", carrier, sides, jobs)
 
 
 def check_idempotency(op: OpTable, samples=None, seed: int = 0) -> AxiomReport:
@@ -183,25 +234,11 @@ def check_self_distributivity(
     _side(side)
     _sampling_guard(op, samples)
     t = op.table
-    n = len(op)
     axiom = f"distrib_{side}"
-
-    if side == RIGHT:
-        def sides(a0, a1):
-            sub = t[a0:a1]
-            return t[sub, :], t[sub[:, None, :], t[None, :, :]]
-
-        def scalar_bad(x, y, z):
-            return t[t[x, y], z] != t[t[x, z], t[y, z]]
-    else:
-        def sides(a0, a1):
-            sub = t[a0:a1]
-            return sub[:, t], t[sub[:, :, None], sub[:, None, :]]
-
-        def scalar_bad(x, y, z):
-            return t[x, t[y, z]] != t[t[x, y], t[x, z]]
-
-    return _triple_scan(axiom, op.carrier, sides, n, jobs, samples, seed, scalar_bad)
+    sides, bad = _mixed_distrib(t, t) if side == RIGHT else _left_distrib(t)
+    if samples is not None:
+        return _sampled_law(axiom, op.carrier, bad, samples, seed)
+    return _law(axiom, op.carrier, sides, jobs)
 
 
 def find_units(op: OpTable) -> list:
@@ -246,17 +283,17 @@ def find_inverses(op: OpTable, unit) -> tuple:
 
 def check_group(op: OpTable, jobs: int = 1) -> AxiomReport:
     """Associativity, a two-sided unit, and an inverse for every element."""
-    assoc = check_associativity(op, jobs=jobs)
-    if not assoc.passed:
-        return AxiomReport("group", assoc.verdict, assoc.witness, assoc.checked, "assoc")
-    units = find_units(op)
-    if not units:
-        return AxiomReport("group", "fail", (), assoc.checked + len(op), "no-unit")
-    inv_report, _ = find_inverses(op, units[0])
-    checked = assoc.checked + len(op) + inv_report.checked
-    if not inv_report.passed:
-        return AxiomReport("group", "fail", inv_report.witness, checked, "inverses")
-    return passing("group", checked)
+    units = []
+
+    def unit():
+        units.extend(find_units(op))
+        return passing("unit", len(op)) if units else failing("unit", op.carrier, (), len(op))
+
+    return _stages("group", [
+        ("assoc", lambda: check_associativity(op, jobs=jobs)),
+        ("no-unit", unit),
+        ("inverses", lambda: find_inverses(op, units[0])[0]),
+    ])
 
 
 def check_rack_quandle(
@@ -270,19 +307,12 @@ def check_rack_quandle(
     """
     _side(side)
     name = ("quandle_" if require_idempotent else "rack_") + side
-    checked = 0
     stages = []
     if require_idempotent:
         stages.append(("idempotent", lambda: check_idempotency(op)))
     stages.append((f"divisibility_{side}", lambda: check_divisibility(op, side, unique=True)))
     stages.append((f"distrib_{side}", lambda: check_self_distributivity(op, side, jobs=jobs)))
-    for label, run in stages:
-        report = run()
-        checked += report.checked
-        if not report.passed:
-            reason = label if report.reason is None else f"{label}: {report.reason}"
-            return AxiomReport(name, "fail", report.witness, checked, reason)
-    return passing(name, checked)
+    return _stages(name, stages)
 
 
 def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport:
@@ -298,36 +328,11 @@ def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport
     """
     carrier = shared_carrier(dashv, vdash)
     d, v = dashv.table, vdash.table
-    n = len(carrier)
-
-    def axiom_sides(k):
-        if k == 1:
-            return lambda a0, a1: (d[d[a0:a1], :], d[a0:a1][:, d])
-        if k == 2:
-            return lambda a0, a1: (d[d[a0:a1], :], d[a0:a1][:, v])
-        if k == 3:
-            return lambda a0, a1: (d[v[a0:a1], :], v[a0:a1][:, d])
-        if k == 4:
-            return lambda a0, a1: (v[d[a0:a1], :], v[a0:a1][:, v])
-        return lambda a0, a1: (v[v[a0:a1], :], v[a0:a1][:, v])
-
-    checked = 0
-    for k in range(1, 6):
-        sides = axiom_sides(k)
-
-        def worker(a0, a1):
-            left, right = sides(a0, a1)
-            diff = np.argwhere(left != right)
-            if diff.size:
-                a, b, c = diff[0]
-                return (a0 + int(a), int(b), int(c))
-            return None
-
-        found = scan_chunks(worker, n, n * n, jobs)
-        checked += n**3
-        if found is not None:
-            return failing("dimonoid", carrier, found, checked, f"axiom-{k}")
-    return passing("dimonoid", checked)
+    laws = ((d, d, d, d), (d, d, d, v), (d, v, v, d), (v, d, v, v), (v, v, v, v))
+    return _stages("dimonoid", [
+        (f"axiom-{k}", lambda law=law: _law("dimonoid", carrier, _bracket(*law)[0], jobs))
+        for k, law in enumerate(laws, 1)
+    ])
 
 
 def find_bar_units(dashv: OpTable, vdash: OpTable) -> list:
@@ -355,27 +360,17 @@ def check_skew_brace(dot: OpTable, circ: OpTable, jobs: int = 1) -> AxiomReport:
         if not group_report.passed:
             raise NotAGroupError(which, group_report)
     d, c = dot.table, circ.table
-    n = len(carrier)
     unit = find_units(dot)[0]
     _, inv_map = find_inverses(dot, unit)
     inv = np.array([carrier.index_of(inv_map[e]) for e in carrier.elements], dtype=np.int64)
 
-    def worker(a0, a1):
+    def sides(a0, a1):
         csub = c[a0:a1]
         left = csub[:, d]
         partial = d[csub, inv[a0:a1, None]]        # (g1 o g2) . g1^-1
-        right = d[partial[:, :, None], csub[:, None, :]]
-        diff = np.argwhere(left != right)
-        if diff.size:
-            a, b, cc = diff[0]
-            return (a0 + int(a), int(b), int(cc))
-        return None
+        return left, d[partial[:, :, None], csub[:, None, :]]
 
-    found = scan_chunks(worker, n, n * n, jobs)
-    checked = n**3
-    if found is not None:
-        return failing("skew_brace", carrier, found, checked, "compatibility")
-    return passing("skew_brace", checked)
+    return _law("skew_brace", carrier, sides, jobs, reason="compatibility")
 
 
 def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> AxiomReport:
@@ -386,24 +381,10 @@ def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> Axio
     """
     carrier = shared_carrier(op_i, op_j)
     ti, tj = op_i.table, op_j.table
-    n = len(carrier)
-    checked = 0
-    for reason, ta, tb in (("mixed-distrib-ij", ti, tj), ("mixed-distrib-ji", tj, ti)):
-        def worker(a0, a1):
-            asub, bsub = ta[a0:a1], tb[a0:a1]
-            left = tb[asub, :]
-            right = ta[bsub[:, None, :], tb[None, :, :]]
-            diff = np.argwhere(left != right)
-            if diff.size:
-                a, b, c = diff[0]
-                return (a0 + int(a), int(b), int(c))
-            return None
-
-        found = scan_chunks(worker, n, n * n, jobs)
-        checked += n**3
-        if found is not None:
-            return failing("multiquandle", carrier, found, checked, reason)
-    return passing("multiquandle", checked)
+    return _stages("multiquandle", [
+        (label, lambda ta=ta, tb=tb: _law("multiquandle", carrier, _mixed_distrib(ta, tb)[0], jobs))
+        for label, ta, tb in (("mixed-distrib-ij", ti, tj), ("mixed-distrib-ji", tj, ti))
+    ])
 
 
 def op_product(op_i: OpTable, op_j: OpTable, label: str | None = None) -> OpTable:
@@ -444,21 +425,13 @@ def check_nvalued_associativity(ops, jobs: int = 1) -> AxiomReport:
     carrier = ops[0].carrier
     m, n = stack.shape[0], stack.shape[1]
 
-    def worker(a0, a1):
+    def sides(a0, a1):
         k = a1 - a0
-        zs = stack[:, a0:a1, :]                      # (m, k, n): a *_i b
-        left = stack[:, zs, :]                       # (j, i, a, b, c)
+        rows = stack[:, a0:a1, :]                    # (m, k, n): a *_i b
+        left = stack[:, rows, :]                     # (j, i, a, b, c)
         left = np.sort(left.reshape(m * m, k, n, n), axis=0)
-        asub = stack[:, a0:a1, :]                    # (j, a, w)
-        right = asub[:, :, stack]                    # (j, a, i, b, c)
+        right = rows[:, :, stack]                    # (j, a, i, b, c)
         right = np.sort(right.transpose(0, 2, 1, 3, 4).reshape(m * m, k, n, n), axis=0)
-        diff = np.argwhere(np.any(left != right, axis=0))
-        if diff.size:
-            a, b, c = diff[0]
-            return (a0 + int(a), int(b), int(c))
-        return None
+        return np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -1)
 
-    found = scan_chunks(worker, n, n * n * m * m, jobs)
-    if found is not None:
-        return failing("nvalued_assoc", carrier, found, n**3)
-    return passing("nvalued_assoc", n**3)
+    return _law("nvalued_assoc", carrier, sides, jobs, cells_per_row=n * n * m * m)

@@ -6,8 +6,10 @@ Subcommands:
   enumerate <expr>    build a carrier and report (optionally list) elements
 
 Exit codes: 0 all checks passed, 1 a check or demo failed, 2 the input could
-not be parsed or compiled (including unknown demo claims). With --no-timing
-the output carries no timings and is byte-identical across repeated runs.
+not be parsed or compiled, a declared check cannot take its operations (such
+as skew_brace on a non-group), a carrier expression is invalid (such as a
+modulus that is not prime) or a demo claim is unknown. With --no-timing the
+output carries no timings and is byte-identical across repeated runs.
 """
 
 import argparse
@@ -57,7 +59,13 @@ def cmd_verify(args) -> int:
     all_passed = True
     for check in compiled.checks:
         started = time.perf_counter()
-        report = run_check(compiled, check, jobs=args.jobs)
+        try:
+            report = run_check(compiled, check, jobs=args.jobs)
+        except WorkbenchError as err:
+            tok = check.token
+            print(f"{source.origin}:{tok.line}:{tok.column}: error: check {check.name}: {err}",
+                  file=sys.stderr)
+            return EXIT_ERROR
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         entry = {"check": check.name, "operands": list(check.operand_names)}
         entry.update(report.to_json_dict())

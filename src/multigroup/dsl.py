@@ -29,7 +29,7 @@ from .carriers import (
     make_automorphism,
     pair_carrier,
 )
-from .errors import SpecError
+from .errors import NotAGroupError, SpecError
 from .field import PrimeField, is_prime
 from .matrix import Matrix, mat_det
 from .optables import OpTable, SystemSpec
@@ -911,7 +911,11 @@ def compile_spec(draft: SpecDraft) -> CompiledSpec:
 
 
 def run_check(compiled: CompiledSpec, check: CheckDecl, jobs: int = 1):
-    """Dispatch one declared check to the axiom engine."""
+    """Dispatch one declared check to the axiom engine.
+
+    A check whose operands it cannot take raises a WorkbenchError; for
+    skew_brace on a non-group that is a NotAGroupError naming the operand.
+    """
     ops = [compiled.ops[name] for name in check.operand_names]
     name = check.name
     if name == "assoc":
@@ -934,7 +938,11 @@ def run_check(compiled: CompiledSpec, check: CheckDecl, jobs: int = 1):
     if name == "dimonoid":
         return axioms.check_dimonoid(ops[0], ops[1], jobs=jobs)
     if name == "skew_brace":
-        return axioms.check_skew_brace(ops[0], ops[1], jobs=jobs)
+        try:
+            return axioms.check_skew_brace(ops[0], ops[1], jobs=jobs)
+        except NotAGroupError as err:
+            operand = check.operand_names[0 if err.which == "dot" else 1]
+            raise NotAGroupError(f"operation {operand!r}", err.report) from err
     if name == "multiquandle":
         return axioms.check_multiquandle_pair(ops[0], ops[1], jobs=jobs)
     if name == "nvalued_assoc":

@@ -9,6 +9,10 @@ class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 
 
+class NotPrimeError(WorkbenchError, ValueError):
+    """A prime field was requested for a modulus that is not prime."""
+
+
 class ZeroInverseError(WorkbenchError):
     """Multiplicative inverse of zero requested in a prime field."""
 
@@ -62,12 +66,12 @@ class NotAUnitError(WorkbenchError):
 
 
 class NotAGroupError(WorkbenchError):
-    """A table that must be a group table is not one."""
+    """A table that must be a group table is not one; `which` names the table."""
 
     def __init__(self, which, report):
         self.which = which
         self.report = report
-        super().__init__(f"{which} table is not a group ({report.reason or report.axiom})")
+        super().__init__(f"{which} is not a group ({report.reason or report.axiom})")
 
 
 class NoUnitError(WorkbenchError):

@@ -6,7 +6,7 @@ element values stay cheap to store in bulk.
 
 from dataclasses import dataclass
 
-from .errors import ModulusMismatchError, ZeroInverseError
+from .errors import ModulusMismatchError, NotPrimeError, ZeroInverseError
 
 
 def is_prime(n: int) -> bool:
@@ -32,7 +32,7 @@ class PrimeField:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+            raise NotPrimeError(f"modulus {self.p} is not prime")
 
     def element(self, value: int) -> int:
         return value % self.p

@@ -43,7 +43,8 @@ from multigroup.constructions import (
 from multigroup.errors import NotAGroupError, NotAUnitError
 from multigroup.field import PrimeField
 from multigroup.matrix import Matrix
-from multigroup.optables import build_op_table
+from multigroup import optables
+from multigroup.optables import build_op_table, table_from_array
 
 
 def table_of(n, fn, label="op"):
@@ -532,6 +533,99 @@ def test_jobs_do_not_change_reports():
         check_dimonoid(opposite_op(mul), mul, jobs=4).to_json_dict(),
     ]
     assert pairs == repeats
+
+
+def oracle_report(n, laws):
+    """(verdict, witness, reason, checked) for (reason, bad) laws checked in order."""
+    for k, (reason, bad) in enumerate(laws, 1):
+        hit = oracle_triples(n, bad)
+        if hit is not None:
+            return ("fail", hit, reason, k * n**3)
+    return ("pass", None, None, len(laws) * n**3)
+
+
+def single_op_cases(op, t):
+    """(run(jobs), oracle laws) for the one-table triple checks; t is the table as lists."""
+    return [
+        (lambda jobs: check_associativity(op, jobs=jobs),
+         [(None, lambda x, y, z: t[t[x][y]][z] != t[x][t[y][z]])]),
+        (lambda jobs: check_self_distributivity(op, RIGHT, jobs=jobs),
+         [(None, lambda x, y, z: t[t[x][y]][z] != t[t[x][z]][t[y][z]])]),
+        (lambda jobs: check_self_distributivity(op, LEFT, jobs=jobs),
+         [(None, lambda x, y, z: t[x][t[y][z]] != t[t[x][y]][t[x][z]])]),
+    ]
+
+
+def op_pair_cases(op_i, op_j, ti, tj):
+    """(run(jobs), oracle laws) for the two-table triple checks."""
+    d, v = ti, tj
+
+    def multiset_bad(x, y, z):
+        left = sorted(g[f[x][y]][z] for f in (ti, tj) for g in (ti, tj))
+        return left != sorted(g[x][f[y][z]] for f in (ti, tj) for g in (ti, tj))
+
+    return [
+        (lambda jobs: check_interchange(op_i, op_j, jobs=jobs),
+         [(None, lambda x, y, z: tj[ti[x][y]][z] != ti[x][tj[y][z]])]),
+        (lambda jobs: check_dimonoid(op_i, op_j, jobs=jobs), [
+            ("axiom-1", lambda x, y, z: d[d[x][y]][z] != d[x][d[y][z]]),
+            ("axiom-2", lambda x, y, z: d[d[x][y]][z] != d[x][v[y][z]]),
+            ("axiom-3", lambda x, y, z: d[v[x][y]][z] != v[x][d[y][z]]),
+            ("axiom-4", lambda x, y, z: v[d[x][y]][z] != v[x][v[y][z]]),
+            ("axiom-5", lambda x, y, z: v[v[x][y]][z] != v[x][v[y][z]]),
+        ]),
+        (lambda jobs: check_multiquandle_pair(op_i, op_j, jobs=jobs), [
+            ("mixed-distrib-ij", lambda x, y, z: tj[ti[x][y]][z] != ti[tj[x][z]][tj[y][z]]),
+            ("mixed-distrib-ji", lambda x, y, z: ti[tj[x][y]][z] != tj[ti[x][z]][ti[y][z]]),
+        ]),
+        (lambda jobs: check_nvalued_associativity([op_i, op_j], jobs=jobs),
+         [(None, multiset_bad)]),
+    ]
+
+
+def skew_brace_case(plus, op_c, c, n):
+    """skew_brace over Z/n addition; the oracle takes the inverse of x as -x."""
+    return (lambda jobs: check_skew_brace(plus, op_c, jobs=jobs),
+            [("compatibility", lambda x, y, z: c[x][(y + z) % n] != (c[x][y] - x + c[x][z]) % n)])
+
+
+def test_multi_chunk_scans_match_oracle(monkeypatch):
+    # One-row chunks, so every scan crosses chunk boundaries and jobs=2 merges
+    # results from several threads.
+    monkeypatch.setattr(optables, "CHUNK_CELLS", 1)
+    rng = np.random.default_rng(11)
+    for n in range(5, 9):
+        a = np.arange(n)
+        plus = (a[:, None] + a[None, :]) % n
+        perturbed = plus.copy()
+        i, j = rng.integers(1, n, 2)
+        perturbed[i, j] = (perturbed[i, j] + 1) % n
+        perm = rng.permutation(n)
+        grids = {
+            "plus": plus,
+            "core": (2 * a[None, :] - a[:, None]) % n,
+            "left": np.broadcast_to(a[:, None], (n, n)),
+            "zero": np.zeros((n, n), dtype=np.int64),
+            "shift": np.broadcast_to((a[:, None] + 1) % n, (n, n)),
+            "perturbed": perturbed,
+            "random": rng.integers(0, n, (n, n)),
+            # plus carried through a permutation: another group on Z/n
+            "conjugate": np.argsort(perm)[(perm[:, None] + perm[None, :]) % n],
+        }
+        ops = {k: table_from_array(cyclic_group(n), g, k) for k, g in grids.items()}
+        lists = {k: g.tolist() for k, g in grids.items()}
+        cases = []
+        for k in grids:
+            cases += single_op_cases(ops[k], lists[k])
+        for ki, kj in itertools.product(("plus", "core", "left", "zero", "shift", "perturbed", "random"), repeat=2):
+            cases += op_pair_cases(ops[ki], ops[kj], lists[ki], lists[kj])
+        for k in ("plus", "conjugate"):
+            cases.append(skew_brace_case(ops["plus"], ops[k], lists[k], n))
+        for run, laws in cases:
+            want = oracle_report(n, laws)
+            for jobs in (1, 2):
+                report = run(jobs)
+                assert (report.verdict, report.witness, report.reason, report.checked) == want
 
 
 # --- hypothesis properties ------------------------------------------------------

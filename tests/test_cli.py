@@ -59,6 +59,25 @@ def test_verify_compile_error_exit_two(tmp_path, capsys):
     assert "guard" in captured.err
 
 
+@pytest.mark.parametrize("operands", ["a b", "b a"])
+def test_verify_skew_brace_on_non_group_exit_two(tmp_path, capsys, operands):
+    text = (
+        "carrier cyclic(4);\n"
+        "op a = core_quandle();\n"
+        "op b = brace_trivial(part=dot);\n"
+        "check group b;\n"
+        f"check skew_brace {operands};\n"
+    )
+    path = write(tmp_path, text)
+    code = main(["verify", path, "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}:5:7: error: check skew_brace: operation 'a' is not a group (assoc)\n"
+    )
+
+
 def test_verify_missing_file_exit_two(capsys):
     code = main(["verify", "/nonexistent/spec.mg"])
     assert code == 2
@@ -172,6 +191,16 @@ def test_enumerate_list(capsys):
 def test_enumerate_bad_expression(capsys):
     assert main(["enumerate", "banana(3)"]) == 2
     assert "cannot parse" in capsys.readouterr().err or True
+
+
+@pytest.mark.parametrize("expr, modulus", [
+    ("gl(2,4)", 4), ("matrices(2,6)", 6), ("vectors(2,4) x gl(2,4)", 4),
+])
+def test_enumerate_composite_modulus_exit_two(capsys, expr, modulus):
+    assert main(["enumerate", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"modulus {modulus} is not prime\n"
 
 
 def test_enumerate_guard_env(tmp_path, capsys, monkeypatch):
