@@ -1,13 +1,15 @@
 """Exhaustive axiom checks over operation tables.
 
-Every check scans its whole tuple space (no early exit inside an axiom), so
-the reported witness is the lexicographically first violation in carrier
-order. `checked` is the tuple-space size of every stage the check ran: n^3
-per triple law, n^2 per pair law and n per element law, on pass and on fail
-alike. A composite check stops at its first failing stage, so its `checked`
-sums the stages up to and including that one. Both are functions of the
-carrier and the tables alone, which makes reports byte-identical across
-repeated runs and across thread counts.
+Every check decides its whole tuple space in carrier order and reports the
+lexicographically first violation as its witness. A failing triple scan stops
+after the chunk that holds that witness (plus at most jobs - 1 chunks already
+in flight), so a refutation costs the chunks up to it, not all of them.
+`checked` is the tuple-space size of every stage the check ran, not the
+number of comparisons made: n^3 per triple law, n^2 per pair law and n per
+element law, on pass and on fail alike. A composite check stops at its first
+failing stage, so its `checked` sums the stages up to and including that one.
+Both are functions of the carrier and the tables alone, which makes reports
+byte-identical across repeated runs and across thread counts.
 
 An opt-in sampled mode exists for carriers above SAMPLING_FLOOR elements; its
 reports carry exhaustive=False and `checked` equal to the sample count.
@@ -26,6 +28,7 @@ from .optables import (
     REASON_NOT_UNIQUE,
     VERDICT_FAIL,
     failing,
+    first_true,
     passing,
     scan_chunks,
     shared_carrier,
@@ -73,11 +76,11 @@ def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None) -> AxiomR
 
     def worker(a0, a1):
         left, right = sides(a0, a1)
-        diff = np.argwhere(left != right)
-        if diff.size:
-            a, b, c = diff[0][:3]
-            return (a0 + int(a), int(b), int(c))
-        return None
+        hit = first_true(left != right)
+        if hit is None:
+            return None
+        a, b, c = hit[:3]
+        return (a0 + a, b, c)
 
     found = scan_chunks(worker, n, cells_per_row or n * n, jobs)
     if found is not None:
@@ -175,9 +178,9 @@ def check_idempotency(op: OpTable, samples=None, seed: int = 0) -> AxiomReport:
         if bad:
             return failing("idempotent", op.carrier, (min(bad),), samples, exhaustive=False)
         return passing("idempotent", samples, exhaustive=False)
-    off = np.argwhere(diag != np.arange(n))
-    if off.size:
-        return failing("idempotent", op.carrier, (int(off[0][0]),), n)
+    off = first_true(diag != np.arange(n))
+    if off is not None:
+        return failing("idempotent", op.carrier, off, n)
     return passing("idempotent", n)
 
 
@@ -219,11 +222,10 @@ def check_divisibility(
             reason = REASON_NO_SOLUTION if counts[w] == 0 else REASON_NOT_UNIQUE
             return failing(axiom, op.carrier, w, samples, reason, exhaustive=False)
         return passing(axiom, samples, exhaustive=False)
-    bad = np.argwhere((counts == 0) | (counts > 1)) if unique else np.argwhere(counts == 0)
-    if bad.size:
-        x, y = int(bad[0][0]), int(bad[0][1])
-        reason = REASON_NO_SOLUTION if counts[x, y] == 0 else REASON_NOT_UNIQUE
-        return failing(axiom, op.carrier, (x, y), n * n, reason)
+    bad = first_true((counts != 1) if unique else (counts == 0))
+    if bad is not None:
+        reason = REASON_NO_SOLUTION if counts[bad] == 0 else REASON_NOT_UNIQUE
+        return failing(axiom, op.carrier, bad, n * n, reason)
     return passing(axiom, n * n)
 
 

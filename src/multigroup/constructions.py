@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedCarrierError,
 )
 from .matrix import Matrix, mat_det
-from .optables import OpTable, build_op_table, table_from_array
+from .optables import OpTable, build_op_table, first_true, table_from_array
 
 CONSTRUCTION_NAMES = (
     "matrix_op",
@@ -96,9 +96,9 @@ def _bilinear_table(carrier: Carrier, s: int, t: int, m1: Matrix, m2: Matrix, la
         ) % p
         ranks = part.reshape(a1 - a0, count, n * n) @ weights
         idx = rank_index[ranks]
-        bad = np.argwhere(idx < 0)
-        if bad.size:
-            a, b = int(bad[0][0]), int(bad[0][1])
+        bad = first_true(idx < 0)
+        if bad is not None:
+            a, b = bad
             result = tuple(tuple(int(v) for v in row) for row in part[a, b])
             raise NotClosedError(carrier.elements[a0 + a], carrier.elements[b], result)
         grid[a0:a1] = idx

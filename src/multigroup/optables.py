@@ -8,8 +8,10 @@ the lexicographically first violating tuple in carrier order, so reports are
 byte-reproducible regardless of how the scan was parallelized.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
@@ -20,6 +22,25 @@ from .errors import CarrierMismatchError, NotClosedError
 # Rows per scan chunk are chosen so one chunk holds about this many cells,
 # independent of thread count; witnesses and counts never depend on chunking.
 CHUNK_CELLS = 1_500_000
+
+
+def index_dtype(n: int):
+    """The dtype of an index table over n elements: int16 up to 32767, else int32."""
+    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
+
+
+def first_true(mask: np.ndarray):
+    """C-order index tuple of the first True in mask, or None when there is none.
+
+    The position is the logical C-order one even for non-contiguous views
+    (argmax flattens in C order), so it is the lexicographically first hit.
+    """
+    if not mask.size:
+        return None
+    i = int(np.argmax(mask))
+    if not mask.flat[i]:
+        return None
+    return tuple(int(k) for k in np.unravel_index(i, mask.shape))
 
 
 def encode_element(element):
@@ -62,17 +83,20 @@ class OpTable:
 
 
 def table_from_array(carrier: Carrier, array, label: str = "op") -> OpTable:
-    """Wrap a precomputed index grid; values are validated to be in range."""
-    arr = np.ascontiguousarray(np.asarray(array, dtype=np.int64))
+    """Wrap a precomputed index grid; values are validated to be in range.
+
+    Validation runs on the int64 values, before the cast to index_dtype, so an
+    out-of-range value is reported and never wrapped into range.
+    """
+    arr = np.asarray(array, dtype=np.int64)
     n = len(carrier)
     if arr.shape != (n, n):
         raise CarrierMismatchError(f"array shape {arr.shape} vs carrier size {n}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
-        bad = np.argwhere((arr < 0) | (arr >= n))[0]
-        raise NotClosedError(
-            carrier.elements[bad[0]], carrier.elements[bad[1]], int(arr[bad[0], bad[1]])
-        )
-    return OpTable(carrier=carrier, table=arr, label=label)
+        x, y = first_true((arr < 0) | (arr >= n))
+        raise NotClosedError(carrier.elements[x], carrier.elements[y], int(arr[x, y]))
+    table = np.ascontiguousarray(arr, dtype=index_dtype(n))
+    return OpTable(carrier=carrier, table=table, label=label)
 
 
 def build_op_table(carrier: Carrier, rule: Callable, label: str = "op") -> OpTable:
@@ -83,7 +107,7 @@ def build_op_table(carrier: Carrier, rule: Callable, label: str = "op") -> OpTab
     """
     idx = carrier.index
     n = len(carrier)
-    grid = np.empty((n, n), dtype=np.int64)
+    grid = np.empty((n, n), dtype=index_dtype(n))
     for i, x in enumerate(carrier.elements):
         row = grid[i]
         for j, y in enumerate(carrier.elements):
@@ -209,22 +233,35 @@ def chunk_ranges(n: int, width: int):
 
 
 def scan_chunks(worker: Callable, n_rows: int, cells_per_row: int, jobs: int = 1):
-    """Run worker(a0, a1) over fixed chunks and merge results deterministically.
+    """Run worker(a0, a1) over fixed chunks in order and return the first hit.
 
     worker returns the lexicographically first violation in its chunk as an
-    index tuple (with absolute first coordinate), or None. The merged result is
-    the first non-None in chunk order, which is the global lexicographic
-    minimum because chunks partition the first axis in order. Workers always
-    scan their whole chunk, so nothing observable depends on `jobs`.
+    index tuple (with absolute first coordinate), or None. The result is the
+    first non-None in chunk order, which is the global lexicographic minimum
+    because chunks partition the first axis in order. The scan stops at the
+    chunk that holds it: with jobs > 1 at most `jobs` chunks are in flight,
+    submitted in chunk order and collected oldest first, so at most jobs - 1
+    chunks past the witness chunk run and their results are discarded. The
+    result never depends on `jobs`.
     """
     rows = max(1, CHUNK_CELLS // max(1, cells_per_row))
     ranges = chunk_ranges(n_rows, rows)
-    if jobs > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda r: worker(*r), ranges))
-    else:
-        results = [worker(a0, a1) for a0, a1 in ranges]
-    for found in results:
-        if found is not None:
-            return found
+    if jobs <= 1 or len(ranges) <= 1:
+        for a0, a1 in ranges:
+            found = worker(a0, a1)
+            if found is not None:
+                return found
+        return None
+    pending = iter(ranges)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        window = deque(pool.submit(worker, *r) for r in islice(pending, jobs))
+        while window:
+            found = window.popleft().result()
+            if found is not None:
+                for future in window:
+                    future.cancel()
+                return found
+            nxt = next(pending, None)
+            if nxt is not None:
+                window.append(pool.submit(worker, *nxt))
     return None

@@ -30,7 +30,7 @@ SCRIPTS = Path(__file__).parent.parent / "scripts"
 SPECS = sorted(p.stem for p in GOLDEN.glob("*.mg"))
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("spec", SPECS)
 def test_verify_matches_golden(spec, fmt, jobs, capsys, monkeypatch):

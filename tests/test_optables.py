@@ -1,8 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
-from multigroup.carriers import cyclic_group, symmetric_group
+from multigroup import optables
+from multigroup.carriers import cyclic_group, matrix_set, symmetric_group
+from multigroup.constructions import MatrixOpParams, matrix_op
 from multigroup.errors import CarrierMismatchError, NotClosedError
+from multigroup.field import PrimeField
+from multigroup.matrix import Matrix
 from multigroup.optables import (
     AxiomReport,
     CHUNK_CELLS,
@@ -11,6 +17,8 @@ from multigroup.optables import (
     build_op_table,
     chunk_ranges,
     encode_element,
+    first_true,
+    index_dtype,
     scan_chunks,
     shared_carrier,
     table_from_array,
@@ -138,3 +146,101 @@ def test_scan_chunks_returns_first_chunk_hit():
     cells = CHUNK_CELLS // 100  # 100 rows per chunk
     got = scan_chunks(worker, 600, cells, 4)
     assert got == (340, "target")
+
+
+def test_first_true_is_the_c_order_first_hit():
+    assert first_true(np.zeros((2, 3), dtype=bool)) is None
+    assert first_true(np.zeros((0, 3), dtype=bool)) is None
+    mask = np.zeros((3, 4, 5), dtype=bool)
+    mask[2, 0, 0] = mask[1, 3, 4] = mask[1, 3, 2] = True
+    assert first_true(mask) == (1, 3, 2)
+    assert all(type(k) is int for k in first_true(mask))
+    # a non-contiguous view is searched in its own logical order
+    view = np.moveaxis(mask, 0, -1)
+    assert first_true(view) == tuple(int(k) for k in np.argwhere(view)[0])
+
+
+def test_index_dtype_by_size():
+    assert index_dtype(1) == np.int16
+    assert index_dtype(32767) == np.int16
+    assert index_dtype(32768) == np.int32
+
+
+def test_tables_are_narrow_and_write_protected():
+    z5 = cyclic_group(5)
+    f2 = PrimeField(2)
+    eye = Matrix.identity(2, f2)
+    tables = [
+        table_from_array(z5, np.add.outer(np.arange(5), np.arange(5)) % 5),
+        build_op_table(z5, lambda a, b: (a * b) % 5),
+        matrix_op(MatrixOpParams(1, 1, eye, eye), matrix_set(2, 2)),
+    ]
+    for op in tables:
+        assert op.table.dtype == np.int16
+        with pytest.raises(ValueError):
+            op.table[0, 0] = 0
+
+
+def test_table_from_array_validates_before_narrowing():
+    z5 = cyclic_group(5)
+    grid = np.zeros((5, 5), dtype=np.int64)
+    grid[1, 2] = 65539  # int16 would wrap it to the in-range index 3
+    with pytest.raises(NotClosedError) as info:
+        table_from_array(z5, grid)
+    err = info.value
+    assert (err.x, err.y, err.result) == (1, 2, 65539)
+
+
+def _recording_worker(hit_chunk, jobs):
+    """A one-row-per-chunk worker: chunk k hits, every later chunk hits too.
+
+    Chunk k waits until chunk k + 1 has returned its own hit (when chunk k + 1
+    runs at all), so a later hit finishes first whenever the window allows it.
+    """
+    ran = []
+    lock = threading.Lock()
+    later_done = threading.Event()
+
+    def worker(a0, a1):
+        with lock:
+            ran.append(a0)
+        if a0 == hit_chunk and jobs > 1:
+            later_done.wait(timeout=5)
+        if a0 == hit_chunk + 1:
+            later_done.set()
+        return (a0, "hit") if a0 >= hit_chunk else None
+
+    return worker, ran
+
+
+@pytest.mark.parametrize("hit_chunk", [0, 3, 9])
+def test_scan_chunks_stops_at_the_first_hit_in_order(hit_chunk, monkeypatch):
+    monkeypatch.setattr(optables, "CHUNK_CELLS", 1)
+    worker, ran = _recording_worker(hit_chunk, 1)
+    assert scan_chunks(worker, 12, 1, 1) == (hit_chunk, "hit")
+    assert ran == list(range(hit_chunk + 1))
+    for jobs in (2, 3):
+        worker, ran = _recording_worker(hit_chunk, jobs)
+        assert scan_chunks(worker, 12, 1, jobs) == (hit_chunk, "hit")
+        assert set(range(hit_chunk + 1)) <= set(ran)
+        assert len(ran) == len(set(ran)) <= hit_chunk + jobs
+        assert max(ran) < hit_chunk + jobs
+
+
+def test_scan_chunks_window_runs_every_chunk_when_clean(monkeypatch):
+    monkeypatch.setattr(optables, "CHUNK_CELLS", 1)
+    ran = []
+    assert scan_chunks(lambda a0, a1: ran.append(a0), 7, 1, 3) is None
+    assert sorted(ran) == list(range(7))
+
+
+def test_scan_chunks_propagates_worker_errors(monkeypatch):
+    monkeypatch.setattr(optables, "CHUNK_CELLS", 1)
+
+    def worker(a0, a1):
+        if a0 == 0:
+            raise RuntimeError("chunk 0 broke")
+        return None
+
+    with pytest.raises(RuntimeError, match="chunk 0 broke"):
+        scan_chunks(worker, 4, 1, 2)
