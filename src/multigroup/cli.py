@@ -22,7 +22,7 @@ from pathlib import Path
 from . import demos
 from .carriers import group_carrier
 from .dsl import SpecSource, compile_spec, parse_spec, run_check
-from .errors import WorkbenchError
+from .errors import SpecError, WorkbenchError
 from .optables import encode_element
 
 EXIT_OK = 0
@@ -51,6 +51,9 @@ def cmd_verify(args) -> int:
         return EXIT_ERROR
     try:
         compiled = compile_spec(draft)
+    except SpecError as err:
+        _print_diagnostics(source.origin, err.diagnostics)
+        return EXIT_ERROR
     except WorkbenchError as err:
         print(f"{source.origin}: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,9 +1,8 @@
 """Operation-table constructions over the built-in carriers.
 
-Each construction has a stable string name (used by the DSL and CLI):
-matrix_op, gl_group_op, conj_quandle, core_quandle, alexander_quandle,
-vxg_phi_op, vxg_conj_op, opposite, pair_dimonoid, action_dimonoid,
-brace_trivial, brace_opposite, z_parity_brace.
+The spec language names them in one table, `dsl.CONSTRUCTIONS`: each entry
+gives a construction's name, the carrier it needs, its arguments and the
+function here that builds it.
 """
 
 from dataclasses import dataclass
@@ -31,22 +30,6 @@ from .errors import (
 )
 from .matrix import Matrix, mat_det
 from .optables import OpTable, build_op_table, first_true, table_from_array
-
-CONSTRUCTION_NAMES = (
-    "matrix_op",
-    "gl_group_op",
-    "conj_quandle",
-    "core_quandle",
-    "alexander_quandle",
-    "vxg_phi_op",
-    "vxg_conj_op",
-    "opposite",
-    "pair_dimonoid",
-    "action_dimonoid",
-    "brace_trivial",
-    "brace_opposite",
-    "z_parity_brace",
-)
 
 
 @dataclass(frozen=True)

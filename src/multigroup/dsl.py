@@ -20,8 +20,10 @@ inside the offending token. Error diagnostics prevent compilation.
 """
 
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 from . import axioms
+from .axioms import LEFT, RIGHT
 from .carriers import (
     build_carrier_atom,
     direct_product,
@@ -32,7 +34,7 @@ from .carriers import (
 from .errors import NotAGroupError, SpecError
 from .field import PrimeField, is_prime
 from .matrix import Matrix, mat_det
-from .optables import OpTable, SystemSpec
+from .optables import SystemSpec
 from .constructions import (
     MatrixOpParams,
     action_dimonoid,
@@ -51,45 +53,6 @@ from .constructions import (
 
 ERROR = "error"
 WARNING = "warning"
-
-CHECK_NAMES = (
-    "assoc",
-    "interchange",
-    "idempotent",
-    "divisibility_left",
-    "divisibility_right",
-    "distrib_left",
-    "distrib_right",
-    "group",
-    "rack_left",
-    "rack_right",
-    "quandle_left",
-    "quandle_right",
-    "dimonoid",
-    "skew_brace",
-    "multiquandle",
-    "nvalued_assoc",
-)
-
-# arity None means one-or-more operands
-CHECK_ARITY = {
-    "assoc": 1,
-    "interchange": 2,
-    "idempotent": 1,
-    "divisibility_left": 1,
-    "divisibility_right": 1,
-    "distrib_left": 1,
-    "distrib_right": 1,
-    "group": 1,
-    "rack_left": 1,
-    "rack_right": 1,
-    "quandle_left": 1,
-    "quandle_right": 1,
-    "dimonoid": 2,
-    "skew_brace": 2,
-    "multiquandle": 2,
-    "nvalued_assoc": None,
-}
 
 CARRIER_NAMES = ("cyclic", "symmetric", "gl", "matrices", "vectors", "window")
 
@@ -215,6 +178,7 @@ class SpecDraft:
     source: SpecSource
     statements: list = dc_field(default_factory=list)  # ("carrier"|"op"|"check", node)
     diagnostics: list = dc_field(default_factory=list)
+    values: dict = dc_field(default_factory=dict)  # op name -> argument values resolved by validation
 
     @property
     def carrier_atoms(self):
@@ -499,8 +463,173 @@ def _is_monoid_shape(shape):
     return False
 
 
+def _is_monoid_square(shape):
+    if shape["kind"] != "direct-product":
+        return False
+    factors = shape["factors"]
+    return len(factors) == 2 and factors[0] == factors[1] and _is_monoid_shape(factors[0])
+
+
+# --- the check and construction tables ---------------------------------------
+#
+# Validation, compilation and run_check read these two tables. Runners and
+# builders name the public axioms/constructions function inside a lambda, so
+# it is looked up at call time and a wrapper put on that name sees every call.
+# The entry types are NamedTuples: a dataclass takes about a millisecond to
+# define, which every `multigroup` start would pay.
+
+
+class CheckSpec(NamedTuple):
+    arity: int | None  # None means one or more operands
+    run: Callable  # (op tables, jobs) -> report
+
+
+CHECKS = {
+    "assoc": CheckSpec(1, lambda ops, jobs: axioms.check_associativity(*ops, jobs=jobs)),
+    "interchange": CheckSpec(2, lambda ops, jobs: axioms.check_interchange(*ops, jobs=jobs)),
+    "idempotent": CheckSpec(1, lambda ops, jobs: axioms.check_idempotency(*ops)),
+    "divisibility_left": CheckSpec(1, lambda ops, jobs: axioms.check_divisibility(*ops, LEFT, unique=True)),
+    "divisibility_right": CheckSpec(1, lambda ops, jobs: axioms.check_divisibility(*ops, RIGHT, unique=True)),
+    "distrib_left": CheckSpec(1, lambda ops, jobs: axioms.check_self_distributivity(*ops, LEFT, jobs=jobs)),
+    "distrib_right": CheckSpec(1, lambda ops, jobs: axioms.check_self_distributivity(*ops, RIGHT, jobs=jobs)),
+    "group": CheckSpec(1, lambda ops, jobs: axioms.check_group(*ops, jobs=jobs)),
+    "rack_left": CheckSpec(1, lambda ops, jobs: axioms.check_rack_quandle(
+        *ops, LEFT, require_idempotent=False, jobs=jobs)),
+    "rack_right": CheckSpec(1, lambda ops, jobs: axioms.check_rack_quandle(
+        *ops, RIGHT, require_idempotent=False, jobs=jobs)),
+    "quandle_left": CheckSpec(1, lambda ops, jobs: axioms.check_rack_quandle(
+        *ops, LEFT, require_idempotent=True, jobs=jobs)),
+    "quandle_right": CheckSpec(1, lambda ops, jobs: axioms.check_rack_quandle(
+        *ops, RIGHT, require_idempotent=True, jobs=jobs)),
+    "dimonoid": CheckSpec(2, lambda ops, jobs: axioms.check_dimonoid(*ops, jobs=jobs)),
+    "skew_brace": CheckSpec(2, lambda ops, jobs: axioms.check_skew_brace(*ops, jobs=jobs)),
+    "multiquandle": CheckSpec(2, lambda ops, jobs: axioms.check_multiquandle_pair(*ops, jobs=jobs)),
+    "nvalued_assoc": CheckSpec(None, lambda ops, jobs: axioms.check_nvalued_associativity(ops, jobs=jobs)),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
+class CarrierNeed(NamedTuple):
+    holds: Callable  # static carrier shape -> bool
+    message: str  # formatted with ctor= and kind= (the shape's kind)
+
+
+MATRIX_CARRIER = CarrierNeed(
+    lambda shape: shape["kind"] in ("matrix-set", "matrix-group"),
+    "{ctor} needs a matrix carrier, carrier is {kind}",
+)
+PAIR_CARRIER = CarrierNeed(
+    lambda shape: shape["kind"] == "vector-group-pairs",
+    "{ctor} needs a vectors(n,p) x gl(n,p) carrier, carrier is {kind}",
+)
+GROUP_CARRIER = CarrierNeed(_is_group_shape, "{ctor} needs a group carrier")
+MONOID_SQUARE = CarrierNeed(_is_monoid_square, "{ctor} needs a carrier M x M with M a monoid")
+EVEN_CYCLIC = CarrierNeed(
+    lambda shape: shape["kind"] == "cyclic-group" and shape["order"] % 2 == 0,
+    "{ctor} needs a cyclic carrier of even order",
+)
+
+INT, MATRIX, CHOICE, OP_REF, PHI = "int", "matrix", "choice", "op", "phi"
+PHI_KEYS = ("phi", "inner", "power")
+
+
+class Arg(NamedTuple):
+    name: str
+    kind: str  # INT, MATRIX (sized to the carrier), CHOICE (part=), OP_REF or PHI
+    default: int | None = None  # INT only; None makes the argument required
+
+    @property
+    def keys(self):
+        """The argument names this one answers to: a PHI argument is one of phi=, inner=, power=."""
+        return PHI_KEYS if self.kind == PHI else (self.name,)
+
+
+class ConstructionSpec(NamedTuple):
+    """One op construction.
+
+    build(carrier, values) gets the argument values validation resolved, with
+    op references replaced by their tables. An entry with parts takes
+    part=<one of parts> and its build returns one table per part; compile
+    builds it once for all of them.
+    """
+
+    need: CarrierNeed | None
+    args: tuple  # of Arg
+    build: Callable
+    parts: tuple = ()
+    check: Callable | None = None  # extra static check: (values, argument nodes, error) -> None
+
+    @property
+    def arguments(self):
+        return self.args + ((Arg("part", CHOICE),) if self.parts else ())
+
+
+def _nonsingular(values, nodes, error):
+    m = values["m"]
+    if m is not None and mat_det(m) == 0:
+        error(nodes["m"].token, f"matrix constant is singular mod {m.field.p}")
+
+
+def _make_phi(group, rule):
+    """The automorphism a resolved PHI value names; an inner index is range-checked here."""
+    if rule[0] == "inner-index":
+        _, index, token = rule
+        if not 0 <= index < len(group):
+            raise SpecError([ParseDiagnostic(ERROR, token.line, token.column,
+                                             f"inner index {index} out of range for {group.label}")])
+        rule = ("inner", group.elements[index])
+    return make_automorphism(group, rule)
+
+
+CONSTRUCTIONS = {
+    "matrix_op": ConstructionSpec(
+        MATRIX_CARRIER, (Arg("s", INT), Arg("t", INT), Arg("m1", MATRIX), Arg("m2", MATRIX)),
+        lambda carrier, v: matrix_op(MatrixOpParams(v["s"], v["t"], v["m1"], v["m2"]), carrier),
+    ),
+    "gl_group_op": ConstructionSpec(
+        MATRIX_CARRIER, (Arg("m", MATRIX),),
+        lambda carrier, v: gl_group_op(v["m"], carrier),
+        check=_nonsingular,
+    ),
+    "conj_quandle": ConstructionSpec(
+        GROUP_CARRIER, (Arg("m", INT, default=1),), lambda carrier, v: conj_quandle(carrier, v["m"]),
+    ),
+    "core_quandle": ConstructionSpec(GROUP_CARRIER, (), lambda carrier, v: core_quandle(carrier)),
+    "alexander_quandle": ConstructionSpec(
+        GROUP_CARRIER, (Arg("phi", PHI),),
+        lambda carrier, v: alexander_quandle(carrier, _make_phi(carrier, v["phi"])),
+    ),
+    "vxg_phi_op": ConstructionSpec(
+        PAIR_CARRIER, (Arg("phi", PHI),),
+        lambda carrier, v: vxg_phi_op(carrier, _make_phi(carrier.group, v["phi"])),
+    ),
+    "vxg_conj_op": ConstructionSpec(
+        PAIR_CARRIER, (Arg("n", INT),), lambda carrier, v: vxg_conj_op(carrier, v["n"]),
+    ),
+    "opposite": ConstructionSpec(None, (Arg("of", OP_REF),), lambda carrier, v: opposite_op(v["of"])),
+    "pair_dimonoid": ConstructionSpec(
+        MONOID_SQUARE, (), lambda carrier, v: pair_dimonoid_on(carrier), parts=("dashv", "vdash"),
+    ),
+    "action_dimonoid": ConstructionSpec(
+        PAIR_CARRIER, (), lambda carrier, v: action_dimonoid(carrier), parts=("dashv", "vdash"),
+    ),
+    "brace_trivial": ConstructionSpec(
+        GROUP_CARRIER, (), lambda carrier, v: brace_ops(carrier, "trivial"), parts=("dot", "circ"),
+    ),
+    "brace_opposite": ConstructionSpec(
+        GROUP_CARRIER, (), lambda carrier, v: brace_ops(carrier, "opposite"), parts=("dot", "circ"),
+    ),
+    "z_parity_brace": ConstructionSpec(
+        EVEN_CYCLIC, (), lambda carrier, v: z_parity_brace(carrier), parts=("plus", "circ"),
+    ),
+}
+
+
+# --- static validation of ops and checks -------------------------------------
+
+
 class _OpValidator:
-    """Per-construction static checks; positions come from the declaration tokens."""
+    """Checks ops against CONSTRUCTIONS; positions come from the declaration tokens."""
 
     def __init__(self, draft, shape):
         self.draft = draft
@@ -510,213 +639,121 @@ class _OpValidator:
     def error(self, token, message):
         self.draft.diagnostics.append(ParseDiagnostic(ERROR, token.line, token.column, message))
 
-    def args_of(self, op: OpDecl) -> dict:
-        seen = {}
-        for name, value, tok in op.args:
-            if name in seen:
+    def validate(self, op: OpDecl):
+        """Report what is wrong with op; returns its resolved argument values, or None.
+
+        Unknown and duplicate argument names are reported whatever the carrier.
+        The carrier need is checked only on a valid carrier; when it fails, no
+        argument value is looked at.
+        """
+        spec = CONSTRUCTIONS.get(op.ctor)
+        if spec is None:
+            self.error(op.ctor_token, f"unknown construction {op.ctor!r}")
+            return None
+        nodes = {}
+        for name, node, tok in op.args:
+            if name in nodes:
                 self.error(tok, f"duplicate argument {name!r}")
-            seen[name] = value
-        return seen
+            nodes[name] = node
+        values = None
+        if spec.need is not None and self.shape is not None and not spec.need.holds(self.shape):
+            self.error(op.ctor_token, spec.need.message.format(ctor=op.ctor, kind=self.shape["kind"]))
+        else:
+            resolve = {INT: self.int_arg, MATRIX: self.matrix_arg, CHOICE: self.choice_arg,
+                       OP_REF: self.op_arg, PHI: self.phi_arg}
+            values = {arg.name: resolve[arg.kind](op, spec, nodes, arg) for arg in spec.arguments}
+            if spec.check is not None:
+                spec.check(values, nodes, self.error)
+        known = {key for arg in spec.arguments for key in arg.keys}
+        for name, node in nodes.items():
+            if name not in known:
+                self.error(node.token, f"{op.ctor} does not take an argument named {name!r}")
+        return values
 
-    def require_kind(self, op: OpDecl, kinds, what) -> bool:
-        if self.shape is None:
-            return False
-        if self.shape["kind"] not in kinds:
-            self.error(op.ctor_token, f"{op.ctor} needs {what}, carrier is {self.shape['kind']}")
-            return False
-        return True
+    # --- one method per argument kind; each returns the value or None --------
 
-    def int_arg(self, op, args, name, default=None):
-        node = args.pop(name, None)
+    def missing(self, op, arg, what):
+        self.error(op.ctor_token, f"{op.ctor} needs argument {arg.name}=<{what}>")
+
+    def int_arg(self, op, spec, nodes, arg):
+        node = nodes.get(arg.name)
         if node is None:
-            if default is None:
-                self.error(op.ctor_token, f"{op.ctor} needs argument {name}=<int>")
-                return None
-            return default
+            if arg.default is None:
+                self.missing(op, arg, "int")
+            return arg.default
         if node.kind != "int":
-            self.error(node.token, f"argument {name} must be an integer")
+            self.error(node.token, f"argument {arg.name} must be an integer")
             return None
         return node.value
 
-    def matrix_arg(self, op, args, name):
-        node = args.pop(name, None)
+    def matrix_arg(self, op, spec, nodes, arg):
+        node = nodes.get(arg.name)
         if node is None:
-            self.error(op.ctor_token, f"{op.ctor} needs argument {name}=<matrix>")
-            return None
+            return self.missing(op, arg, "matrix")
         if node.kind != "matrix":
-            self.error(node.token, f"argument {name} must be a matrix literal")
+            self.error(node.token, f"argument {arg.name} must be a matrix literal")
             return None
         rows = node.value
         if any(len(r) != len(rows[0]) for r in rows):
             self.error(node.token, "matrix rows have unequal lengths")
             return None
-        if self.shape and "dim" in self.shape:
-            dim = self.shape["dim"]
-            if len(rows) != dim or len(rows[0]) != dim:
-                self.error(node.token, f"matrix must be {dim}x{dim} for this carrier")
-                return None
-        elif len(rows) != len(rows[0]):
-            self.error(node.token, "matrix must be square")
+        if self.shape is None:  # nothing to size it by; the carrier error stops compilation
             return None
-        return node
+        dim = self.shape["dim"]
+        if len(rows) != dim or len(rows[0]) != dim:
+            self.error(node.token, f"matrix must be {dim}x{dim} for this carrier")
+            return None
+        return Matrix.from_rows(rows, PrimeField(self.shape["p"]))
 
-    def keyword_arg(self, op, args, name, allowed):
-        node = args.pop(name, None)
+    def choice_arg(self, op, spec, nodes, arg):
+        node = nodes.get(arg.name)
         if node is None:
-            self.error(op.ctor_token, f"{op.ctor} needs argument {name}=<{'|'.join(allowed)}>")
-            return None
-        if node.kind != "ident" or node.value not in allowed:
-            self.error(node.token, f"argument {name} must be one of: {', '.join(allowed)}")
+            return self.missing(op, arg, "|".join(spec.parts))
+        if node.kind != "ident" or node.value not in spec.parts:
+            self.error(node.token, f"argument {arg.name} must be one of: {', '.join(spec.parts)}")
             return None
         return node.value
 
-    def op_ref_arg(self, op, args, name):
-        node = args.pop(name, None)
+    def op_arg(self, op, spec, nodes, arg):
+        node = nodes.get(arg.name)
         if node is None:
-            self.error(op.ctor_token, f"{op.ctor} needs argument {name}=<declared op>")
-            return None
+            return self.missing(op, arg, "declared op")
         if node.kind != "ident":
-            self.error(node.token, f"argument {name} must name a declared operation")
+            self.error(node.token, f"argument {arg.name} must name a declared operation")
             return None
         if node.value not in self.declared:
             self.error(node.token, f"unknown operation {node.value!r} (declare it first)")
             return None
         return node.value
 
-    def phi_args(self, op, args):
-        """At most one of phi=identity, phi=[[...]], inner=<int>, power=<int>."""
-        given = [k for k in ("phi", "inner", "power") if k in args]
+    def phi_arg(self, op, spec, nodes, arg):
+        """At most one of phi=identity, phi=[[...]], inner=<int>, power=<int>.
+
+        The value is a make_automorphism rule, except that inner= gives
+        ("inner-index", index, token): the group size is known only at compile.
+        """
+        given = [k for k in PHI_KEYS if k in nodes]
         if len(given) > 1:
             self.error(op.ctor_token, "give at most one of phi=, inner=, power=")
-            for k in given:
-                args.pop(k)
             return None
         if not given:
-            return ("identity",)
+            return "identity"
         key = given[0]
-        node = args.pop(key)
+        node = nodes[key]
         if key == "phi":
             if node.kind == "ident" and node.value == "identity":
-                return ("identity",)
+                return "identity"
             if node.kind == "matrix":
                 if len(node.value) != 1:
                     self.error(node.token, "phi image table must be a single row of indices")
                     return None
-                return ("images", node.value[0])
+                return node.value[0]
             self.error(node.token, "phi must be `identity` or a one-row index table")
             return None
         if node.kind != "int":
             self.error(node.token, f"argument {key} must be an integer")
             return None
-        return ("inner", node.value) if key == "inner" else ("power", node.value)
-
-    def finish(self, op, args):
-        for name, node in args.items():
-            self.error(node.token, f"{op.ctor} does not take an argument named {name!r}")
-
-    # --- one method per construction ---------------------------------------
-
-    def validate(self, op: OpDecl):
-        handler = getattr(self, f"v_{op.ctor}", None)
-        if handler is None:
-            self.error(op.ctor_token, f"unknown construction {op.ctor!r}")
-            return
-        handler(op)
-
-    def v_matrix_op(self, op):
-        args = self.args_of(op)
-        if self.require_kind(op, ("matrix-set", "matrix-group"), "a matrix carrier"):
-            self.int_arg(op, args, "s")
-            self.int_arg(op, args, "t")
-            self.matrix_arg(op, args, "m1")
-            self.matrix_arg(op, args, "m2")
-        self.finish(op, args)
-
-    def v_gl_group_op(self, op):
-        args = self.args_of(op)
-        if self.require_kind(op, ("matrix-set", "matrix-group"), "a matrix carrier"):
-            node = self.matrix_arg(op, args, "m")
-            if node is not None and self.shape and "p" in self.shape:
-                m = Matrix.from_rows(node.value, PrimeField(self.shape["p"]))
-                if mat_det(m) == 0:
-                    self.error(node.token, f"matrix constant is singular mod {self.shape['p']}")
-        self.finish(op, args)
-
-    def _group_ctor(self, op, handler):
-        args = self.args_of(op)
-        if self.shape is not None and not _is_group_shape(self.shape):
-            self.error(op.ctor_token, f"{op.ctor} needs a group carrier")
-        else:
-            handler(op, args)
-        self.finish(op, args)
-
-    def v_conj_quandle(self, op):
-        self._group_ctor(op, lambda o, a: self.int_arg(o, a, "m", default=1))
-
-    def v_core_quandle(self, op):
-        self._group_ctor(op, lambda o, a: None)
-
-    def v_alexander_quandle(self, op):
-        self._group_ctor(op, lambda o, a: self.phi_args(o, a))
-
-    def v_vxg_phi_op(self, op):
-        args = self.args_of(op)
-        if self.require_kind(op, ("vector-group-pairs",), "a vectors(n,p) x gl(n,p) carrier"):
-            self.phi_args(op, args)
-        self.finish(op, args)
-
-    def v_vxg_conj_op(self, op):
-        args = self.args_of(op)
-        if self.require_kind(op, ("vector-group-pairs",), "a vectors(n,p) x gl(n,p) carrier"):
-            self.int_arg(op, args, "n")
-        self.finish(op, args)
-
-    def v_opposite(self, op):
-        args = self.args_of(op)
-        self.op_ref_arg(op, args, "of")
-        self.finish(op, args)
-
-    def v_pair_dimonoid(self, op):
-        args = self.args_of(op)
-        ok = self.shape is not None and self.shape["kind"] == "direct-product" \
-            and len(self.shape["factors"]) == 2 \
-            and self.shape["factors"][0] == self.shape["factors"][1] \
-            and _is_monoid_shape(self.shape["factors"][0])
-        if not ok:
-            self.error(op.ctor_token, "pair_dimonoid needs a carrier M x M with M a monoid")
-        else:
-            self.keyword_arg(op, args, "part", ("dashv", "vdash"))
-        self.finish(op, args)
-
-    def v_action_dimonoid(self, op):
-        args = self.args_of(op)
-        if self.require_kind(op, ("vector-group-pairs",), "a vectors(n,p) x gl(n,p) carrier"):
-            self.keyword_arg(op, args, "part", ("dashv", "vdash"))
-        self.finish(op, args)
-
-    def _brace(self, op):
-        args = self.args_of(op)
-        if self.shape is not None and not _is_group_shape(self.shape):
-            self.error(op.ctor_token, f"{op.ctor} needs a group carrier")
-        else:
-            self.keyword_arg(op, args, "part", ("dot", "circ"))
-        self.finish(op, args)
-
-    def v_brace_trivial(self, op):
-        self._brace(op)
-
-    def v_brace_opposite(self, op):
-        self._brace(op)
-
-    def v_z_parity_brace(self, op):
-        args = self.args_of(op)
-        ok = self.shape is not None and self.shape["kind"] == "cyclic-group" \
-            and self.shape["order"] % 2 == 0
-        if not ok:
-            self.error(op.ctor_token, "z_parity_brace needs a cyclic carrier of even order")
-        else:
-            self.keyword_arg(op, args, "part", ("plus", "circ"))
-        self.finish(op, args)
+        return ("inner-index", node.value, node.token) if key == "inner" else ("power", node.value)
 
 
 def _validate(draft: SpecDraft):
@@ -731,14 +768,14 @@ def _validate(draft: SpecDraft):
             if node.name in validator.declared:
                 validator.error(node.token, f"operation {node.name!r} already declared")
                 continue
-            validator.validate(node)
+            draft.values[node.name] = validator.validate(node)
             validator.declared.append(node.name)
         elif kind == "check":
             name = node.name
-            if name not in CHECK_NAMES:
+            if name not in CHECKS:
                 validator.error(node.token, f"unknown check {name!r}")
                 continue
-            arity = CHECK_ARITY[name]
+            arity = CHECKS[name].arity
             if arity is None:
                 if not node.operands:
                     validator.error(node.token, f"check {name} needs at least one operation")
@@ -811,85 +848,13 @@ def _build_carrier(atoms):
     return carrier
 
 
-def _value_map(op: OpDecl) -> dict:
-    return {name: node for name, node, _ in op.args}
-
-
-def _phi_rule(args: dict):
-    given = [k for k in ("phi", "inner", "power") if k in args]
-    if not given:
-        return "identity"
-    key = given[0]
-    node = args[key]
-    if key == "phi":
-        if node.kind == "ident":
-            return "identity"
-        return tuple(node.value[0])
-    if key == "inner":
-        return ("inner-index", node.value)
-    return ("power", node.value)
-
-
-def _make_phi(group, rule):
-    if isinstance(rule, tuple) and rule and rule[0] == "inner-index":
-        index = rule[1]
-        if not 0 <= index < len(group):
-            raise SpecError([ParseDiagnostic(ERROR, 1, 1, f"inner index {index} out of range for {group.label}")])
-        return make_automorphism(group, ("inner", group.elements[index]))
-    return make_automorphism(group, rule)
-
-
-def _build_op(op: OpDecl, carrier, built: dict) -> OpTable:
-    args = _value_map(op)
-    ctor = op.ctor
-    if ctor == "matrix_op":
-        fld = carrier.field
-        params = MatrixOpParams(
-            s=args["s"].value,
-            t=args["t"].value,
-            m1=Matrix.from_rows(args["m1"].value, fld),
-            m2=Matrix.from_rows(args["m2"].value, fld),
-        )
-        return matrix_op(params, carrier, label=op.name)
-    if ctor == "gl_group_op":
-        return gl_group_op(Matrix.from_rows(args["m"].value, carrier.field), carrier, label=op.name)
-    if ctor == "conj_quandle":
-        m = args["m"].value if "m" in args else 1
-        return conj_quandle(carrier, m, label=op.name)
-    if ctor == "core_quandle":
-        return core_quandle(carrier, label=op.name)
-    if ctor == "alexander_quandle":
-        phi = _make_phi(carrier, _phi_rule(args))
-        return alexander_quandle(carrier, phi, label=op.name)
-    if ctor == "vxg_phi_op":
-        phi = _make_phi(carrier.group, _phi_rule(args))
-        return vxg_phi_op(carrier, phi, label=op.name)
-    if ctor == "vxg_conj_op":
-        return vxg_conj_op(carrier, args["n"].value, label=op.name)
-    if ctor == "opposite":
-        return opposite_op(built[args["of"].value], label=op.name)
-    if ctor == "pair_dimonoid":
-        dashv, vdash = pair_dimonoid_on(carrier)
-        return (dashv if args["part"].value == "dashv" else vdash).relabel(op.name)
-    if ctor == "action_dimonoid":
-        dashv, vdash = action_dimonoid(carrier)
-        return (dashv if args["part"].value == "dashv" else vdash).relabel(op.name)
-    if ctor in ("brace_trivial", "brace_opposite"):
-        dot, circ = brace_ops(carrier, "trivial" if ctor == "brace_trivial" else "opposite")
-        return (dot if args["part"].value == "dot" else circ).relabel(op.name)
-    if ctor == "z_parity_brace":
-        plus, circ = z_parity_brace(carrier)
-        return (plus if args["part"].value == "plus" else circ).relabel(op.name)
-    raise SpecError([ParseDiagnostic(ERROR, op.ctor_token.line, op.ctor_token.column,
-                                     f"unknown construction {ctor!r}")])
-
-
 def compile_spec(draft: SpecDraft) -> CompiledSpec:
     """Instantiate carrier and tables; error diagnostics prevent compilation.
 
     Raises SpecError when the draft has error diagnostics. Construction-time
     failures (carrier guard, closure, singularity) propagate as their own
-    exception types.
+    exception types. Ops that name parts of one multi-part construction with
+    the same other arguments share one build.
     """
     if not draft.ok:
         raise SpecError(draft.errors)
@@ -898,8 +863,18 @@ def compile_spec(draft: SpecDraft) -> CompiledSpec:
         raise SpecError([ParseDiagnostic(ERROR, 1, 1, "spec declares no carrier")])
     carrier = _build_carrier(atoms)
     ops: dict = {}
+    shared: dict = {}
     for op in draft.ops:
-        ops[op.name] = _build_op(op, carrier, ops)
+        spec, values = CONSTRUCTIONS[op.ctor], draft.values[op.name]
+        if spec.parts:
+            key = (op.ctor, tuple(item for item in values.items() if item[0] != "part"))
+            if key not in shared:
+                shared[key] = spec.build(carrier, values)
+            table = shared[key][spec.parts.index(values["part"])]
+        else:
+            refs = {arg.name: ops[values[arg.name]] for arg in spec.args if arg.kind == OP_REF}
+            table = spec.build(carrier, {**values, **refs})
+        ops[op.name] = table.relabel(op.name)
     system = SystemSpec(carrier=carrier, ops=ops)
     return CompiledSpec(
         source=draft.source,
@@ -917,34 +892,8 @@ def run_check(compiled: CompiledSpec, check: CheckDecl, jobs: int = 1):
     skew_brace on a non-group that is a NotAGroupError naming the operand.
     """
     ops = [compiled.ops[name] for name in check.operand_names]
-    name = check.name
-    if name == "assoc":
-        return axioms.check_associativity(ops[0], jobs=jobs)
-    if name == "interchange":
-        return axioms.check_interchange(ops[0], ops[1], jobs=jobs)
-    if name == "idempotent":
-        return axioms.check_idempotency(ops[0])
-    if name in ("divisibility_left", "divisibility_right"):
-        return axioms.check_divisibility(ops[0], name.rsplit("_", 1)[1], unique=True)
-    if name in ("distrib_left", "distrib_right"):
-        return axioms.check_self_distributivity(ops[0], name.rsplit("_", 1)[1], jobs=jobs)
-    if name == "group":
-        return axioms.check_group(ops[0], jobs=jobs)
-    if name in ("rack_left", "rack_right", "quandle_left", "quandle_right"):
-        kind, side = name.rsplit("_", 1)
-        return axioms.check_rack_quandle(
-            ops[0], side, require_idempotent=(kind == "quandle"), jobs=jobs
-        )
-    if name == "dimonoid":
-        return axioms.check_dimonoid(ops[0], ops[1], jobs=jobs)
-    if name == "skew_brace":
-        try:
-            return axioms.check_skew_brace(ops[0], ops[1], jobs=jobs)
-        except NotAGroupError as err:
-            operand = check.operand_names[0 if err.which == "dot" else 1]
-            raise NotAGroupError(f"operation {operand!r}", err.report) from err
-    if name == "multiquandle":
-        return axioms.check_multiquandle_pair(ops[0], ops[1], jobs=jobs)
-    if name == "nvalued_assoc":
-        return axioms.check_nvalued_associativity(ops, jobs=jobs)
-    raise ValueError(f"unknown check {name!r}")
+    try:
+        return CHECKS[check.name].run(ops, jobs)
+    except NotAGroupError as err:  # raised by skew_brace, which names its tables dot and circ
+        operand = check.operand_names[0 if err.which == "dot" else 1]
+        raise NotAGroupError(f"operation {operand!r}", err.report) from err

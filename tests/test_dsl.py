@@ -1,17 +1,36 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multigroup.carriers import cyclic_group, make_automorphism, symmetric_group
+from multigroup import constructions, dsl
+from multigroup.carriers import (
+    cyclic_group,
+    direct_product,
+    gl_group,
+    make_automorphism,
+    pair_carrier,
+    symmetric_group,
+)
 from multigroup.constructions import alexander_quandle, conj_quandle, core_quandle
 from multigroup.dsl import (
     CHECK_NAMES,
+    CHECKS,
+    CHOICE,
+    CONSTRUCTIONS,
+    INT,
+    MATRIX,
+    OP_REF,
+    PHI,
     compile_spec,
     format_spec,
     parse_spec,
     run_check,
     tokenize,
 )
-from multigroup.errors import SpecError, TooLargeError
+from multigroup.errors import SpecError, TooLargeError, WorkbenchError
 
 GOOD = """\
 # a quandle and its transpose
@@ -328,3 +347,166 @@ def test_vector_pair_spec_compiles():
     assert results["rack_left"].passed
     assert not results["divisibility_right"].passed
     assert results["dimonoid"].passed
+
+
+# --- multi-part constructions are built once per compile ------------------------
+
+
+@pytest.mark.parametrize("carrier, ctor, builder, direct", [
+    ("symmetric(3) x symmetric(3)", "pair_dimonoid", "pair_dimonoid_on",
+     lambda: constructions.pair_dimonoid_on(direct_product(symmetric_group(3), symmetric_group(3)))),
+    ("vectors(2,2) x gl(2,2)", "action_dimonoid", "action_dimonoid",
+     lambda: constructions.action_dimonoid(pair_carrier(2, 2, gl_group(2, 2)))),
+    ("symmetric(3)", "brace_trivial", "brace_ops",
+     lambda: constructions.brace_ops(symmetric_group(3), "trivial")),
+    ("symmetric(3)", "brace_opposite", "brace_ops",
+     lambda: constructions.brace_ops(symmetric_group(3), "opposite")),
+    ("cyclic(8)", "z_parity_brace", "z_parity_brace",
+     lambda: constructions.z_parity_brace(cyclic_group(8))),
+])
+def test_multi_part_constructions_build_once(carrier, ctor, builder, direct, monkeypatch):
+    calls = []
+    original = getattr(dsl, builder)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, builder, counted)
+    parts = CONSTRUCTIONS[ctor].parts
+    text = f"carrier {carrier};\n" + "".join(
+        f"op p{i} = {ctor}(part={part});\n" for i, part in enumerate(parts)
+    ) + f"check nvalued_assoc {' '.join(f'p{i}' for i in range(len(parts)))};\n"
+    compiled = compile_spec(parse_spec(text))
+    assert len(calls) == 1
+    for i, table in enumerate(direct()):
+        assert compiled.ops[f"p{i}"].label == f"p{i}"
+        assert np.array_equal(compiled.ops[f"p{i}"].table, table.table)
+
+
+# --- bad specs never crash ------------------------------------------------------
+
+# Every draw that makes a spec wrong is gated by _sometimes, so that most specs
+# compile and reach run_check, and the rest are wrong in one or two places.
+_CARRIERS = (
+    "cyclic(4)", "cyclic(5)", "symmetric(3)", "gl(2,2)", "matrices(2,2)", "cyclic(2) x cyclic(2)",
+    "symmetric(3) x symmetric(3)", "vectors(2,2) x gl(2,2)",
+)
+_BAD_CARRIERS = (
+    "cyclic(0)", "gl(2,3)", "matrices(2,4)", "matrices(2,2) x matrices(2,2)", "vectors(2,2)",
+    "window(0,3)", "cyclic(3) x window(0,3)",
+)
+_INTS = st.integers(-3, 12).map(str)
+_MATRICES = st.sampled_from(("[[1,0],[0,1]]", "[[1,1],[0,1]]", "[[0,1],[1,1]]", "[[1,1],[1,1]]"))
+_PHIS = st.sampled_from(("identity", "[[0,1,2,3]]", "[[0,3,2,1]]", "[[0,2,1,3]]", "[[0,1,2,3,4,5]]"))
+_ANY_VALUE = st.sampled_from(("[[1]]", "[[1,2],[3]]", "[[0,1],[1,0]]", "sideways", "dot", "plus",
+                              "vdash", "identity", "zz", "3", "-1", "99"))
+_JUNK = st.sampled_from((";", "(", ")", "=", ",", "[", "]", "@", "x", "op", "check", "carrier", "7"))
+
+
+def _sometimes(draw):
+    return draw(st.integers(0, 15)) == 5
+
+
+def _fitting(carrier):
+    """The constructions whose carrier need the carrier meets (all of them on a bad carrier)."""
+    shape = dsl._shape_of_atoms(parse_spec(f"carrier {carrier};").carrier_atoms, [])
+    return sorted(name for name, spec in CONSTRUCTIONS.items()
+                  if shape is None or spec.need is None or spec.need.holds(shape))
+
+
+@st.composite
+def _op_decl(draw, name, earlier, fitting):
+    """Mostly a construction that fits the carrier, with its declared arguments."""
+    if not earlier:
+        fitting = [c for c in fitting if all(arg.kind != OP_REF for arg in CONSTRUCTIONS[c].args)] \
+            or sorted(CONSTRUCTIONS)
+    ctor = draw(st.sampled_from(sorted(CONSTRUCTIONS) + ["mystery"] if _sometimes(draw) else fitting))
+    spec = CONSTRUCTIONS.get(ctor)
+    args = []
+    for arg in spec.arguments if spec else ():
+        if _sometimes(draw):
+            continue
+        key = draw(st.sampled_from(arg.keys))
+        if _sometimes(draw):
+            value = draw(_ANY_VALUE)
+        elif arg.kind == OP_REF:
+            value = draw(st.sampled_from(earlier or ("zz",)))
+        else:
+            value = draw({INT: _INTS, MATRIX: _MATRICES, CHOICE: st.sampled_from(spec.parts),
+                          PHI: _PHIS if key == "phi" else _INTS}[arg.kind])
+        args.append(f"{key}={value}")
+    if _sometimes(draw):
+        args.append(f"{draw(st.sampled_from(('volume', 'part', 'inner', 'm')))}={draw(_ANY_VALUE)}")
+    return f"op {name} = {ctor}({', '.join(args)});"
+
+
+@st.composite
+def _check_decl(draw, declared):
+    """Mostly a check with its arity in declared operands."""
+    name = draw(st.sampled_from(sorted(CHECKS) + ["wobbly"] if _sometimes(draw) else sorted(CHECKS)))
+    arity = CHECKS[name].arity if name in CHECKS else None
+    count = draw(st.integers(0, 3)) if arity is None or _sometimes(draw) else arity
+    names = declared if declared and not _sometimes(draw) else ("zz",)
+    return f"check {name} {' '.join(draw(st.lists(st.sampled_from(names), min_size=count, max_size=count)))};"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bad_specs_never_crash(data):
+    """parse_spec never raises; compile_spec and run_check raise only WorkbenchError."""
+    draw = data.draw
+    carrier = draw(st.sampled_from(_BAD_CARRIERS + (None,) if _sometimes(draw) else _CARRIERS))
+    names = [f"o{i}" for i in range(draw(st.integers(0 if _sometimes(draw) else 1, 3)))]
+    fitting = _fitting(carrier) if carrier else sorted(CONSTRUCTIONS)
+    ops = [draw(_op_decl(name, names[:i], fitting)) for i, name in enumerate(names)]
+    checks = draw(st.lists(_check_decl(names), min_size=1, max_size=3))
+    words = " ".join(([f"carrier {carrier};"] if carrier else []) + ops + checks).split(" ")
+    if _sometimes(draw):
+        words.insert(draw(st.integers(0, len(words))), draw(_JUNK))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MULTIGROUP_GUARD", "64")
+        draft = parse_spec(" ".join(words))
+        try:
+            compiled = compile_spec(draft)
+        except WorkbenchError:
+            return
+        for check in compiled.checks:
+            try:
+                run_check(compiled, check)
+            except WorkbenchError:
+                pass
+
+
+# --- README lists what the tables hold -------------------------------------------
+
+
+def _readme_paragraph(start):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith(start))
+    return " ".join(paragraph.split())
+
+
+def test_readme_constructors_match_the_table():
+    entries = dict(re.findall(r"`(\w+)\(([^`]*)\)`", _readme_paragraph("Operation constructors:")))
+    assert set(entries) == set(CONSTRUCTIONS)
+    for name, args in entries.items():
+        spec = CONSTRUCTIONS[name]
+        shown = dict(re.findall(r"(\w+)=([^,]*)", args))
+        assert list(shown) == [arg.name for arg in spec.arguments], name
+        if spec.parts:
+            assert tuple(shown["part"].split("|")) == spec.parts, name
+
+
+def test_readme_check_names_and_arities_match_the_table():
+    match = re.fullmatch(
+        r"Check names: (.*)\. (.*) takes one or more operations; (.*) take two; the rest take one\.",
+        _readme_paragraph("Check names:"),
+    )
+    assert match is not None
+    names = re.findall(r"`(\w+)`", match[1])
+    assert names == list(CHECKS)
+    arity = {name: 1 for name in names}
+    arity.update({name: None for name in re.findall(r"`(\w+)`", match[2])})
+    arity.update({name: 2 for name in re.findall(r"`(\w+)`", match[3])})
+    assert arity == {name: spec.arity for name, spec in CHECKS.items()}
