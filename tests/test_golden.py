@@ -11,6 +11,9 @@ re-record after an intended output change, run from tests/golden:
     python3 -m multigroup demo --no-timing --format json > demo.json
     python3 ../../scripts/probe_brace_dimonoid.py > probe_brace_dimonoid.txt
     python3 ../../scripts/probe_op_products.py > probe_op_products.txt
+    python3 -m multigroup enumerate "EXPR" --list > enumerate_NAME.txt
+
+with NAME and EXPR from ENUMERATE below.
 
 A search over the constructions on small carriers found no spec that fails
 with reason `no-solution` or `quandle_*: distrib_*`; the library tests in
@@ -28,6 +31,16 @@ from multigroup.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 SPECS = sorted(p.stem for p in GOLDEN.glob("*.mg"))
+# One small carrier of each family: index tables follow this element order.
+ENUMERATE = {
+    "cyclic": "cyclic(5)",
+    "symmetric": "symmetric(3)",
+    "gl": "gl(2,3)",
+    "matrices": "matrices(2,2)",
+    "window": "window(-2,3)",
+    "product": "cyclic(2) x symmetric(3)",
+    "pairs": "vectors(2,2) x gl(2,2)",
+}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
@@ -51,3 +64,9 @@ def test_probe_matches_golden(script, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", [str(path)])
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out == (GOLDEN / f"{script}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATE))
+def test_enumerate_matches_golden(name, capsys):
+    assert main(["enumerate", ENUMERATE[name], "--list"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"enumerate_{name}.txt").read_text(encoding="utf-8")
