@@ -10,12 +10,7 @@ element law, on pass and on fail alike. A composite check stops at its first
 failing stage, so its `checked` sums the stages up to and including that one.
 Both are functions of the carrier and the tables alone, which makes reports
 byte-identical across repeated runs and across thread counts.
-
-An opt-in sampled mode exists for carriers above SAMPLING_FLOOR elements; its
-reports carry exhaustive=False and `checked` equal to the sample count.
 """
-
-import random
 
 import numpy as np
 
@@ -35,8 +30,6 @@ from .optables import (
     table_from_array,
 )
 
-SAMPLING_FLOOR = 2_000
-
 LEFT = "left"
 RIGHT = "right"
 
@@ -45,24 +38,6 @@ def _side(side: str) -> str:
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return side
-
-
-def _sampling_guard(op: OpTable, samples):
-    if samples is not None and len(op) <= SAMPLING_FLOOR:
-        raise ValueError(
-            f"sampled mode is reserved for carriers above {SAMPLING_FLOOR} elements"
-        )
-
-
-def _sampled_law(axiom, carrier, bad, samples: int, seed: int) -> AxiomReport:
-    """Evaluate the one-triple predicate bad(a, b, c) at seeded random triples."""
-    rng = random.Random(seed)
-    n = len(carrier)
-    triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-    hits = [t for t in triples if bad(*t)]
-    if hits:
-        return failing(axiom, carrier, min(hits), samples, exhaustive=False)
-    return passing(axiom, samples, exhaustive=False)
 
 
 def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None) -> AxiomReport:
@@ -88,8 +63,7 @@ def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None) -> AxiomR
     return passing(axiom, n**3)
 
 
-# Law shapes: each returns the chunk sides for _law and the one-triple
-# predicate for sampled mode.
+# Law shapes: each returns the chunk sides for _law.
 
 
 def _bracket(A, B, C, D):
@@ -97,10 +71,7 @@ def _bracket(A, B, C, D):
     def sides(a0, a1):
         return A[B[a0:a1], :], C[a0:a1][:, D]
 
-    def bad(x, y, z):
-        return A[B[x, y], z] != C[x, D[y, z]]
-
-    return sides, bad
+    return sides
 
 
 def _mixed_distrib(ta, tb):
@@ -108,10 +79,7 @@ def _mixed_distrib(ta, tb):
     def sides(a0, a1):
         return tb[ta[a0:a1], :], ta[tb[a0:a1][:, None, :], tb[None, :, :]]
 
-    def bad(x, y, z):
-        return tb[ta[x, y], z] != ta[tb[x, z], tb[y, z]]
-
-    return sides, bad
+    return sides
 
 
 def _left_distrib(t):
@@ -120,10 +88,7 @@ def _left_distrib(t):
         sub = t[a0:a1]
         return sub[:, t], t[sub[:, :, None], sub[:, None, :]]
 
-    def bad(x, y, z):
-        return t[x, t[y, z]] != t[t[x, y], t[x, z]]
-
-    return sides, bad
+    return sides
 
 
 def _stages(name: str, stages) -> AxiomReport:
@@ -142,43 +107,23 @@ def _stages(name: str, stages) -> AxiomReport:
     return passing(name, checked)
 
 
-def check_associativity(op: OpTable, jobs: int = 1, samples=None, seed: int = 0) -> AxiomReport:
+def check_associativity(op: OpTable, jobs: int = 1) -> AxiomReport:
     """(a*b)*c = a*(b*c) over all triples."""
-    _sampling_guard(op, samples)
     t = op.table
-    sides, bad = _bracket(t, t, t, t)
-    if samples is not None:
-        return _sampled_law("assoc", op.carrier, bad, samples, seed)
-    return _law("assoc", op.carrier, sides, jobs)
+    return _law("assoc", op.carrier, _bracket(t, t, t, t), jobs)
 
 
-def check_interchange(
-    op_i: OpTable, op_j: OpTable, jobs: int = 1, samples=None, seed: int = 0
-) -> AxiomReport:
+def check_interchange(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> AxiomReport:
     """(a *_i b) *_j c = a *_i (b *_j c) over all triples."""
     carrier = shared_carrier(op_i, op_j)
-    _sampling_guard(op_i, samples)
     ti, tj = op_i.table, op_j.table
-    sides, bad = _bracket(tj, ti, ti, tj)
-    if samples is not None:
-        return _sampled_law("interchange", carrier, bad, samples, seed)
-    return _law("interchange", carrier, sides, jobs)
+    return _law("interchange", carrier, _bracket(tj, ti, ti, tj), jobs)
 
 
-def check_idempotency(op: OpTable, samples=None, seed: int = 0) -> AxiomReport:
+def check_idempotency(op: OpTable) -> AxiomReport:
     """x*x = x for every x."""
-    _sampling_guard(op, samples)
-    t = op.table
     n = len(op)
-    diag = t.diagonal()
-    if samples is not None:
-        rng = random.Random(seed)
-        picks = [rng.randrange(n) for _ in range(samples)]
-        bad = [x for x in picks if diag[x] != x]
-        if bad:
-            return failing("idempotent", op.carrier, (min(bad),), samples, exhaustive=False)
-        return passing("idempotent", samples, exhaustive=False)
-    off = first_true(diag != np.arange(n))
+    off = first_true(op.table.diagonal() != np.arange(n))
     if off is not None:
         return failing("idempotent", op.carrier, off, n)
     return passing("idempotent", n)
@@ -198,9 +143,7 @@ def _solution_counts(op: OpTable, side: str) -> np.ndarray:
     return counts
 
 
-def check_divisibility(
-    op: OpTable, side: str, unique: bool = True, samples=None, seed: int = 0
-) -> AxiomReport:
+def check_divisibility(op: OpTable, side: str, unique: bool = True) -> AxiomReport:
     """Solvability of the sided division equation for every pair.
 
     Right side: for each (x, y), solutions z of x = z*y. Left side: for each
@@ -209,19 +152,9 @@ def check_divisibility(
     non-unique one. With unique=False only existence is required.
     """
     _side(side)
-    _sampling_guard(op, samples)
     axiom = f"divisibility_{side}"
     n = len(op)
     counts = _solution_counts(op, side)
-    if samples is not None:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-        bad = [pr for pr in pairs if counts[pr] == 0 or (unique and counts[pr] > 1)]
-        if bad:
-            w = min(bad)
-            reason = REASON_NO_SOLUTION if counts[w] == 0 else REASON_NOT_UNIQUE
-            return failing(axiom, op.carrier, w, samples, reason, exhaustive=False)
-        return passing(axiom, samples, exhaustive=False)
     bad = first_true((counts != 1) if unique else (counts == 0))
     if bad is not None:
         reason = REASON_NO_SOLUTION if counts[bad] == 0 else REASON_NOT_UNIQUE
@@ -229,18 +162,12 @@ def check_divisibility(
     return passing(axiom, n * n)
 
 
-def check_self_distributivity(
-    op: OpTable, side: str, jobs: int = 1, samples=None, seed: int = 0
-) -> AxiomReport:
+def check_self_distributivity(op: OpTable, side: str, jobs: int = 1) -> AxiomReport:
     """Right: (x*y)*z = (x*z)*(y*z). Left: x*(y*z) = (x*y)*(x*z)."""
     _side(side)
-    _sampling_guard(op, samples)
     t = op.table
-    axiom = f"distrib_{side}"
-    sides, bad = _mixed_distrib(t, t) if side == RIGHT else _left_distrib(t)
-    if samples is not None:
-        return _sampled_law(axiom, op.carrier, bad, samples, seed)
-    return _law(axiom, op.carrier, sides, jobs)
+    sides = _mixed_distrib(t, t) if side == RIGHT else _left_distrib(t)
+    return _law(f"distrib_{side}", op.carrier, sides, jobs)
 
 
 def find_units(op: OpTable) -> list:
@@ -332,7 +259,7 @@ def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport
     d, v = dashv.table, vdash.table
     laws = ((d, d, d, d), (d, d, d, v), (d, v, v, d), (v, d, v, v), (v, v, v, v))
     return _stages("dimonoid", [
-        (f"axiom-{k}", lambda law=law: _law("dimonoid", carrier, _bracket(*law)[0], jobs))
+        (f"axiom-{k}", lambda law=law: _law("dimonoid", carrier, _bracket(*law), jobs))
         for k, law in enumerate(laws, 1)
     ])
 
@@ -384,7 +311,7 @@ def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> Axio
     carrier = shared_carrier(op_i, op_j)
     ti, tj = op_i.table, op_j.table
     return _stages("multiquandle", [
-        (label, lambda ta=ta, tb=tb: _law("multiquandle", carrier, _mixed_distrib(ta, tb)[0], jobs))
+        (label, lambda ta=ta, tb=tb: _law("multiquandle", carrier, _mixed_distrib(ta, tb), jobs))
         for label, ta, tb in (("mixed-distrib-ij", ti, tj), ("mixed-distrib-ji", tj, ti))
     ])
 

@@ -2,8 +2,17 @@
 
 A Carrier fixes the element universe for operation tables. Canonical orders:
 matrices are row-major lexicographic, permutations are in one-line-notation
-order, pairs are lexicographic with the left component first. Group-flavoured
-carriers additionally carry product/inverse callables over raw encodings.
+order, pairs are lexicographic with the left component first.
+
+Monoid and group carriers multiply in index space. `Carrier.product(i, j)`
+gives the index of elements[i] * elements[j] elementwise over index arrays,
+with one implementation per kind: arithmetic for cyclic groups, a
+permutation gather for symmetric groups, a matrix product and rank lookup for
+matrix carriers, and the factors' products for direct products. The
+|Q| x |Q| Cayley table `cayley` is built from it on first use, once per
+carrier object, and is write-protected; `mul`, `inv` and `identity` read the
+same structure on encodings without building the table. Vector-group pairs
+carry an action table `action[A, v]` instead.
 
 Element encodings are plain hashable Python values: ints for cyclic groups and
 integer windows, tuples for permutations and vectors, tuples of row tuples for
@@ -15,7 +24,6 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
@@ -30,8 +38,13 @@ from .errors import (
 )
 from .field import PrimeField
 from .matrix import Matrix, mat_det, mat_inv
+from .optables import first_true, index_dtype
 
 DEFAULT_GUARD = 10**6
+
+# Matrix or permutation entries per Cayley chunk: half a megabyte per int64
+# temporary, so building a table adds little to peak memory.
+CAYLEY_CHUNK_CELLS = 65_536
 
 KINDS = (
     "matrix-set",
@@ -61,18 +74,22 @@ def _guard_size(size: int, what: str) -> None:
         raise TooLargeError(f"{what} needs {size} candidates, above the guard of {guard}")
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Carrier:
-    """An ordered finite element set, optionally with group structure attached."""
+    """An ordered finite element set, optionally with a monoid or group product."""
 
     kind: str
     elements: tuple
     label: str
-    mul: object = None          # (enc, enc) -> enc, or None
-    inv: object = None          # enc -> enc, or None
-    identity: object = None
+    identity: object = None     # the unit's encoding on monoid and group carriers
+    is_group: bool = False
     field: PrimeField | None = None
-    dim: int | None = None
+    dim: int | None = None      # matrix size, vector length or permutation degree
     factors: tuple | None = None      # (left, right) carriers for direct products
     group: "Carrier | None" = None    # matrix-group factor of vector-group pairs
 
@@ -97,47 +114,134 @@ class Carrier:
         return self.index[element]
 
     @property
-    def is_group(self) -> bool:
-        return self.mul is not None and self.inv is not None and self.identity is not None
-
-    @property
     def is_monoid(self) -> bool:
-        return self.mul is not None and self.identity is not None
+        return self.identity is not None
+
+    @cached_property
+    def identity_index(self) -> int:
+        return self.index[self.identity]
 
     def same_as(self, other: "Carrier") -> bool:
         return self.kind == other.kind and self.elements == other.elements
 
     @cached_property
-    def as_matrix_array(self) -> np.ndarray:
-        """Matrix carriers as an (N, n, n) int array; raises for other kinds."""
-        if self.kind not in ("matrix-set", "matrix-group"):
-            raise UnsupportedCarrierError(f"{self.kind} carrier has no matrix array form")
+    def array(self) -> np.ndarray:
+        """The elements as one int array: (N, n, n) for matrices, (N, n) for permutations."""
         return np.array(self.elements, dtype=np.int64)
 
     @cached_property
-    def matrix_rank_index(self) -> np.ndarray:
-        """Lookup from row-major base-p rank to carrier index (-1 when absent)."""
-        p, n = self.field.p, self.dim
-        table = np.full(p ** (n * n), -1, dtype=np.int64)
-        weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-        flat = self.as_matrix_array.reshape(len(self), n * n)
-        table[flat @ weights] = np.arange(len(self), dtype=np.int64)
-        return table
+    def _weights(self) -> np.ndarray:
+        """base^L, ..., base, 1 for an element's L entries; base p, or a permutation's degree."""
+        base = self.field.p if self.field is not None else self.dim
+        return base ** np.arange(self.array[0].size, -1, -1, dtype=np.int64)
+
+    @cached_property
+    def rank_index(self) -> np.ndarray:
+        """Lookup from an element's rank (its entries as digits) to its index, -1 when absent."""
+        table = np.full(int(self._weights[0]), -1)
+        table[self.array.reshape(len(self), -1) @ self._weights[1:]] = np.arange(len(self))
+        return _frozen(table)
+
+    def lookup(self, values) -> np.ndarray:
+        """Indices of the matrices or permutations on the trailing axes of values, -1 if absent."""
+        values = np.asarray(values)
+        flat = values.reshape(values.shape[:values.ndim + 1 - self.array.ndim] + (-1,))
+        return self.rank_index[flat @ self._weights[1:]]
+
+    def product(self, i, j) -> np.ndarray:
+        """Index of elements[i] * elements[j], elementwise over broadcast index arrays.
+
+        -1 marks a matrix product outside the carrier, which a verified
+        carrier never produces.
+        """
+        if self.kind == "cyclic-group":
+            return (np.asarray(i, dtype=np.int64) + j) % len(self)
+        if self.kind == "symmetric-group":  # (p q)(k) = p[q[k]]
+            p, q = np.broadcast_arrays(self.array[i], self.array[j])
+            return self.lookup(np.take_along_axis(p, q, axis=-1))
+        if self.kind in ("matrix-set", "matrix-group"):
+            return self.lookup(self.array[i] @ self.array[j] % self.field.p)
+        if self.kind == "direct-product":
+            left, right = self.factors
+            (li, ri), (lj, rj) = np.divmod(i, len(right)), np.divmod(j, len(right))
+            return left.product(li, lj) * len(right) + right.product(ri, rj)
+        raise UnsupportedCarrierError(f"{self.label} has no product")
+
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        """cayley[i, j] = product(i, j) for all pairs, built once and write-protected.
+
+        Direct products combine their factors' tables. Other kinds evaluate
+        their product over row chunks; a matrix product outside the carrier
+        raises NotClosedError at the first such pair in row-major order.
+        """
+        n = len(self)
+        if self.kind == "direct-product":
+            left, right = self.factors
+            li, ri = np.divmod(np.arange(n), len(right))
+            table = left.cayley[li[:, None], li[None, :]].astype(index_dtype(n))
+            table *= len(right)  # every partial sum stays below n
+            table += right.cayley[ri[:, None], ri[None, :]]
+            return _frozen(table)
+        table = np.empty((n, n), dtype=index_dtype(n))
+        rows = np.arange(n)[:, None]
+        step = max(1, CAYLEY_CHUNK_CELLS // (n * self.array[0].size))
+        for a0 in range(0, n, step):
+            block = self.product(rows[a0:a0 + step], rows.T)
+            bad = first_true(block < 0)
+            if bad is not None:
+                a, b = a0 + bad[0], bad[1]
+                escaped = Matrix(self.field, (self.array[a] @ self.array[b]).tolist()).rows
+                raise NotClosedError(self[a], self[b], escaped)
+            table[a0:a0 + step] = block
+        return _frozen(table)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """The order of every element of a group, stepping all powers together."""
+        if not self.is_group:
+            raise UnsupportedCarrierError("element orders need a group carrier")
+        step = np.arange(len(self))
+        orders = np.zeros(len(self), dtype=np.int64)
+        power, k = step, 1
+        while not orders.all():
+            orders[(power == self.identity_index) & (orders == 0)] = k
+            power, k = self.product(power, step), k + 1
+        return _frozen(orders)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """inverse[i]: index of the inverse of elements[i], as elements[i]^(order - 1)."""
+        return _frozen(power_index(self, np.arange(len(self)), self.orders - 1))
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        """action[A, v]: index of the vector A v on vector-group pairs; vectors in base-p order."""
+        if self.kind != "vector-group-pairs":
+            raise UnsupportedCarrierError(f"{self.label} carries no action")
+        p, d = self.field.p, self.dim
+        vectors = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+        images = vectors @ self.group.array.transpose(0, 2, 1) % p  # [A, v] -> (A v)^T
+        return _frozen(images @ p ** np.arange(d - 1, -1, -1, dtype=np.int64))
+
+    def mul(self, a, b):
+        """a * b on encodings: one product, without building the Cayley table."""
+        return self.elements[int(self.product(self.index[a], self.index[b]))]
+
+    def inv(self, a):
+        return self.elements[int(self.inverse[self.index[a]])]
 
 
-def _verify_group_closure(carrier: Carrier) -> Carrier:
-    # Closure of product and inverse over the listed elements; cheap insurance
-    # for hand-assembled carriers, exact by construction for the built-ins.
-    idx = carrier.index
-    if carrier.identity not in idx:
-        raise UnsupportedCarrierError(f"{carrier.label}: identity missing from elements")
-    for a in carrier.elements:
-        if carrier.inv(a) not in idx:
-            raise UnsupportedCarrierError(f"{carrier.label}: inverse of {a!r} escapes the carrier")
-        for b in carrier.elements:
-            if carrier.mul(a, b) not in idx:
-                raise UnsupportedCarrierError(f"{carrier.label}: product {a!r}*{b!r} escapes the carrier")
-    return carrier
+def power_index(carrier: Carrier, i, k) -> np.ndarray:
+    """Index of elements[i]^k by binary powering, elementwise over i and k >= 0."""
+    k = np.asarray(k)
+    base = np.asarray(i)
+    acc = np.full(np.broadcast_shapes(base.shape, k.shape), carrier.identity_index)
+    while k.any():
+        acc = np.where(k & 1, carrier.product(acc, base), acc)
+        base = carrier.product(base, base)
+        k = k >> 1
+    return acc
 
 
 def cyclic_group(n: int) -> Carrier:
@@ -145,14 +249,7 @@ def cyclic_group(n: int) -> Carrier:
     if n < 1:
         raise UnsupportedCarrierError(f"cyclic({n}) needs n >= 1")
     _guard_size(n, f"cyclic({n})")
-    return Carrier(
-        kind="cyclic-group",
-        elements=tuple(range(n)),
-        label=f"cyclic({n})",
-        mul=lambda a, b: (a + b) % n,
-        inv=lambda a: (-a) % n,
-        identity=0,
-    )
+    return Carrier("cyclic-group", tuple(range(n)), f"cyclic({n})", identity=0, is_group=True)
 
 
 def symmetric_group(n: int) -> Carrier:
@@ -160,30 +257,19 @@ def symmetric_group(n: int) -> Carrier:
     if not 1 <= n <= 5:
         raise UnsupportedCarrierError(f"symmetric({n}) supported for 1 <= n <= 5")
     elements = tuple(sorted(itertools.permutations(range(n))))
+    return Carrier("symmetric-group", elements, f"symmetric({n})", identity=tuple(range(n)),
+                   is_group=True, dim=n)
 
-    def mul(a, b):
-        return tuple(a[b[i]] for i in range(n))
 
-    def inv(a):
-        out = [0] * n
-        for i, v in enumerate(a):
-            out[v] = i
-        return tuple(out)
-
-    return Carrier(
-        kind="symmetric-group",
-        elements=elements,
-        label=f"symmetric({n})",
-        mul=mul,
-        inv=inv,
-        identity=tuple(range(n)),
-    )
+def _identity_rows(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier:
     """All of M_n(F_p), or GL_n(F_p), in row-major lexicographic order.
 
-    The enumeration space p^(n*n) must stay within the carrier guard.
+    The enumeration space p^(n*n) must stay within the carrier guard. The
+    full matrix set is a monoid under multiplication but not a group.
     """
     if n < 1:
         raise UnsupportedCarrierError(f"matrix dimension {n} must be >= 1")
@@ -195,43 +281,9 @@ def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier
         if invertible_only and mat_det(Matrix(fld, rows)) == 0:
             continue
         elements.append(rows)
-
-    def mul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-            for i in range(n)
-        )
-
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    if invertible_only:
-        inv_cache: dict = {}
-
-        def inv(a):
-            got = inv_cache.get(a)
-            if got is None:
-                got = inv_cache[a] = mat_inv(Matrix(fld, a)).rows
-            return got
-
-        return Carrier(
-            kind="matrix-group",
-            elements=tuple(elements),
-            label=f"gl({n},{p})",
-            mul=mul,
-            inv=inv,
-            identity=ident,
-            field=fld,
-            dim=n,
-        )
-    # The full matrix set is a monoid under multiplication but not a group.
-    return Carrier(
-        kind="matrix-set",
-        elements=tuple(elements),
-        label=f"matrices({n},{p})",
-        mul=mul,
-        identity=ident,
-        field=fld,
-        dim=n,
-    )
+    kind, name = ("matrix-group", "gl") if invertible_only else ("matrix-set", "matrices")
+    return Carrier(kind, tuple(elements), f"{name}({n},{p})", identity=_identity_rows(n),
+                   is_group=invertible_only, field=fld, dim=n)
 
 
 def gl_group(n: int, p: int) -> Carrier:
@@ -245,43 +297,25 @@ def matrix_set(n: int, p: int) -> Carrier:
 def matrix_subgroup(rows_list, n: int, p: int, label: str | None = None) -> Carrier:
     """A matrix group carrier from explicit elements, verified to be a group.
 
-    Elements are given as row tuples, deduplicated and sorted row-major.
-    Raises NotClosedError at the first product outside the set.
+    Elements are given as row tuples, deduplicated and sorted row-major. The
+    identity is checked first, then inverses, then products: NotClosedError
+    names the first inverse, else the first product in row-major order,
+    outside the set.
     """
     fld = PrimeField(p)
     elements = tuple(sorted({Matrix.from_rows(r, fld).rows for r in rows_list}))
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    if ident not in elements:
+    if _identity_rows(n) not in elements:
         raise NoUnitError(f"matrix subgroup mod {p} must contain the identity")
     member = set(elements)
-    inv_cache = {}
     for a in elements:
-        inv_cache[a] = mat_inv(Matrix(fld, a)).rows
-        if inv_cache[a] not in member:
-            raise NotClosedError(a, a, inv_cache[a])
-
-    def mul(a, b):
-        out = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-            for i in range(n)
-        )
-        if out not in member:
-            raise NotClosedError(a, b, out)
-        return out
-
-    for a in elements:
-        for b in elements:
-            mul(a, b)
-    return Carrier(
-        kind="matrix-group",
-        elements=elements,
-        label=label or f"matrix-subgroup({n},{p},{len(elements)})",
-        mul=mul,
-        inv=lambda a: inv_cache[a],
-        identity=ident,
-        field=fld,
-        dim=n,
-    )
+        inverse = mat_inv(Matrix(fld, a)).rows
+        if inverse not in member:
+            raise NotClosedError(a, a, inverse)
+    label = label or f"matrix-subgroup({n},{p},{len(elements)})"
+    carrier = Carrier("matrix-group", elements, label, identity=_identity_rows(n), is_group=True,
+                      field=fld, dim=n)
+    carrier.cayley  # verifies closure under products
+    return carrier
 
 
 def direct_product(a: Carrier, b: Carrier) -> Carrier:
@@ -290,21 +324,9 @@ def direct_product(a: Carrier, b: Carrier) -> Carrier:
         raise UnsupportedCarrierError("direct product needs factors with product structure")
     _guard_size(len(a) * len(b), f"{a.label} x {b.label}")
     elements = tuple((x, y) for x in a.elements for y in b.elements)
-    amul, bmul = a.mul, b.mul
-    mul = lambda u, v: (amul(u[0], v[0]), bmul(u[1], v[1]))
-    inv = None
-    if a.is_group and b.is_group:
-        ainv, binv = a.inv, b.inv
-        inv = lambda u: (ainv(u[0]), binv(u[1]))
-    return Carrier(
-        kind="direct-product",
-        elements=elements,
-        label=f"{a.label} x {b.label}",
-        mul=mul,
-        inv=inv,
-        identity=(a.identity, b.identity),
-        factors=(a, b),
-    )
+    return Carrier("direct-product", elements, f"{a.label} x {b.label}",
+                   identity=(a.identity, b.identity), is_group=a.is_group and b.is_group,
+                   factors=(a, b))
 
 
 def pair_carrier(vdim: int, p: int, group: Carrier) -> Carrier:
@@ -324,14 +346,8 @@ def pair_carrier(vdim: int, p: int, group: Carrier) -> Carrier:
     _guard_size(p**vdim * len(group), f"vectors({vdim},{p}) x {group.label}")
     vectors = tuple(itertools.product(range(p), repeat=vdim))
     elements = tuple((v, A) for v in vectors for A in group.elements)
-    return Carrier(
-        kind="vector-group-pairs",
-        elements=elements,
-        label=f"vectors({vdim},{p}) x {group.label}",
-        field=PrimeField(p),
-        dim=vdim,
-        group=group,
-    )
+    return Carrier("vector-group-pairs", elements, f"vectors({vdim},{p}) x {group.label}",
+                   field=PrimeField(p), dim=vdim, group=group)
 
 
 def integer_window(lo: int, hi: int) -> Carrier:
@@ -339,11 +355,7 @@ def integer_window(lo: int, hi: int) -> Carrier:
     if lo > hi:
         raise UnsupportedCarrierError(f"window({lo},{hi}) is empty")
     _guard_size(hi - lo + 1, f"window({lo},{hi})")
-    return Carrier(
-        kind="integer-window",
-        elements=tuple(range(lo, hi + 1)),
-        label=f"window({lo},{hi})",
-    )
+    return Carrier("integer-window", tuple(range(lo, hi + 1)), f"window({lo},{hi})")
 
 
 _ATOM_RE = re.compile(r"^\s*([a-z_]+)\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$")
@@ -410,36 +422,20 @@ def group_carrier(spec: str) -> Carrier:
 
 
 def element_order(carrier: Carrier, element) -> int:
-    if not carrier.is_group:
-        raise UnsupportedCarrierError("element orders need a group carrier")
-    k, acc = 1, element
-    while acc != carrier.identity:
-        acc = carrier.mul(acc, element)
-        k += 1
-    return k
+    return int(carrier.orders[carrier.index_of(element)])
 
 
 def group_exponent(carrier: Carrier) -> int:
     """Least common multiple of the element orders."""
-    exp = 1
-    for e in carrier.elements:
-        o = element_order(carrier, e)
-        exp = exp * o // gcd(exp, o)
-    return exp
+    return int(np.lcm.reduce(carrier.orders))
 
 
 def group_power(carrier: Carrier, element, k: int):
     """element^k in the carrier's group, with negative exponents via inverses."""
+    i = carrier.index_of(element)
     if k < 0:
-        return group_power(carrier, carrier.inv(element), -k)
-    acc = carrier.identity
-    base = element
-    while k:
-        if k & 1:
-            acc = carrier.mul(acc, base)
-        base = carrier.mul(base, base)
-        k >>= 1
-    return acc
+        i, k = carrier.inverse[i], -k
+    return carrier.elements[int(power_index(carrier, i, k))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,41 +458,36 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
 
     rule is one of: "identity", ("inner", g), ("power", k), or an explicit
     sequence of image indices. Validation checks bijectivity and the
-    homomorphism law over all pairs.
+    homomorphism law over all pairs, naming the first failing pair.
     """
     if not group.is_group:
         raise UnsupportedCarrierError("automorphisms need a group carrier")
     n = len(group)
+    every = np.arange(n)
     if rule == "identity":
-        images = tuple(range(n))
+        images = every
         label = "identity"
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "inner":
         g = rule[1]
         if g not in group.index:
             raise UnsupportedCarrierError(f"inner({g!r}): element not in {group.label}")
-        ginv = group.inv(g)
-        images = tuple(
-            group.index_of(group.mul(group.mul(g, e), ginv)) for e in group.elements
-        )
-        label = f"inner({group.index_of(g)})"
+        gi = group.index_of(g)
+        images = group.product(group.product(gi, every), group.inverse[gi])
+        label = f"inner({gi})"
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "power":
-        k = rule[1] % group_exponent(group)
-        images = tuple(group.index_of(group_power(group, e, k)) for e in group.elements)
+        images = power_index(group, every, rule[1] % group_exponent(group))
         label = f"power({rule[1]})"
     else:
-        images = tuple(int(i) for i in rule)
-        if len(images) != n or any(not 0 <= i < n for i in images):
+        images = np.array([int(i) for i in rule], dtype=np.int64)
+        if len(images) != n or not np.all((images >= 0) & (images < n)):
             raise NotBijectiveError(f"image list must be a permutation of 0..{n - 1}")
         label = "explicit"
 
-    if len(set(images)) != n:
+    if not np.array_equal(np.sort(images), every):
         raise NotBijectiveError(f"{label} is not a bijection on {group.label}")
-    elems = group.elements
-    idx = group.index
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if images[idx[group.mul(a, b)]] != idx[group.mul(elems[images[i]], elems[images[j]])]:
-                raise NotHomomorphismError(
-                    f"{label} breaks the homomorphism law at ({a!r}, {b!r})"
-                )
-    return GroupAutomorphism(carrier=group, images=images, label=label)
+    table, images = group.cayley, images.astype(group.cayley.dtype)
+    bad = first_true(images[table] != table[images[:, None], images[None, :]])
+    if bad is not None:
+        a, b = (group.elements[i] for i in bad)
+        raise NotHomomorphismError(f"{label} breaks the homomorphism law at ({a!r}, {b!r})")
+    return GroupAutomorphism(carrier=group, images=tuple(int(i) for i in images), label=label)

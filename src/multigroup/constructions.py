@@ -1,5 +1,9 @@
 """Operation-table constructions over the built-in carriers.
 
+Each construction is a gather over its carrier's index arrays: the Cayley
+table, the inverse and power indices and, on vector-group pairs, the action
+table. No construction evaluates a rule per element pair.
+
 The spec language names them in one table, `dsl.CONSTRUCTIONS`: each entry
 gives a construction's name, the carrier it needs, its arguments and the
 function here that builds it.
@@ -14,10 +18,9 @@ from .carriers import (
     GroupAutomorphism,
     direct_product,
     group_exponent,
-    group_power,
+    power_index,
 )
 from .errors import (
-    ActionMismatchError,
     CarrierMismatchError,
     DimensionMismatchError,
     ModulusMismatchError,
@@ -28,8 +31,8 @@ from .errors import (
     SingularMatrixError,
     UnsupportedCarrierError,
 )
-from .matrix import Matrix, mat_det
-from .optables import OpTable, build_op_table, first_true, table_from_array
+from .matrix import Matrix, mat_add_scaled, mat_det
+from .optables import OpTable, first_true, scan_chunks, table_from_array
 
 
 @dataclass(frozen=True)
@@ -60,39 +63,35 @@ def _require_matrix_carrier(carrier: Carrier, n: int, p: int) -> None:
         raise ModulusMismatchError(f"carrier modulus {carrier.field.p} vs parameter modulus {p}")
 
 
-def _bilinear_table(carrier: Carrier, s: int, t: int, m1: Matrix, m2: Matrix, label: str) -> OpTable:
-    """Vectorized A*B = s A M1 B + t A M2 B with closure checked via rank lookup."""
-    p, n = carrier.field.p, carrier.dim
-    elems = carrier.as_matrix_array
-    count = len(carrier)
-    am1 = elems @ np.array(m1.rows, dtype=np.int64) % p
-    am2 = elems @ np.array(m2.rows, dtype=np.int64) % p
-    weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    rank_index = carrier.matrix_rank_index
-    grid = np.empty((count, count), dtype=np.int64)
-    rows_per_chunk = max(1, 4_000_000 // (count * n * n))
-    for a0 in range(0, count, rows_per_chunk):
-        a1 = min(a0 + rows_per_chunk, count)
-        part = (
-            s * np.einsum("aij,bjk->abik", am1[a0:a1], elems)
-            + t * np.einsum("aij,bjk->abik", am2[a0:a1], elems)
-        ) % p
-        ranks = part.reshape(a1 - a0, count, n * n) @ weights
-        idx = rank_index[ranks]
-        bad = first_true(idx < 0)
-        if bad is not None:
-            a, b = bad
-            result = tuple(tuple(int(v) for v in row) for row in part[a, b])
-            raise NotClosedError(carrier.elements[a0 + a], carrier.elements[b], result)
-        grid[a0:a1] = idx
-    return table_from_array(carrier, grid, label)
+def _grid(n: int) -> tuple:
+    """Row and column index arrays of an n x n table: x down the rows, y across."""
+    every = np.arange(n)
+    return every[:, None], every[None, :]
+
+
+def _sandwich_table(carrier: Carrier, m: Matrix, label: str) -> OpTable:
+    """A*B = A M B as a row gather: row A is the Cayley row of A M.
+
+    The carrier holds every matrix or is a group, so A M B lies in it for
+    every B exactly when A M does. The first A with A M outside it is thus
+    the first failing row, and (A, Q[0]) the first failing pair.
+    """
+    mats, p = carrier.array, carrier.field.p
+    m_array = np.array(m.rows, dtype=np.int64)
+    rows = carrier.lookup(mats @ m_array % p)
+    bad = first_true(rows < 0)
+    if bad is not None:
+        a = bad[0]
+        result = Matrix(m.field, (mats[a] @ m_array @ mats[0]).tolist()).rows
+        raise NotClosedError(carrier[a], carrier[0], result)
+    return table_from_array(carrier, carrier.cayley[rows], label)
 
 
 def matrix_op(params: MatrixOpParams, carrier: Carrier, label: str | None = None) -> OpTable:
-    """The two-parameter product A*B = s A M1 B + t A M2 B."""
+    """The two-parameter product A*B = s A M1 B + t A M2 B = A (s M1 + t M2) B."""
     _require_matrix_carrier(carrier, params.m1.n, params.m1.field.p)
     name = label or f"matrix_op(s={params.s},t={params.t})"
-    return _bilinear_table(carrier, params.s, params.t, params.m1, params.m2, name)
+    return _sandwich_table(carrier, mat_add_scaled(params.s, params.m1, params.t, params.m2), name)
 
 
 def gl_group_op(m: Matrix, carrier: Carrier, label: str | None = None) -> OpTable:
@@ -100,7 +99,7 @@ def gl_group_op(m: Matrix, carrier: Carrier, label: str | None = None) -> OpTabl
     _require_matrix_carrier(carrier, m.n, m.field.p)
     if mat_det(m) == 0:
         raise SingularMatrixError(f"sandwich matrix {m.rows} is singular mod {m.field.p}")
-    return _bilinear_table(carrier, 1, 0, m, m, label or "gl_group_op")
+    return _sandwich_table(carrier, m, label or "gl_group_op")
 
 
 def _require_group(carrier: Carrier, who: str) -> None:
@@ -108,33 +107,41 @@ def _require_group(carrier: Carrier, who: str) -> None:
         raise UnsupportedCarrierError(f"{who} needs a group carrier, got {carrier.kind}")
 
 
+def _powers(group: Carrier, k: int) -> np.ndarray:
+    """Index of g^k for every g, the exponent reduced mod the group exponent."""
+    return power_index(group, np.arange(len(group)), k % group_exponent(group))
+
+
 def conj_quandle(group: Carrier, m: int = 1, label: str | None = None) -> OpTable:
     """Twisted conjugation a*b = b^-m a b^m; the exponent is reduced mod the group exponent."""
     _require_group(group, "conj_quandle")
-    m_red = m % group_exponent(group)
-    powers = {b: group_power(group, b, m_red) for b in group.elements}
-    inv_powers = {b: group.inv(powers[b]) for b in group.elements}
-    mul = group.mul
-    rule = lambda a, b: mul(mul(inv_powers[b], a), powers[b])
-    return build_op_table(group, rule, label or f"conj_quandle(m={m})")
+    c, power = group.cayley, _powers(group, m)
+    x, y = _grid(len(group))
+    return table_from_array(group, c[c[group.inverse[power][y], x], power[y]],
+                            label or f"conj_quandle(m={m})")
 
 
 def core_quandle(group: Carrier, label: str | None = None) -> OpTable:
     """The core operation a*b = b a^-1 b (2b - a on abelian groups)."""
     _require_group(group, "core_quandle")
-    mul, inv = group.mul, group.inv
-    rule = lambda a, b: mul(mul(b, inv(a)), b)
-    return build_op_table(group, rule, label or "core_quandle")
+    c = group.cayley
+    x, y = _grid(len(group))
+    return table_from_array(group, c[c[y, group.inverse[x]], y], label or "core_quandle")
+
+
+def _require_phi(phi: GroupAutomorphism, group: Carrier) -> np.ndarray:
+    if not phi.carrier.same_as(group):
+        raise CarrierMismatchError("automorphism is defined over a different group")
+    return np.array(phi.images, dtype=group.cayley.dtype)
 
 
 def alexander_quandle(group: Carrier, phi: GroupAutomorphism, label: str | None = None) -> OpTable:
     """Twisted difference a*b = phi(a b^-1) b for an automorphism phi."""
     _require_group(group, "alexander_quandle")
-    if not phi.carrier.same_as(group):
-        raise CarrierMismatchError("automorphism is defined over a different group")
-    mul, inv = group.mul, group.inv
-    rule = lambda a, b: mul(phi.apply(mul(a, inv(b))), b)
-    return build_op_table(group, rule, label or f"alexander_quandle({phi.label})")
+    images, c = _require_phi(phi, group), group.cayley
+    x, y = _grid(len(group))
+    return table_from_array(group, c[images[c[x, group.inverse[y]]], y],
+                            label or f"alexander_quandle({phi.label})")
 
 
 def _require_pairs(carrier: Carrier, who: str) -> Carrier:
@@ -143,40 +150,29 @@ def _require_pairs(carrier: Carrier, who: str) -> Carrier:
     return carrier.group
 
 
-def _matvec(rows, v, p):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) % p for row in rows)
+def _pair_parts(pairs: Carrier) -> tuple:
+    """((xv, xg), (yv, yg)): the vector and group indices of row pair x and column pair y."""
+    x, y = _grid(len(pairs))
+    return np.divmod(x, len(pairs.group)), np.divmod(y, len(pairs.group))
 
 
 def vxg_phi_op(pairs: Carrier, phi: GroupAutomorphism, label: str | None = None) -> OpTable:
     """(a,A) o (b,B) = (A b, phi(A B^-1) B) on vector-group pairs."""
     group = _require_pairs(pairs, "vxg_phi_op")
-    if not phi.carrier.same_as(group):
-        raise CarrierMismatchError("automorphism is defined over a different group")
-    p = pairs.field.p
-    mul, inv = group.mul, group.inv
-
-    def rule(x, y):
-        (_, a_mat), (b_vec, b_mat) = x, y
-        return (_matvec(a_mat, b_vec, p), mul(phi.apply(mul(a_mat, inv(b_mat))), b_mat))
-
-    return build_op_table(pairs, rule, label or f"vxg_phi_op({phi.label})")
+    images, c = _require_phi(phi, group), group.cayley
+    (_, xg), (yv, yg) = _pair_parts(pairs)
+    table = pairs.action[xg, yv] * len(group) + c[images[c[xg, group.inverse[yg]]], yg]
+    return table_from_array(pairs, table, label or f"vxg_phi_op({phi.label})")
 
 
 def vxg_conj_op(pairs: Carrier, n: int, label: str | None = None) -> OpTable:
     """(a,A) o_n (b,B) = (A^n b, A^n B A^-n) on vector-group pairs."""
     group = _require_pairs(pairs, "vxg_conj_op")
-    p = pairs.field.p
-    n_red = n % group_exponent(group)
-    powers = {A: group_power(group, A, n_red) for A in group.elements}
-    inv_powers = {A: group.inv(powers[A]) for A in group.elements}
-    mul = group.mul
-
-    def rule(x, y):
-        (_, a_mat), (b_vec, b_mat) = x, y
-        an = powers[a_mat]
-        return (_matvec(an, b_vec, p), mul(mul(an, b_mat), inv_powers[a_mat]))
-
-    return build_op_table(pairs, rule, label or f"vxg_conj_op(n={n})")
+    power, c = _powers(group, n), group.cayley
+    (_, xg), (yv, yg) = _pair_parts(pairs)
+    an = power[xg]
+    table = pairs.action[an, yv] * len(group) + c[c[an, yg], group.inverse[an]]
+    return table_from_array(pairs, table, label or f"vxg_conj_op(n={n})")
 
 
 def opposite_op(op: OpTable, label: str | None = None) -> OpTable:
@@ -187,10 +183,9 @@ def opposite_op(op: OpTable, label: str | None = None) -> OpTable:
 def _verified_monoid(carrier: Carrier, who: str) -> Carrier:
     if not carrier.is_monoid:
         raise NoUnitError(f"{who} needs a carrier with a two-sided unit, got {carrier.kind}")
-    e = carrier.identity
-    for x in carrier.elements:
-        if carrier.mul(e, x) != x or carrier.mul(x, e) != x:
-            raise NoUnitError(f"{who}: listed identity is not a two-sided unit")
+    c, e, every = carrier.cayley, carrier.identity_index, np.arange(len(carrier))
+    if not (np.array_equal(c[e], every) and np.array_equal(c[:, e], every)):
+        raise NoUnitError(f"{who}: listed identity is not a two-sided unit")
     return carrier
 
 
@@ -205,13 +200,11 @@ def pair_dimonoid_on(product: Carrier) -> tuple:
     if not left.same_as(right):
         raise UnsupportedCarrierError("pair_dimonoid needs both product factors equal")
     monoid = _verified_monoid(left, "pair_dimonoid")
-    mul = monoid.mul
-    dashv = build_op_table(
-        product, lambda x, y: (x[0], mul(mul(x[1], y[0]), y[1])), "pair_dashv"
-    )
-    vdash = build_op_table(
-        product, lambda x, y: (mul(mul(x[0], x[1]), y[0]), y[1]), "pair_vdash"
-    )
+    c, k = monoid.cayley, len(monoid)
+    x, y = _grid(len(product))
+    (xm, xn), (ym, yn) = np.divmod(x, k), np.divmod(y, k)
+    dashv = table_from_array(product, xm * k + c[c[xn, ym], yn], "pair_dashv")
+    vdash = table_from_array(product, c[c[xm, xn], ym].astype(np.int64) * k + yn, "pair_vdash")
     return dashv, vdash
 
 
@@ -222,45 +215,51 @@ def pair_dimonoid(monoid: Carrier) -> tuple:
 
 
 def default_vector_action(pairs: Carrier):
-    p = pairs.field.p
-    return lambda g, x: _matvec(g, x, p)
+    """The standard action g.x = g x as a rule on encodings."""
+    return lambda g, x: Matrix(pairs.field, g).apply(x)
 
 
 def action_dimonoid(pairs: Carrier, action=None) -> tuple:
     """Dimonoid tables on X x G for a verified group action of G on X.
 
-    (x,g) -| (y,h) = (x, gh) and (x,g) |- (y,h) = (g.y, gh). The action is
-    checked exhaustively for identity and compatibility before any table is
-    built.
+    (x,g) -| (y,h) = (x, gh) and (x,g) |- (y,h) = (g.y, gh). The action, the
+    carrier's own table unless a rule on encodings is given, is checked
+    exhaustively for identity and compatibility before any table is built.
     """
     group = _require_pairs(pairs, "action_dimonoid")
-    if action is None:
-        action = default_vector_action(pairs)
-    xs = sorted({x for x, _ in pairs.elements})
-    e = group.identity
-    for x in xs:
-        if action(e, x) != x:
-            raise NotAnActionError(f"identity must act trivially, moves {x!r}")
-    for g in group.elements:
-        for h in group.elements:
-            gh = group.mul(g, h)
-            for x in xs:
-                if action(gh, x) != action(g, action(h, x)):
-                    raise NotAnActionError(
-                        f"compatibility fails at g={g!r}, h={h!r}, x={x!r}"
-                    )
-    mul = group.mul
-    dashv = build_op_table(pairs, lambda a, b: (a[0], mul(a[1], b[1])), "action_dashv")
-    vdash = build_op_table(
-        pairs, lambda a, b: (action(a[1], b[0]), mul(a[1], b[1])), "action_vdash"
-    )
+    vectors = [v for v, _ in pairs.elements[::len(group)]]
+    act = pairs.action
+    if action is not None:
+        position = {v: i for i, v in enumerate(vectors)}
+        act = np.array([[position.get(action(g, v), -1) for v in vectors] for g in group.elements])
+    moved = first_true(act[group.identity_index] != np.arange(len(vectors)))
+    if moved is not None:
+        raise NotAnActionError(f"identity must act trivially, moves {vectors[moved[0]]!r}")
+    outside = first_true(act < 0)
+    if outside is not None:
+        g, v = group[outside[0]], vectors[outside[1]]
+        raise NotAnActionError(f"g={g!r} moves x={v!r} outside the vectors")
+    c = group.cayley
+
+    def compatibility(g0, g1):  # first (g, h, x) with (gh).x != g.(h.x)
+        hit = first_true(act[c[g0:g1]] != act[np.arange(g0, g1)[:, None, None], act[None]])
+        return None if hit is None else (g0 + hit[0],) + hit[1:]
+
+    bad = scan_chunks(compatibility, len(group), len(group) * len(vectors))
+    if bad is not None:
+        g, h, v = group[bad[0]], group[bad[1]], vectors[bad[2]]
+        raise NotAnActionError(f"compatibility fails at g={g!r}, h={h!r}, x={v!r}")
+    (xv, xg), (yv, yg) = _pair_parts(pairs)
+    gh = c[xg, yg]
+    dashv = table_from_array(pairs, xv * len(group) + gh, "action_dashv")
+    vdash = table_from_array(pairs, act[xg, yv] * len(group) + gh, "action_vdash")
     return dashv, vdash
 
 
 def brace_ops(group: Carrier, variant: str = "trivial") -> tuple:
     """(dot, circ) tables: the trivial brace (circ = dot) or the opposite one (circ = dot flipped)."""
     _require_group(group, "brace_ops")
-    dot = build_op_table(group, group.mul, "dot")
+    dot = table_from_array(group, group.cayley, "dot")
     if variant == "trivial":
         return dot, dot.relabel("circ")
     if variant == "opposite":
@@ -336,6 +335,8 @@ def z_parity_brace(carrier: Carrier) -> tuple:
     m = len(carrier)
     if m % 2 != 0:
         raise OddModulusError(f"parity brace needs an even modulus, got {m}")
-    plus = build_op_table(carrier, carrier.mul, "plus")
-    circ = build_op_table(carrier, lambda a, b: parity_circ(a, b) % m, "circ")
-    return plus, circ
+    x, y = _grid(m)
+    circ = np.where(x % 2 == 0, 1, -1) * y  # a + b for even a, a - b for odd a
+    circ += x
+    circ %= m
+    return table_from_array(carrier, carrier.cayley, "plus"), table_from_array(carrier, circ, "circ")

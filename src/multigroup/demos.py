@@ -40,7 +40,7 @@ from .constructions import (
 from .errors import UnknownClaimError
 from .field import PrimeField
 from .matrix import Matrix, mat_add_scaled, mat_det, mat_inv
-from .optables import build_op_table, encode_element
+from .optables import encode_element, table_from_array
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -49,14 +49,6 @@ REFUTED = "REFUTED-AS-STATED"
 
 def _rand_rows(rng, n, p):
     return tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-
-
-def _rand_invertible(rng, n, p):
-    fld = PrimeField(p)
-    while True:
-        rows = _rand_rows(rng, n, p)
-        if mat_det(Matrix(fld, rows)) != 0:
-            return rows
 
 
 def _report_dict(report):
@@ -381,7 +373,7 @@ def _demo_s5_brace_opposite(jobs):
 def _demo_s5_nonabelian_not_dimonoid(jobs):
     details = []
     group = symmetric_group(3)
-    vdash = build_op_table(group, group.mul, label="mul")
+    vdash = table_from_array(group, group.cayley, "mul")
     dashv = opposite_op(vdash, label="opposite-mul")
     report = axioms.check_dimonoid(dashv, vdash, jobs=jobs)
     details.append({"group": group.label, "report": _report_dict(report)})
@@ -392,7 +384,7 @@ def _demo_s5_nonabelian_not_dimonoid(jobs):
         details.append({"witness_pair_commutes": not ok})
 
     abelian = cyclic_group(6)
-    vdash_a = build_op_table(abelian, abelian.mul, label="mul")
+    vdash_a = table_from_array(abelian, abelian.cayley, "mul")
     dashv_a = opposite_op(vdash_a, label="opposite-mul")
     report_a = axioms.check_dimonoid(dashv_a, vdash_a, jobs=jobs)
     details.append({"group": abelian.label, "report": _report_dict(report_a)})
@@ -500,7 +492,3 @@ def run_demo(claim_id: str, jobs: int = 1) -> dict:
             f"unknown claim {claim_id!r}; known claims: {', '.join(CLAIM_IDS)}"
         )
     return runner(jobs)
-
-
-def run_all(jobs: int = 1) -> list:
-    return [runner(jobs) for runner in DEMOS.values()]

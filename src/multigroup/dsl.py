@@ -31,7 +31,7 @@ from .carriers import (
     make_automorphism,
     pair_carrier,
 )
-from .errors import NotAGroupError, SpecError
+from .errors import NotAGroupError, SpecError, WorkbenchError
 from .field import PrimeField, is_prime
 from .matrix import Matrix, mat_det
 from .optables import SystemSpec
@@ -837,23 +837,37 @@ class CompiledSpec:
     system: SystemSpec
 
 
+def _at(token: Token, build: Callable):
+    """build(), with a WorkbenchError it raises re-raised as a SpecError positioned at token."""
+    try:
+        return build()
+    except SpecError:
+        raise
+    except WorkbenchError as err:
+        raise SpecError([ParseDiagnostic(ERROR, token.line, token.column, str(err))]) from err
+
+
 def _build_carrier(atoms):
-    names = [a.name for a in atoms]
-    if names[0] == "vectors":
-        (vdim, p), (gn, gp) = atoms[0].args, atoms[1].args
-        return pair_carrier(vdim, p, gl_group(gn, gp))
-    carrier = build_carrier_atom(atoms[0].name, list(atoms[0].args))
+    """The declared carrier; a failure is reported at the atom being built."""
+    first = atoms[0]
+    if first.name == "vectors":
+        (vdim, p), (gn, gp) = first.args, atoms[1].args
+        group = _at(atoms[1].token, lambda: gl_group(gn, gp))
+        return _at(first.token, lambda: pair_carrier(vdim, p, group))
+    carrier = _at(first.token, lambda: build_carrier_atom(first.name, list(first.args)))
     for atom in atoms[1:]:
-        carrier = direct_product(carrier, build_carrier_atom(atom.name, list(atom.args)))
+        factor = _at(atom.token, lambda: build_carrier_atom(atom.name, list(atom.args)))
+        carrier = _at(atom.token, lambda: direct_product(carrier, factor))
     return carrier
 
 
 def compile_spec(draft: SpecDraft) -> CompiledSpec:
     """Instantiate carrier and tables; error diagnostics prevent compilation.
 
-    Raises SpecError when the draft has error diagnostics. Construction-time
-    failures (carrier guard, closure, singularity) propagate as their own
-    exception types. Ops that name parts of one multi-part construction with
+    Raises SpecError when the draft has error diagnostics. A construction-time
+    failure (carrier guard, closure, singularity, a phi that is no
+    automorphism) is re-raised as a SpecError at the carrier atom or at the
+    op's constructor. Ops that name parts of one multi-part construction with
     the same other arguments share one build.
     """
     if not draft.ok:
@@ -869,11 +883,11 @@ def compile_spec(draft: SpecDraft) -> CompiledSpec:
         if spec.parts:
             key = (op.ctor, tuple(item for item in values.items() if item[0] != "part"))
             if key not in shared:
-                shared[key] = spec.build(carrier, values)
+                shared[key] = _at(op.ctor_token, lambda: spec.build(carrier, values))
             table = shared[key][spec.parts.index(values["part"])]
         else:
             refs = {arg.name: ops[values[arg.name]] for arg in spec.args if arg.kind == OP_REF}
-            table = spec.build(carrier, {**values, **refs})
+            table = _at(op.ctor_token, lambda: spec.build(carrier, {**values, **refs}))
         ops[op.name] = table.relabel(op.name)
     system = SystemSpec(carrier=carrier, ops=ops)
     return CompiledSpec(

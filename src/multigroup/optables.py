@@ -8,16 +8,20 @@ the lexicographically first violating tuple in carrier order, so reports are
 byte-reproducible regardless of how the scan was parallelized.
 """
 
+from __future__ import annotations
+
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .carriers import Carrier
 from .errors import CarrierMismatchError, NotClosedError
+
+if TYPE_CHECKING:
+    from .carriers import Carrier
 
 # Rows per scan chunk are chosen so one chunk holds about this many cells,
 # independent of thread count; witnesses and counts never depend on chunking.
@@ -85,10 +89,13 @@ class OpTable:
 def table_from_array(carrier: Carrier, array, label: str = "op") -> OpTable:
     """Wrap a precomputed index grid; values are validated to be in range.
 
-    Validation runs on the int64 values, before the cast to index_dtype, so an
-    out-of-range value is reported and never wrapped into range.
+    Validation runs on the integer values as given, before the cast to
+    index_dtype, so an out-of-range value is reported and never wrapped into
+    range. A grid already contiguous at index_dtype is wrapped without a copy.
     """
-    arr = np.asarray(array, dtype=np.int64)
+    arr = np.asarray(array)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
     n = len(carrier)
     if arr.shape != (n, n):
         raise CarrierMismatchError(f"array shape {arr.shape} vs carrier size {n}")
@@ -172,14 +179,14 @@ REASON_NOT_UNIQUE = "exists-not-unique"
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of one axiom check over a whole table (or a labelled sample)."""
+    """Outcome of one axiom check over a whole table."""
 
     axiom: str
     verdict: str
     witness: tuple | None
     checked: int
     reason: str | None = None
-    exhaustive: bool = True
+    exhaustive = True  # every check decides its whole tuple space
 
     @property
     def passed(self) -> bool:
@@ -196,8 +203,8 @@ class AxiomReport:
         }
 
 
-def passing(axiom: str, checked: int, exhaustive: bool = True) -> AxiomReport:
-    return AxiomReport(axiom, VERDICT_PASS, None, checked, None, exhaustive)
+def passing(axiom: str, checked: int) -> AxiomReport:
+    return AxiomReport(axiom, VERDICT_PASS, None, checked)
 
 
 def failing(
@@ -206,10 +213,9 @@ def failing(
     witness_indices,
     checked: int,
     reason: str | None = None,
-    exhaustive: bool = True,
 ) -> AxiomReport:
     witness = tuple(carrier.elements[int(i)] for i in witness_indices)
-    return AxiomReport(axiom, VERDICT_FAIL, witness, checked, reason, exhaustive)
+    return AxiomReport(axiom, VERDICT_FAIL, witness, checked, reason)
 
 
 @dataclass(frozen=True, eq=False)

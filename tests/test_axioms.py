@@ -480,41 +480,6 @@ def test_nvalued_single_op_matches_plain_assoc():
     assert combo.witness == plain.witness
 
 
-# --- sampled mode ---------------------------------------------------------------
-
-
-def big_cyclic_op(n, fn, label):
-    from multigroup.optables import table_from_array
-
-    z = cyclic_group(n)
-    a = np.arange(n)
-    return table_from_array(z, fn(a[:, None], a[None, :]) % n, label)
-
-
-def test_sampling_reserved_for_big_carriers():
-    small = table_of(5, lambda a, b: a + b)
-    with pytest.raises(ValueError):
-        check_associativity(small, samples=10)
-
-
-def test_sampled_reports_not_exhaustive():
-    op = big_cyclic_op(2100, lambda a, b: a + b, "plus")
-    report = check_associativity(op, samples=200, seed=7)
-    assert report.passed
-    assert not report.exhaustive
-    assert report.checked == 200
-
-    bad = big_cyclic_op(2100, lambda a, b: a - b, "minus")
-    report = check_associativity(bad, samples=200, seed=7)
-    assert report.verdict == "fail"
-    assert not report.exhaustive
-    x, y, z = report.witness
-    assert (x - y - z) % 2100 != (x - (y - z)) % 2100
-
-    div = check_divisibility(bad, RIGHT, unique=True, samples=150, seed=3)
-    assert div.passed and not div.exhaustive
-
-
 # --- determinism ----------------------------------------------------------------
 
 

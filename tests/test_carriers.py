@@ -50,18 +50,18 @@ def test_matrix_order_is_row_major():
     assert list(glc.elements) == sorted(glc.elements)
 
 
-def test_matrix_rank_index():
+def test_rank_index():
     ms = matrix_set(2, 2)
-    assert ms.matrix_rank_index[0b0001] == ms.index_of(((0, 0), (0, 1)))
+    assert ms.rank_index[0b0001] == ms.index_of(((0, 0), (0, 1)))
     glc = gl_group(2, 2)
     # rank of the zero matrix is 0, which is not invertible
-    assert glc.matrix_rank_index[0] == -1
+    assert glc.rank_index[0] == -1
     for i, rows in enumerate(glc.elements):
         rank = sum(
             v * 2 ** (3 - k)
             for k, v in enumerate(rows[0] + rows[1])
         )
-        assert glc.matrix_rank_index[rank] == i
+        assert glc.rank_index[rank] == i
 
 
 def test_symmetric_composition_convention():

@@ -487,35 +487,35 @@ CASES = [
         'carrier-guard',
         'carrier gl(3,5);\n',
         [
-            'bad.mg: enumerating 3x3 matrices mod 5 needs 1953125 candidates, above the guard of 1000000',
+            'bad.mg:1:9: error: enumerating 3x3 matrices mod 5 needs 1953125 candidates, above the guard of 1000000',
         ],
     ),
     (
         'phi-power-not-bijective',
         'carrier cyclic(4);\nop a = alexander_quandle(power=2);\ncheck assoc a;\n',
         [
-            'bad.mg: power(2) is not a bijection on cyclic(4)',
+            'bad.mg:2:8: error: power(2) is not a bijection on cyclic(4)',
         ],
     ),
     (
         'phi-images-length',
         'carrier cyclic(3);\nop a = alexander_quandle(phi=[[0,1]]);\ncheck assoc a;\n',
         [
-            'bad.mg: image list must be a permutation of 0..2',
+            'bad.mg:2:8: error: image list must be a permutation of 0..2',
         ],
     ),
     (
         'phi-images-not-homomorphism',
         'carrier cyclic(4);\nop a = alexander_quandle(phi=[[0,2,1,3]]);\ncheck assoc a;\n',
         [
-            'bad.mg: explicit breaks the homomorphism law at (1, 1)',
+            'bad.mg:2:8: error: explicit breaks the homomorphism law at (1, 1)',
         ],
     ),
     (
         'matrix-op-not-closed',
         'carrier gl(2,3);\nop a = matrix_op(s=1,t=0,m1=[[0,0],[0,0]],m2=[[1,0],[0,1]]);\ncheck assoc a;\n',
         [
-            'bad.mg: operation not closed: ((0, 1), (1, 0)) * ((0, 1), (1, 0)) = ((0, 0), (0, 0)) is outside the carrier',
+            'bad.mg:2:8: error: operation not closed: ((0, 1), (1, 0)) * ((0, 1), (1, 0)) = ((0, 0), (0, 0)) is outside the carrier',
         ],
     ),
     (

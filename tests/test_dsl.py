@@ -301,8 +301,10 @@ def test_compile_carrier_guard():
     assert len(compile_spec(big_ok).carrier) == 11232
     too_big = parse_spec("carrier gl(3,5);")
     assert too_big.ok
-    with pytest.raises(TooLargeError):
+    with pytest.raises(SpecError) as info:
         compile_spec(too_big)
+    assert isinstance(info.value.__cause__, TooLargeError)
+    assert str(info.value.diagnostics[0]).startswith("1:9: error: enumerating 3x3 matrices mod 5")
 
 
 def test_run_check_covers_every_name():
