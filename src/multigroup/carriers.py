@@ -131,22 +131,28 @@ class Carrier:
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        """base^L, ..., base, 1 for an element's L entries; base p, or a permutation's degree."""
-        base = self.field.p if self.field is not None else self.dim
-        return base ** np.arange(self.array[0].size, -1, -1, dtype=np.int64)
+        """Place values of an element's entries: base p, or a permutation's degree."""
+        base, size = (self.field.p if self.field is not None else self.dim), self.array[0].size
+        if base**size > np.iinfo(np.int64).max:
+            raise UnsupportedCarrierError(f"{self.label}: elements too large to rank in int64")
+        return base ** np.arange(size - 1, -1, -1, dtype=np.int64)
+
+    def _ranks(self, values) -> np.ndarray:
+        """Rank of each matrix or permutation on the trailing axes of values (entries as digits)."""
+        values = np.asarray(values)
+        lead = values.shape[:values.ndim + 1 - self.array.ndim]
+        return values.reshape(lead + (-1,)) @ self._weights
 
     @cached_property
-    def rank_index(self) -> np.ndarray:
-        """Lookup from an element's rank (its entries as digits) to its index, -1 when absent."""
-        table = np.full(int(self._weights[0]), -1)
-        table[self.array.reshape(len(self), -1) @ self._weights[1:]] = np.arange(len(self))
-        return _frozen(table)
+    def ranks(self) -> np.ndarray:
+        """The elements' ranks, ascending because the canonical order is lexicographic."""
+        return _frozen(self._ranks(self.array))
 
     def lookup(self, values) -> np.ndarray:
         """Indices of the matrices or permutations on the trailing axes of values, -1 if absent."""
-        values = np.asarray(values)
-        flat = values.reshape(values.shape[:values.ndim + 1 - self.array.ndim] + (-1,))
-        return self.rank_index[flat @ self._weights[1:]]
+        wanted = self._ranks(values)
+        i = np.minimum(np.searchsorted(self.ranks, wanted), len(self) - 1)
+        return np.where(self.ranks[i] == wanted, i, -1)
 
     def product(self, i, j) -> np.ndarray:
         """Index of elements[i] * elements[j], elementwise over broadcast index arrays.

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,18 +51,20 @@ def test_matrix_order_is_row_major():
     assert list(glc.elements) == sorted(glc.elements)
 
 
-def test_rank_index():
+def test_matrix_rank_index():
     ms = matrix_set(2, 2)
-    assert ms.rank_index[0b0001] == ms.index_of(((0, 0), (0, 1)))
+    assert list(ms.ranks) == list(range(16))
+    assert ms.lookup(np.array([[0, 0], [0, 1]])) == ms.index_of(((0, 0), (0, 1)))
     glc = gl_group(2, 2)
-    # rank of the zero matrix is 0, which is not invertible
-    assert glc.rank_index[0] == -1
+    # the zero matrix is not invertible
+    assert glc.lookup(np.zeros((2, 2), dtype=np.int64)) == -1
     for i, rows in enumerate(glc.elements):
         rank = sum(
             v * 2 ** (3 - k)
             for k, v in enumerate(rows[0] + rows[1])
         )
-        assert glc.rank_index[rank] == i
+        assert glc.ranks[i] == rank
+        assert glc.lookup(np.array(rows)) == i
 
 
 def test_symmetric_composition_convention():
@@ -218,6 +221,9 @@ def test_matrix_subgroup():
         matrix_subgroup([((1, 0), (0, 1)), ((1, 1), (0, 1))], 2, 3)
     with pytest.raises(NoUnitError):
         matrix_subgroup([SWAP2], 2, 2)
+    # 17^16 entries' ranks overflow int64: refused, never wrapped
+    with pytest.raises(UnsupportedCarrierError):
+        matrix_subgroup([tuple(tuple(int(i == j) for j in range(4)) for i in range(4))], 4, 17)
 
 
 def test_index_roundtrip():
