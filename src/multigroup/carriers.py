@@ -21,9 +21,9 @@ matrices, and 2-tuples for products and vector-group pairs.
 
 import itertools
 import os
-import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -253,7 +253,7 @@ def power_index(carrier: Carrier, i, k) -> np.ndarray:
 def cyclic_group(n: int) -> Carrier:
     """Z_n under addition; elements 0..n-1."""
     if n < 1:
-        raise UnsupportedCarrierError(f"cyclic({n}) needs n >= 1")
+        raise _usage_error("cyclic")
     _guard_size(n, f"cyclic({n})")
     return Carrier("cyclic-group", tuple(range(n)), f"cyclic({n})", identity=0, is_group=True)
 
@@ -261,7 +261,7 @@ def cyclic_group(n: int) -> Carrier:
 def symmetric_group(n: int) -> Carrier:
     """S_n in one-line notation, composition (p*q)(i) = p[q[i]]."""
     if not 1 <= n <= 5:
-        raise UnsupportedCarrierError(f"symmetric({n}) supported for 1 <= n <= 5")
+        raise _usage_error("symmetric")
     elements = tuple(sorted(itertools.permutations(range(n))))
     return Carrier("symmetric-group", elements, f"symmetric({n})", identity=tuple(range(n)),
                    is_group=True, dim=n)
@@ -277,8 +277,9 @@ def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier
     The enumeration space p^(n*n) must stay within the carrier guard. The
     full matrix set is a monoid under multiplication but not a group.
     """
+    kind, name = ("matrix-group", "gl") if invertible_only else ("matrix-set", "matrices")
     if n < 1:
-        raise UnsupportedCarrierError(f"matrix dimension {n} must be >= 1")
+        raise _usage_error(name)
     fld = PrimeField(p)
     _guard_size(p ** (n * n), f"enumerating {n}x{n} matrices mod {p}")
     elements = []
@@ -287,7 +288,6 @@ def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier
         if invertible_only and mat_det(Matrix(fld, rows)) == 0:
             continue
         elements.append(rows)
-    kind, name = ("matrix-group", "gl") if invertible_only else ("matrix-set", "matrices")
     return Carrier(kind, tuple(elements), f"{name}({n},{p})", identity=_identity_rows(n),
                    is_group=invertible_only, field=fld, dim=n)
 
@@ -343,12 +343,8 @@ def pair_carrier(vdim: int, p: int, group: Carrier) -> Carrier:
     """
     if group.kind != "matrix-group":
         raise ActionMismatchError(f"pair carrier needs a matrix group, got {group.kind}")
-    if group.dim != vdim:
-        raise ActionMismatchError(
-            f"vectors of length {vdim} cannot carry an action of {group.dim}x{group.dim} matrices"
-        )
-    if group.field.p != p:
-        raise ActionMismatchError(f"vector modulus {p} differs from group modulus {group.field.p}")
+    if (group.dim, group.field.p) != (vdim, p):
+        raise ActionMismatchError("vector space and matrix group must share dimension and modulus")
     _guard_size(p**vdim * len(group), f"vectors({vdim},{p}) x {group.label}")
     vectors = tuple(itertools.product(range(p), repeat=vdim))
     elements = tuple((v, A) for v in vectors for A in group.elements)
@@ -359,72 +355,97 @@ def pair_carrier(vdim: int, p: int, group: Carrier) -> Carrier:
 def integer_window(lo: int, hi: int) -> Carrier:
     """Exact integers lo..hi inclusive; no algebraic structure attached."""
     if lo > hi:
-        raise UnsupportedCarrierError(f"window({lo},{hi}) is empty")
+        raise _usage_error("window")
     _guard_size(hi - lo + 1, f"window({lo},{hi})")
     return Carrier("integer-window", tuple(range(lo, hi + 1)), f"window({lo},{hi})")
 
 
-_ATOM_RE = re.compile(r"^\s*([a-z_]+)\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$")
+class AtomSpec(NamedTuple):
+    arity: int
+    build: Callable  # the atom's constructor, called with its arguments
+    usage: str  # the one message for arguments out of count or range
 
 
-def _split_cross(text: str) -> list:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "x" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+def _vectors(n: int, p: int) -> None:
+    """Check a vectors(n,p) atom; the cross with gl(n,p) builds its carrier."""
+    if n < 1:
+        raise _usage_error("vectors")
+    PrimeField(p)
 
 
-def _parse_atom(text: str):
-    m = _ATOM_RE.match(text)
-    if not m:
-        raise UnsupportedCarrierError(f"cannot parse carrier atom {text.strip()!r}")
-    name = m.group(1)
-    args = [int(v) for v in m.group(2).split(",")]
-    return name, args
+# The carrier atoms of the spec language, in the order its messages list them.
+# Each build names its constructor inside a lambda, so it is looked up at call
+# time and a wrapper put on that name sees every call.
+CARRIER_ATOMS = {
+    "cyclic": AtomSpec(1, lambda n: cyclic_group(n), "cyclic(n) needs one argument n >= 1"),
+    "symmetric": AtomSpec(1, lambda n: symmetric_group(n),
+                          "symmetric(n) needs one argument with 1 <= n <= 5"),
+    "gl": AtomSpec(2, lambda n, p: gl_group(n, p), "gl(n, p) needs a dimension and a modulus"),
+    "matrices": AtomSpec(2, lambda n, p: matrix_set(n, p),
+                         "matrices(n, p) needs a dimension and a modulus"),
+    "vectors": AtomSpec(2, _vectors, "vectors(n, p) needs a dimension and a modulus"),
+    "window": AtomSpec(2, lambda lo, hi: integer_window(lo, hi), "window(lo, hi) needs lo <= hi"),
+}
 
 
-def build_carrier_atom(name: str, args: list) -> Carrier:
-    """One named carrier family; 'vectors' is only valid inside a cross."""
-    if name == "cyclic" and len(args) == 1:
-        return cyclic_group(args[0])
-    if name == "symmetric" and len(args) == 1:
-        return symmetric_group(args[0])
-    if name == "gl" and len(args) == 2:
-        return gl_group(args[0], args[1])
-    if name == "matrices" and len(args) == 2:
-        return matrix_set(args[0], args[1])
-    if name == "window" and len(args) == 2:
-        return integer_window(args[0], args[1])
-    if name == "vectors":
-        raise UnsupportedCarrierError("vectors(n,p) only makes sense crossed with gl(n,p)")
-    raise UnsupportedCarrierError(f"unknown carrier {name}({', '.join(map(str, args))})")
+def _usage_error(name: str) -> UnsupportedCarrierError:
+    return UnsupportedCarrierError(CARRIER_ATOMS[name].usage)
+
+
+def _refuse(message: str):
+    raise UnsupportedCarrierError(message)
+
+
+def _atom(name: str, args):
+    spec = CARRIER_ATOMS.get(name)
+    if spec is None:
+        raise UnsupportedCarrierError(f"unknown carrier {name!r} (known: {', '.join(CARRIER_ATOMS)})")
+    if len(args) != spec.arity:
+        raise _usage_error(name)
+    return spec.build(*args)
+
+
+def build_carrier(atoms, at=lambda i, build: build()) -> Carrier:
+    """The carrier of a carrier expression, given as its (name, args) atoms.
+
+    Each atom is checked and built left to right. Then the cross rules
+    apply: vectors only as vectors(n,p) x gl(n,p), no window in a cross,
+    and the factors of a direct product together within the guard. at(i,
+    build) returns build() for the atom i that a failure concerns; the spec
+    language passes one that reports the failure at that atom.
+    """
+    built = [at(i, lambda: _atom(name, args)) for i, (name, args) in enumerate(atoms)]
+    names = [name for name, _ in atoms]
+    if names == ["vectors"]:
+        at(0, lambda: _refuse("vectors(n,p) must be crossed with gl(n,p)"))
+    if names == ["vectors", "gl"]:
+        return at(0, lambda: pair_carrier(*atoms[0][1], built[1]))
+    if "vectors" in names:
+        at(0, lambda: _refuse("pair carriers are written vectors(n,p) x gl(n,p)"))
+    if len(names) > 1 and "window" in names:
+        at(names.index("window"), lambda: _refuse("window carriers cannot be crossed"))
+    carrier = built[0]
+    for i in range(1, len(built)):
+        carrier = at(i, lambda: direct_product(carrier, built[i]))
+    return carrier
+
+
+def build_carrier_atom(name: str, args) -> Carrier:
+    """One named carrier atom alone, such as cyclic(4); vectors(n,p) needs a cross."""
+    return build_carrier([(name, args)])
 
 
 def group_carrier(spec: str) -> Carrier:
-    """Build a carrier from a textual description.
+    """Build a carrier from a carrier expression of the spec language (carrierExpr).
 
     Accepts cyclic(n), symmetric(n), gl(n,p), matrices(n,p), window(lo,hi),
-    crosses like cyclic(2) x symmetric(3), and vectors(n,p) x gl(n,p).
+    crosses like cyclic(2) x symmetric(3), and vectors(n,p) x gl(n,p). A
+    syntax error raises SpecError; an expression that names no carrier
+    raises the error of the rule it breaks.
     """
-    parts = [_parse_atom(part) for part in _split_cross(spec)]
-    if parts[0][0] == "vectors":
-        if len(parts) != 2 or parts[1][0] != "gl":
-            raise UnsupportedCarrierError("vectors(n,p) must be crossed with exactly one gl(n,p)")
-        (vdim, p), (gn, gp) = parts[0][1], parts[1][1]
-        return pair_carrier(vdim, p, gl_group(gn, gp))
-    carrier = build_carrier_atom(*parts[0])
-    for name, args in parts[1:]:
-        carrier = direct_product(carrier, build_carrier_atom(name, args))
-    return carrier
+    from .dsl import parse_carrier_expr
+
+    return build_carrier([(atom.name, atom.args) for atom in parse_carrier_expr(spec)])
 
 
 def element_order(carrier: Carrier, element) -> int:

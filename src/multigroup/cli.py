@@ -3,18 +3,23 @@
 Subcommands:
   verify <file>       parse, compile, and run every declared check
   demo [claim]        run one scripted demonstration, or all of them
-  enumerate <expr>    build a carrier and report (optionally list) elements
+  enumerate <expr>    build a carrier from a carrierExpr of the spec language
+                      and report (optionally list) its elements
 
 Exit codes: 0 all checks passed, 1 a check or demo failed, 2 the input could
 not be parsed or compiled, a declared check cannot take its operations (such
 as skew_brace on a non-group), a carrier expression is invalid (such as a
-modulus that is not prime) or a demo claim is unknown. With --no-timing the
-output carries no timings and is byte-identical across repeated runs.
+modulus that is not prime) or a demo claim is unknown. `enumerate` prints the
+messages `verify` prints for the same carrier, without their positions. When
+stdout closes early (as under `| head`) the command stops and exits 1 with
+nothing on stderr. With --no-timing the output carries no timings and is
+byte-identical across repeated runs.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -146,6 +151,10 @@ def cmd_demo(args) -> int:
 def cmd_enumerate(args) -> int:
     try:
         carrier = group_carrier(args.carrier)
+    except SpecError as err:  # the expression is no carrierExpr
+        for diag in err.diagnostics:
+            print(diag.message, file=sys.stderr)
+        return EXIT_ERROR
     except WorkbenchError as err:
         print(str(err), file=sys.stderr)
         return EXIT_ERROR
@@ -193,7 +202,16 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return EXIT_ERROR
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the flush at
+        # interpreter exit raises no second BrokenPipeError, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAILED
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,11 @@ Grammar (hand-rolled recursive descent, UTF-8 input, LF or CRLF line ends,
 Identifiers are declared before use. parse_spec never raises for bad input;
 it returns a draft whose diagnostics carry 1-based line/column positions
 inside the offending token. Error diagnostics prevent compilation.
+
+Validation builds the declared carrier once, through carriers.build_carrier,
+and keeps it on the draft: the carrier rules and their messages live in
+carriers.py only, and the op checks read the built Carrier. parse_carrier_expr
+parses a carrierExpr alone, for `multigroup enumerate` and group_carrier.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -24,15 +29,8 @@ from typing import Callable, NamedTuple
 
 from . import axioms
 from .axioms import LEFT, RIGHT
-from .carriers import (
-    build_carrier_atom,
-    direct_product,
-    gl_group,
-    make_automorphism,
-    pair_carrier,
-)
+from .carriers import Carrier, build_carrier, make_automorphism
 from .errors import NotAGroupError, SpecError, WorkbenchError
-from .field import PrimeField, is_prime
 from .matrix import Matrix, mat_det
 from .optables import SystemSpec
 from .constructions import (
@@ -53,8 +51,6 @@ from .constructions import (
 
 ERROR = "error"
 WARNING = "warning"
-
-CARRIER_NAMES = ("cyclic", "symmetric", "gl", "matrices", "vectors", "window")
 
 
 @dataclass(frozen=True)
@@ -179,6 +175,7 @@ class SpecDraft:
     statements: list = dc_field(default_factory=list)  # ("carrier"|"op"|"check", node)
     diagnostics: list = dc_field(default_factory=list)
     values: dict = dc_field(default_factory=dict)  # op name -> argument values resolved by validation
+    carrier: Carrier | None = None  # built by validation from a valid carrier declaration
 
     @property
     def carrier_atoms(self):
@@ -270,12 +267,11 @@ class _Parser:
         self.expect_punct(")")
         return CarrierAtom(name_tok.text, tuple(args), name_tok)
 
-    def parse_carrier_decl(self):
+    def parse_carrier_expr(self):
         atoms = [self.parse_carrier_atom()]
         while self.peek().kind == "ident" and self.peek().text == "x":
             self.advance()
             atoms.append(self.parse_carrier_atom())
-        self.expect_punct(";")
         return tuple(atoms)
 
     def parse_matrix_literal(self) -> ValueNode:
@@ -342,7 +338,8 @@ class _Parser:
             try:
                 if tok.kind == "ident" and tok.text == "carrier":
                     self.advance()
-                    atoms = self.parse_carrier_decl()
+                    atoms = self.parse_carrier_expr()
+                    self.expect_punct(";")
                     if draft.carrier_atoms is not None:
                         draft.diagnostics.append(
                             ParseDiagnostic(ERROR, tok.line, tok.column, "carrier already declared")
@@ -360,114 +357,6 @@ class _Parser:
             except _ParseFailure as failure:
                 draft.diagnostics.append(failure.diagnostic)
                 self.sync_to_semicolon()
-
-
-# --- static validation ------------------------------------------------------
-
-
-def _shape_of_atoms(atoms, diag):
-    """Static carrier descriptor: kind plus whatever sizes are known syntactically."""
-    shapes = []
-    for atom in atoms:
-        name, args, tok = atom.name, atom.args, atom.token
-        err = lambda msg: diag.append(ParseDiagnostic(ERROR, tok.line, tok.column, msg))
-        if name == "cyclic":
-            if len(args) != 1 or args[0] < 1:
-                err("cyclic(n) needs one argument n >= 1")
-                return None
-            shapes.append({"kind": "cyclic-group", "order": args[0]})
-        elif name == "symmetric":
-            if len(args) != 1 or not 1 <= args[0] <= 5:
-                err("symmetric(n) needs one argument with 1 <= n <= 5")
-                return None
-            shapes.append({"kind": "symmetric-group", "order": args[0]})
-        elif name in ("gl", "matrices"):
-            if len(args) != 2 or args[0] < 1:
-                err(f"{name}(n, p) needs a dimension and a modulus")
-                return None
-            if not is_prime(args[1]):
-                err(f"modulus {args[1]} is not prime")
-                return None
-            kind = "matrix-group" if name == "gl" else "matrix-set"
-            shapes.append({"kind": kind, "dim": args[0], "p": args[1]})
-        elif name == "vectors":
-            if len(args) != 2 or args[0] < 1:
-                err("vectors(n, p) needs a dimension and a modulus")
-                return None
-            if not is_prime(args[1]):
-                err(f"modulus {args[1]} is not prime")
-                return None
-            shapes.append({"kind": "vectors", "dim": args[0], "p": args[1]})
-        elif name == "window":
-            if len(args) != 2 or args[0] > args[1]:
-                err("window(lo, hi) needs lo <= hi")
-                return None
-            shapes.append({"kind": "integer-window"})
-        else:
-            err(f"unknown carrier {name!r} (known: {', '.join(CARRIER_NAMES)})")
-            return None
-
-    if len(shapes) == 1:
-        shape = shapes[0]
-        if shape["kind"] == "vectors":
-            tok = atoms[0].token
-            diag.append(ParseDiagnostic(
-                ERROR, tok.line, tok.column, "vectors(n,p) must be crossed with gl(n,p)"
-            ))
-            return None
-        return shape
-
-    if any(s["kind"] == "vectors" for s in shapes):
-        tok = atoms[0].token
-        if len(shapes) != 2 or shapes[0]["kind"] != "vectors" or shapes[1]["kind"] != "matrix-group":
-            diag.append(ParseDiagnostic(
-                ERROR, tok.line, tok.column,
-                "pair carriers are written vectors(n,p) x gl(n,p)",
-            ))
-            return None
-        v, g = shapes
-        if v["dim"] != g["dim"] or v["p"] != g["p"]:
-            diag.append(ParseDiagnostic(
-                ERROR, tok.line, tok.column,
-                "vector space and matrix group must share dimension and modulus",
-            ))
-            return None
-        return {"kind": "vector-group-pairs", "dim": v["dim"], "p": v["p"], "group": g}
-
-    for shape, atom in zip(shapes, atoms):
-        if shape["kind"] == "integer-window":
-            tok = atom.token
-            diag.append(ParseDiagnostic(
-                ERROR, tok.line, tok.column, "window carriers cannot be crossed"
-            ))
-            return None
-    return {"kind": "direct-product", "factors": shapes}
-
-
-_GROUP_KINDS = ("cyclic-group", "symmetric-group", "matrix-group")
-
-
-def _is_group_shape(shape):
-    if shape["kind"] in _GROUP_KINDS:
-        return True
-    if shape["kind"] == "direct-product":
-        return all(_is_group_shape(f) for f in shape["factors"])
-    return False
-
-
-def _is_monoid_shape(shape):
-    if shape["kind"] == "matrix-set" or _is_group_shape(shape):
-        return True
-    if shape["kind"] == "direct-product":
-        return all(_is_monoid_shape(f) for f in shape["factors"])
-    return False
-
-
-def _is_monoid_square(shape):
-    if shape["kind"] != "direct-product":
-        return False
-    factors = shape["factors"]
-    return len(factors) == 2 and factors[0] == factors[1] and _is_monoid_shape(factors[0])
 
 
 # --- the check and construction tables ---------------------------------------
@@ -510,22 +399,26 @@ CHECK_NAMES = tuple(CHECKS)
 
 
 class CarrierNeed(NamedTuple):
-    holds: Callable  # static carrier shape -> bool
-    message: str  # formatted with ctor= and kind= (the shape's kind)
+    holds: Callable  # Carrier -> bool
+    message: str  # formatted with ctor= and kind= (the carrier's kind)
 
 
 MATRIX_CARRIER = CarrierNeed(
-    lambda shape: shape["kind"] in ("matrix-set", "matrix-group"),
+    lambda carrier: carrier.kind in ("matrix-set", "matrix-group"),
     "{ctor} needs a matrix carrier, carrier is {kind}",
 )
 PAIR_CARRIER = CarrierNeed(
-    lambda shape: shape["kind"] == "vector-group-pairs",
+    lambda carrier: carrier.kind == "vector-group-pairs",
     "{ctor} needs a vectors(n,p) x gl(n,p) carrier, carrier is {kind}",
 )
-GROUP_CARRIER = CarrierNeed(_is_group_shape, "{ctor} needs a group carrier")
-MONOID_SQUARE = CarrierNeed(_is_monoid_square, "{ctor} needs a carrier M x M with M a monoid")
+GROUP_CARRIER = CarrierNeed(lambda carrier: carrier.is_group, "{ctor} needs a group carrier")
+MONOID_SQUARE = CarrierNeed(
+    lambda carrier: carrier.factors is not None and carrier.factors[0].is_monoid
+    and carrier.factors[0].same_as(carrier.factors[1]),
+    "{ctor} needs a carrier M x M with M a monoid",
+)
 EVEN_CYCLIC = CarrierNeed(
-    lambda shape: shape["kind"] == "cyclic-group" and shape["order"] % 2 == 0,
+    lambda carrier: carrier.kind == "cyclic-group" and len(carrier) % 2 == 0,
     "{ctor} needs a cyclic carrier of even order",
 )
 
@@ -570,17 +463,6 @@ def _nonsingular(values, nodes, error):
         error(nodes["m"].token, f"matrix constant is singular mod {m.field.p}")
 
 
-def _make_phi(group, rule):
-    """The automorphism a resolved PHI value names; an inner index is range-checked here."""
-    if rule[0] == "inner-index":
-        _, index, token = rule
-        if not 0 <= index < len(group):
-            raise SpecError([ParseDiagnostic(ERROR, token.line, token.column,
-                                             f"inner index {index} out of range for {group.label}")])
-        rule = ("inner", group.elements[index])
-    return make_automorphism(group, rule)
-
-
 CONSTRUCTIONS = {
     "matrix_op": ConstructionSpec(
         MATRIX_CARRIER, (Arg("s", INT), Arg("t", INT), Arg("m1", MATRIX), Arg("m2", MATRIX)),
@@ -597,11 +479,11 @@ CONSTRUCTIONS = {
     "core_quandle": ConstructionSpec(GROUP_CARRIER, (), lambda carrier, v: core_quandle(carrier)),
     "alexander_quandle": ConstructionSpec(
         GROUP_CARRIER, (Arg("phi", PHI),),
-        lambda carrier, v: alexander_quandle(carrier, _make_phi(carrier, v["phi"])),
+        lambda carrier, v: alexander_quandle(carrier, make_automorphism(carrier, v["phi"])),
     ),
     "vxg_phi_op": ConstructionSpec(
         PAIR_CARRIER, (Arg("phi", PHI),),
-        lambda carrier, v: vxg_phi_op(carrier, _make_phi(carrier.group, v["phi"])),
+        lambda carrier, v: vxg_phi_op(carrier, make_automorphism(carrier.group, v["phi"])),
     ),
     "vxg_conj_op": ConstructionSpec(
         PAIR_CARRIER, (Arg("n", INT),), lambda carrier, v: vxg_conj_op(carrier, v["n"]),
@@ -631,9 +513,9 @@ CONSTRUCTIONS = {
 class _OpValidator:
     """Checks ops against CONSTRUCTIONS; positions come from the declaration tokens."""
 
-    def __init__(self, draft, shape):
+    def __init__(self, draft):
         self.draft = draft
-        self.shape = shape
+        self.carrier = draft.carrier
         self.declared = []
 
     def error(self, token, message):
@@ -656,8 +538,8 @@ class _OpValidator:
                 self.error(tok, f"duplicate argument {name!r}")
             nodes[name] = node
         values = None
-        if spec.need is not None and self.shape is not None and not spec.need.holds(self.shape):
-            self.error(op.ctor_token, spec.need.message.format(ctor=op.ctor, kind=self.shape["kind"]))
+        if spec.need is not None and self.carrier is not None and not spec.need.holds(self.carrier):
+            self.error(op.ctor_token, spec.need.message.format(ctor=op.ctor, kind=self.carrier.kind))
         else:
             resolve = {INT: self.int_arg, MATRIX: self.matrix_arg, CHOICE: self.choice_arg,
                        OP_REF: self.op_arg, PHI: self.phi_arg}
@@ -697,13 +579,13 @@ class _OpValidator:
         if any(len(r) != len(rows[0]) for r in rows):
             self.error(node.token, "matrix rows have unequal lengths")
             return None
-        if self.shape is None:  # nothing to size it by; the carrier error stops compilation
+        if self.carrier is None:  # nothing to size it by; the carrier error stops compilation
             return None
-        dim = self.shape["dim"]
+        dim = self.carrier.dim
         if len(rows) != dim or len(rows[0]) != dim:
             self.error(node.token, f"matrix must be {dim}x{dim} for this carrier")
             return None
-        return Matrix.from_rows(rows, PrimeField(self.shape["p"]))
+        return Matrix.from_rows(rows, self.carrier.field)
 
     def choice_arg(self, op, spec, nodes, arg):
         node = nodes.get(arg.name)
@@ -729,8 +611,8 @@ class _OpValidator:
     def phi_arg(self, op, spec, nodes, arg):
         """At most one of phi=identity, phi=[[...]], inner=<int>, power=<int>.
 
-        The value is a make_automorphism rule, except that inner= gives
-        ("inner-index", index, token): the group size is known only at compile.
+        The value is a make_automorphism rule: inner=<index> is range-checked
+        against the group the op acts on and becomes ("inner", element).
         """
         given = [k for k in PHI_KEYS if k in nodes]
         if len(given) > 1:
@@ -753,13 +635,36 @@ class _OpValidator:
         if node.kind != "int":
             self.error(node.token, f"argument {key} must be an integer")
             return None
-        return ("inner-index", node.value, node.token) if key == "inner" else ("power", node.value)
+        if key == "power":
+            return ("power", node.value)
+        if self.carrier is None:
+            return None
+        group = self.carrier.group if self.carrier.group is not None else self.carrier
+        if not 0 <= node.value < len(group):
+            self.error(node.token, f"inner index {node.value} out of range for {group.label}")
+            return None
+        return ("inner", group.elements[node.value])
+
+
+def _at(token: Token, build: Callable):
+    """build(), with a WorkbenchError it raises re-raised as a SpecError positioned at token."""
+    try:
+        return build()
+    except SpecError:
+        raise
+    except WorkbenchError as err:
+        raise SpecError([ParseDiagnostic(ERROR, token.line, token.column, str(err))]) from err
 
 
 def _validate(draft: SpecDraft):
     atoms = draft.carrier_atoms
-    shape = _shape_of_atoms(atoms, draft.diagnostics) if atoms is not None else None
-    validator = _OpValidator(draft, shape)
+    if atoms is not None:
+        try:
+            draft.carrier = build_carrier([(atom.name, atom.args) for atom in atoms],
+                                          lambda i, build: _at(atoms[i].token, build))
+        except SpecError as err:
+            draft.diagnostics.extend(err.diagnostics)
+    validator = _OpValidator(draft)
     used_ops = set()
     for kind, node in draft.statements:
         if kind == "op":
@@ -807,6 +712,21 @@ def parse_spec(source) -> SpecDraft:
     return draft
 
 
+def parse_carrier_expr(text: str) -> tuple:
+    """The atoms of text read as one carrierExpr; raises SpecError on a syntax error."""
+    tokens, diagnostics = tokenize(text)
+    parser = _Parser(tokens, diagnostics)
+    try:
+        atoms = parser.parse_carrier_expr()
+        if parser.peek().kind != "eof":
+            parser.fail(parser.peek(), f"expected end of input, got {parser.peek().text!r}")
+    except _ParseFailure as failure:
+        diagnostics.append(failure.diagnostic)
+    if diagnostics:
+        raise SpecError(diagnostics)
+    return atoms
+
+
 # --- pretty printing ---------------------------------------------------------
 
 
@@ -837,45 +757,19 @@ class CompiledSpec:
     system: SystemSpec
 
 
-def _at(token: Token, build: Callable):
-    """build(), with a WorkbenchError it raises re-raised as a SpecError positioned at token."""
-    try:
-        return build()
-    except SpecError:
-        raise
-    except WorkbenchError as err:
-        raise SpecError([ParseDiagnostic(ERROR, token.line, token.column, str(err))]) from err
-
-
-def _build_carrier(atoms):
-    """The declared carrier; a failure is reported at the atom being built."""
-    first = atoms[0]
-    if first.name == "vectors":
-        (vdim, p), (gn, gp) = first.args, atoms[1].args
-        group = _at(atoms[1].token, lambda: gl_group(gn, gp))
-        return _at(first.token, lambda: pair_carrier(vdim, p, group))
-    carrier = _at(first.token, lambda: build_carrier_atom(first.name, list(first.args)))
-    for atom in atoms[1:]:
-        factor = _at(atom.token, lambda: build_carrier_atom(atom.name, list(atom.args)))
-        carrier = _at(atom.token, lambda: direct_product(carrier, factor))
-    return carrier
-
-
 def compile_spec(draft: SpecDraft) -> CompiledSpec:
-    """Instantiate carrier and tables; error diagnostics prevent compilation.
+    """Build the tables over the carrier validation built; error diagnostics prevent compilation.
 
     Raises SpecError when the draft has error diagnostics. A construction-time
-    failure (carrier guard, closure, singularity, a phi that is no
-    automorphism) is re-raised as a SpecError at the carrier atom or at the
-    op's constructor. Ops that name parts of one multi-part construction with
-    the same other arguments share one build.
+    failure (closure, singularity, a phi that is no automorphism) is re-raised
+    as a SpecError at the op's constructor. Ops that name parts of one
+    multi-part construction with the same other arguments share one build.
     """
     if not draft.ok:
         raise SpecError(draft.errors)
-    atoms = draft.carrier_atoms
-    if atoms is None:
+    carrier = draft.carrier
+    if carrier is None:
         raise SpecError([ParseDiagnostic(ERROR, 1, 1, "spec declares no carrier")])
-    carrier = _build_carrier(atoms)
     ops: dict = {}
     shared: dict = {}
     for op in draft.ops:

@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from multigroup.cli import main
+from test_diagnostics import CASES
 
 PASSING = """\
 carrier symmetric(3);
@@ -190,7 +192,31 @@ def test_enumerate_list(capsys):
 
 def test_enumerate_bad_expression(capsys):
     assert main(["enumerate", "banana(3)"]) == 2
-    assert "cannot parse" in capsys.readouterr().err or True
+    assert capsys.readouterr().err == (
+        "unknown carrier 'banana' (known: cyclic, symmetric, gl, matrices, vectors, window)\n"
+    )
+
+
+@pytest.mark.parametrize("expr", ["vectors(2,2,2) x gl(2,2)", "vectors(2,2) x gl(2)"])
+def test_enumerate_pair_argument_count_exit_two(capsys, expr):
+    assert main(["enumerate", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+# Specs in the diagnostics cases that are one carrier declaration and nothing else.
+CARRIER_ONLY = [(name, match[1], lines[0]) for name, spec, lines in CASES
+                if (match := re.fullmatch(r"carrier ([^;]*);\n", spec))]
+
+
+@pytest.mark.parametrize("expr, line", [c[1:] for c in CARRIER_ONLY], ids=[c[0] for c in CARRIER_ONLY])
+def test_enumerate_prints_the_verify_message(capsys, monkeypatch, expr, line):
+    monkeypatch.delenv("MULTIGROUP_GUARD", raising=False)
+    assert main(["enumerate", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == re.sub(r"^bad\.mg:\d+:\d+: error: ", "", line) + "\n"
 
 
 @pytest.mark.parametrize("expr, modulus", [
@@ -216,6 +242,18 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     code = main(["verify", write(tmp_path, PASSING), "--jobs", "0"])
     assert code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multigroup", "enumerate", "cyclic(200000)", "--list"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"cyclic(200000): 200000 elements\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_module_entry_point():
