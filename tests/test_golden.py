@@ -2,13 +2,15 @@
 
 tests/golden holds small spec files that together reach all 16 check names
 and every failure reason the DSL's constructions produce, next to the
-recorded stdout of `verify --no-timing` in both formats. The recorded files
-come from a run at --jobs 1; every --jobs value must reproduce them. To
+recorded stdout of `verify --no-timing` in both formats, and `demo
+--no-timing` in both formats. The recorded files come from a run at --jobs 1;
+every --jobs value must reproduce them. To
 re-record after an intended output change, run from tests/golden:
 
     python3 -m multigroup verify NAME.mg --no-timing --format json > NAME.json
     python3 -m multigroup verify NAME.mg --no-timing > NAME.txt
     python3 -m multigroup demo --no-timing --format json > demo.json
+    python3 -m multigroup demo --no-timing > demo.txt
     python3 ../../scripts/probe_brace_dimonoid.py > probe_brace_dimonoid.txt
     python3 ../../scripts/probe_op_products.py > probe_op_products.txt
     python3 -m multigroup enumerate "EXPR" --list > enumerate_NAME.txt
@@ -53,9 +55,12 @@ def test_verify_matches_golden(spec, fmt, jobs, capsys, monkeypatch):
     assert capsys.readouterr().out == want
 
 
-def test_demo_matches_golden(capsys):
-    assert main(["demo", "--no-timing", "--format", "json"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "demo.json").read_text(encoding="utf-8")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_demo_matches_golden(fmt, jobs, capsys):
+    assert main(["demo", "--no-timing", "--format", fmt, "--jobs", jobs]) == 0
+    want = (GOLDEN / f"demo.{'json' if fmt == 'json' else 'txt'}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("script", ["probe_brace_dimonoid", "probe_op_products"])
