@@ -24,10 +24,12 @@ from .optables import (
     VERDICT_FAIL,
     failing,
     first_true,
+    inverse_indices,
     passing,
     scan_chunks,
     shared_carrier,
     table_from_array,
+    unit_indices,
 )
 
 LEFT = "left"
@@ -172,16 +174,7 @@ def check_self_distributivity(op: OpTable, side: str, jobs: int = 1) -> AxiomRep
 
 def find_units(op: OpTable) -> list:
     """All two-sided units of the table (a magma has at most one)."""
-    t = op.table
-    n = len(op)
-    eye = np.arange(n)
-    units = [
-        op.carrier.elements[e]
-        for e in range(n)
-        if np.array_equal(t[e], eye) and np.array_equal(t[:, e], eye)
-    ]
-    assert len(units) <= 1, "two distinct two-sided units cannot coexist"
-    return units
+    return [op.carrier.elements[e] for e in unit_indices(op.table).tolist()]
 
 
 def find_inverses(op: OpTable, unit) -> tuple:
@@ -193,20 +186,15 @@ def find_inverses(op: OpTable, unit) -> tuple:
     """
     carrier = op.carrier
     e = carrier.index_of(unit)
-    t = op.table
-    n = len(op)
-    eye = np.arange(n)
-    if not (np.array_equal(t[e], eye) and np.array_equal(t[:, e], eye)):
+    if e not in unit_indices(op.table):
         raise NotAUnitError(f"{unit!r} is not a two-sided unit of {op.label!r}")
-    mapping = {}
-    first_missing = None
-    for a in range(n):
-        hits = np.nonzero((t[a] == e) & (t[:, a] == e))[0]
-        mapping[carrier.elements[a]] = carrier.elements[int(hits[0])] if hits.size else None
-        if hits.size == 0 and first_missing is None:
-            first_missing = a
-    if first_missing is not None:
-        return failing("inverses", carrier, (first_missing,), n * n), mapping
+    inverses = inverse_indices(op.table, e)
+    mapping = dict(zip(carrier.elements, (carrier.elements[b] if b >= 0 else None
+                                          for b in inverses.tolist())))
+    missing = first_true(inverses < 0)
+    n = len(op)
+    if missing is not None:
+        return failing("inverses", carrier, missing, n * n), mapping
     return passing("inverses", n * n), mapping
 
 
@@ -267,14 +255,7 @@ def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport
 def find_bar_units(dashv: OpTable, vdash: OpTable) -> list:
     """Elements e with x -| e = x and e |- x = x for all x."""
     carrier = shared_carrier(dashv, vdash)
-    d, v = dashv.table, vdash.table
-    n = len(carrier)
-    eye = np.arange(n)
-    return [
-        carrier.elements[e]
-        for e in range(n)
-        if np.array_equal(d[:, e], eye) and np.array_equal(v[e], eye)
-    ]
+    return [carrier.elements[e] for e in unit_indices(vdash.table, dashv.table).tolist()]
 
 
 def check_skew_brace(dot: OpTable, circ: OpTable, jobs: int = 1) -> AxiomReport:
@@ -289,9 +270,7 @@ def check_skew_brace(dot: OpTable, circ: OpTable, jobs: int = 1) -> AxiomReport:
         if not group_report.passed:
             raise NotAGroupError(which, group_report)
     d, c = dot.table, circ.table
-    unit = find_units(dot)[0]
-    _, inv_map = find_inverses(dot, unit)
-    inv = np.array([carrier.index_of(inv_map[e]) for e in carrier.elements], dtype=np.int64)
+    inv = inverse_indices(d, unit_indices(d)[0])
 
     def sides(a0, a1):
         csub = c[a0:a1]

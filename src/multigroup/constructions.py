@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedCarrierError,
 )
 from .matrix import Matrix, mat_add_scaled, mat_det
-from .optables import OpTable, first_true, scan_chunks, table_from_array
+from .optables import OpTable, first_true, scan_chunks, table_from_array, unit_indices
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,7 @@ def opposite_op(op: OpTable, label: str | None = None) -> OpTable:
 def _verified_monoid(carrier: Carrier, who: str) -> Carrier:
     if not carrier.is_monoid:
         raise NoUnitError(f"{who} needs a carrier with a two-sided unit, got {carrier.kind}")
-    c, e, every = carrier.cayley, carrier.identity_index, np.arange(len(carrier))
-    if not (np.array_equal(c[e], every) and np.array_equal(c[:, e], every)):
+    if carrier.identity_index not in unit_indices(carrier.cayley):
         raise NoUnitError(f"{who}: listed identity is not a two-sided unit")
     return carrier
 

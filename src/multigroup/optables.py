@@ -51,6 +51,22 @@ def first_true(mask: np.ndarray):
     return tuple(int(k) for k in np.unravel_index(i, mask.shape))
 
 
+def unit_indices(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """The e whose row in `rows` and column in `cols` (default `rows`) are the identity map.
+
+    With one table these are its two-sided units: e*x = x = x*e for every x.
+    """
+    cols = rows if cols is None else cols
+    every = np.arange(len(rows))
+    return np.flatnonzero((rows == every).all(axis=1) & (cols == every[:, None]).all(axis=0))
+
+
+def inverse_indices(table: np.ndarray, e: int) -> np.ndarray:
+    """For each a, the first b with a*b = b*a = e, or -1 when there is none."""
+    both = (table == e) & (table.T == e)
+    return np.where(both.any(axis=1), both.argmax(axis=1), -1)
+
+
 def encode_element(element):
     """Carrier element encoding as JSON-ready data (tuples become lists)."""
     if isinstance(element, tuple):

@@ -31,8 +31,9 @@ from multigroup.axioms import (
     nvalued_product,
     op_product,
 )
-from multigroup.carriers import cyclic_group, gl_group, symmetric_group
+from multigroup.carriers import Carrier, cyclic_group, gl_group, symmetric_group
 from multigroup.constructions import (
+    _verified_monoid,
     brace_ops,
     conj_quandle,
     core_quandle,
@@ -40,7 +41,7 @@ from multigroup.constructions import (
     opposite_op,
     pair_dimonoid,
 )
-from multigroup.errors import NotAGroupError, NotAUnitError
+from multigroup.errors import NoUnitError, NotAGroupError, NotAUnitError
 from multigroup.field import PrimeField
 from multigroup.matrix import Matrix
 from multigroup import optables
@@ -651,3 +652,57 @@ def test_multiquandle_same_op_degenerates(op, _other):
     assert report.passed == single.passed
     if not report.passed:
         assert report.witness == single.witness
+
+
+@st.composite
+def unital_tables(draw):
+    """Two random tables on cyclic(n) and an index e, n = 1..5.
+
+    Half the time e is planted as a two-sided unit of the first table, and
+    entries equal e with high odds, so tables with no unit, with a unit and
+    with several inverses per element all turn up.
+    """
+    n = draw(st.integers(1, 5))
+    e = draw(st.integers(0, n - 1))
+    entries = st.lists(st.one_of(st.just(e), st.integers(0, n - 1)), min_size=n * n,
+                       max_size=n * n)
+    first, second = (np.array(draw(entries)).reshape(n, n) for _ in range(2))
+    if draw(st.booleans()):
+        first[e, :] = first[:, e] = np.arange(n)
+    z = cyclic_group(n)
+    return table_from_array(z, first, "first"), table_from_array(z, second, "second"), e
+
+
+def naive_units(rows, cols):
+    n = len(rows)
+    return [e for e in range(n) if all(rows[e][x] == x and cols[x][e] == x for x in range(n))]
+
+
+@given(unital_tables())
+@settings(max_examples=150, deadline=None)
+def test_unit_and_inverse_searches_match_naive_loops(tables):
+    op, other, e = tables
+    t, s = op.table.tolist(), other.table.tolist()
+    n = len(t)
+    assert find_units(op) == naive_units(t, t)
+    assert find_bar_units(other, op) == naive_units(t, s)
+
+    monoid = Carrier("cyclic-group", tuple(range(n)), "m", identity=e)
+    monoid.__dict__["cayley"] = op.table  # the random table as the carrier's product
+    if e in naive_units(t, t):
+        assert _verified_monoid(monoid, "m") is monoid
+    else:
+        with pytest.raises(NoUnitError):
+            _verified_monoid(monoid, "m")
+        with pytest.raises(NotAUnitError):
+            find_inverses(op, e)
+        return
+
+    report, mapping = find_inverses(op, e)
+    want = [next((b for b in range(n) if t[a][b] == e and t[b][a] == e), None)
+            for a in range(n)]
+    assert mapping == dict(enumerate(want))
+    missing = [a for a in range(n) if want[a] is None]
+    assert report.passed == (not missing)
+    assert report.witness == (tuple(missing[:1]) if missing else None)
+    assert report.checked == n * n
