@@ -32,7 +32,6 @@ from .axioms import LEFT, RIGHT
 from .carriers import Carrier, build_carrier, make_automorphism
 from .errors import NotAGroupError, SpecError, WorkbenchError
 from .matrix import Matrix, mat_det
-from .optables import SystemSpec
 from .constructions import (
     MatrixOpParams,
     action_dimonoid,
@@ -754,7 +753,6 @@ class CompiledSpec:
     carrier: object
     ops: dict
     checks: tuple
-    system: SystemSpec
 
 
 def compile_spec(draft: SpecDraft) -> CompiledSpec:
@@ -783,14 +781,7 @@ def compile_spec(draft: SpecDraft) -> CompiledSpec:
             refs = {arg.name: ops[values[arg.name]] for arg in spec.args if arg.kind == OP_REF}
             table = _at(op.ctor_token, lambda: spec.build(carrier, {**values, **refs}))
         ops[op.name] = table.relabel(op.name)
-    system = SystemSpec(carrier=carrier, ops=ops)
-    return CompiledSpec(
-        source=draft.source,
-        carrier=carrier,
-        ops=ops,
-        checks=tuple(draft.checks),
-        system=system,
-    )
+    return CompiledSpec(source=draft.source, carrier=carrier, ops=ops, checks=tuple(draft.checks))
 
 
 def run_check(compiled: CompiledSpec, check: CheckDecl, jobs: int = 1):

@@ -238,20 +238,6 @@ def failing(
     return AxiomReport(axiom, VERDICT_FAIL, witness, checked, reason)
 
 
-@dataclass(frozen=True, eq=False)
-class SystemSpec:
-    """A carrier plus named operation tables; the unit the DSL compiles to."""
-
-    carrier: Carrier
-    ops: dict
-    declared_class: str = "unclassified"
-
-    def __post_init__(self):
-        for op in self.ops.values():
-            if not op.carrier.same_as(self.carrier):
-                raise CarrierMismatchError(f"op {op.label!r} is not over the system carrier")
-
-
 def chunk_ranges(n: int, width: int):
     """Fixed-width row chunks; width never depends on the thread count."""
     step = max(1, width)
