@@ -74,6 +74,14 @@ def _guard_size(size: int, what: str) -> None:
         raise TooLargeError(f"{what} needs {size} candidates, above the guard of {guard}")
 
 
+def _guard_power(p: int, e: int, what: str) -> None:
+    """_guard_size for p**e candidates; a plainly huge power is refused by bit length."""
+    guard = carrier_guard()
+    if e * (p.bit_length() - 1) > max(64, guard.bit_length()):  # then p**e > 2**64
+        raise TooLargeError(f"{what} needs more than 2^64 candidates, above the guard of {guard}")
+    _guard_size(p**e, what)
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -280,8 +288,8 @@ def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier
     kind, name = ("matrix-group", "gl") if invertible_only else ("matrix-set", "matrices")
     if n < 1:
         raise _usage_error(name)
+    _guard_power(p, n * n, f"enumerating {n}x{n} matrices mod {p}")
     fld = PrimeField(p)
-    _guard_size(p ** (n * n), f"enumerating {n}x{n} matrices mod {p}")
     elements = []
     for flat in itertools.product(range(p), repeat=n * n):
         rows = tuple(flat[i * n:(i + 1) * n] for i in range(n))
@@ -370,6 +378,7 @@ def _vectors(n: int, p: int) -> None:
     """Check a vectors(n,p) atom; the cross with gl(n,p) builds its carrier."""
     if n < 1:
         raise _usage_error("vectors")
+    _guard_power(p, n, f"vectors({n},{p})")
     PrimeField(p)
 
 
@@ -505,9 +514,10 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
         images = power_index(group, every, rule[1] % group_exponent(group))
         label = f"power({rule[1]})"
     else:
-        images = np.array([int(i) for i in rule], dtype=np.int64)
-        if len(images) != n or not np.all((images >= 0) & (images < n)):
+        images = [int(i) for i in rule]
+        if len(images) != n or not all(0 <= i < n for i in images):
             raise NotBijectiveError(f"image list must be a permutation of 0..{n - 1}")
+        images = np.array(images, dtype=np.int64)
         label = "explicit"
 
     if not np.array_equal(np.sort(images), every):

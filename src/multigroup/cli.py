@@ -44,7 +44,7 @@ def cmd_verify(args) -> int:
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read {args.file}: {err}", file=sys.stderr)
         return EXIT_ERROR
     source = SpecSource(text=text, origin=str(path))

@@ -235,11 +235,17 @@ class _Parser:
             return self.advance()
         self.fail(tok, f"expected {what}" + (f", got {tok.text!r}" if tok.text else " before end of input"))
 
-    def expect_int(self) -> Token:
+    def expect_int(self) -> int:
         tok = self.peek()
-        if tok.kind == "int":
-            return self.advance()
-        self.fail(tok, "expected an integer" + (f", got {tok.text!r}" if tok.text else ""))
+        if tok.kind != "int":
+            self.fail(tok, "expected an integer" + (f", got {tok.text!r}" if tok.text else ""))
+        return self.int_value(self.advance())
+
+    def int_value(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            self.fail(tok, f"integer literal of {len(tok.text.lstrip('-'))} digits is too long")
 
     def at_punct(self, ch: str) -> bool:
         tok = self.peek()
@@ -259,10 +265,10 @@ class _Parser:
     def parse_carrier_atom(self) -> CarrierAtom:
         name_tok = self.expect_ident("a carrier name")
         self.expect_punct("(")
-        args = [int(self.expect_int().text)]
+        args = [self.expect_int()]
         while self.at_punct(","):
             self.advance()
-            args.append(int(self.expect_int().text))
+            args.append(self.expect_int())
         self.expect_punct(")")
         return CarrierAtom(name_tok.text, tuple(args), name_tok)
 
@@ -278,10 +284,10 @@ class _Parser:
         rows = []
         while True:
             self.expect_punct("[")
-            row = [int(self.expect_int().text)]
+            row = [self.expect_int()]
             while self.at_punct(","):
                 self.advance()
-                row.append(int(self.expect_int().text))
+                row.append(self.expect_int())
             self.expect_punct("]")
             rows.append(tuple(row))
             if self.at_punct(","):
@@ -295,7 +301,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return ValueNode("int", int(tok.text), tok)
+            return ValueNode("int", self.int_value(tok), tok)
         if tok.kind == "ident":
             self.advance()
             return ValueNode("ident", tok.text, tok)

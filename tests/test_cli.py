@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -264,3 +265,59 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "cyclic(5): 5 elements" in proc.stdout
+
+
+@pytest.mark.parametrize("expr, line", [
+    ("gl(1,2305843009213693951)", "enumerating 1x1 matrices mod 2305843009213693951 needs "
+                                  "2305843009213693951 candidates, above the guard of 1000000"),
+    ("vectors(1,2305843009213693951) x gl(1,2305843009213693951)",
+     "vectors(1,2305843009213693951) needs 2305843009213693951 candidates, "
+     "above the guard of 1000000"),
+    ("matrices(200,2)", "enumerating 200x200 matrices mod 2 needs more than 2^64 candidates, "
+                        "above the guard of 1000000"),
+], ids=["gl-prime-2^61-1", "vectors-prime-2^61-1", "matrices-200"])
+def test_enumerate_guard_refuses_before_any_big_work(expr, line):
+    # A prime test on a 61-bit modulus runs for minutes; 2^40000 has too many digits to print.
+    env = {k: v for k, v in os.environ.items() if k != "MULTIGROUP_GUARD"}
+    proc = subprocess.run([sys.executable, "-m", "multigroup", "enumerate", expr],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+
+def test_verify_guard_refuses_a_huge_prime_modulus(tmp_path):
+    path = write(tmp_path, "carrier gl(1,2305843009213693951);\n", "bad.mg")
+    env = {k: v for k, v in os.environ.items() if k != "MULTIGROUP_GUARD"}
+    proc = subprocess.run([sys.executable, "-m", "multigroup", "verify", path],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"{path}:1:9: error: enumerating 1x1 matrices mod 2305843009213693951 "
+                           "needs 2305843009213693951 candidates, above the guard of 1000000\n")
+
+
+def test_overlong_integer_literal_is_reported_at_the_literal(tmp_path, capsys):
+    digits = "9" * 5000
+    path = write(tmp_path, f"carrier cyclic({digits});\n", "bad.mg")
+    assert main(["verify", path]) == 2
+    line = "integer literal of 5000 digits is too long"
+    assert capsys.readouterr().err == f"{path}:1:16: error: {line}\n"
+    assert main(["enumerate", f"cyclic({digits})"]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_verify_non_utf8_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "latin.mg"
+    path.write_bytes(b"carrier cyclic(4);\xff\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 18: "
+        "invalid start byte\n")
+
+
+def test_verify_phi_image_beyond_int64_exit_two(tmp_path, capsys):
+    spec = ("carrier cyclic(4);\n"
+            "op a = alexander_quandle(phi=[[0,1,2,99999999999999999999999]]);\n"
+            "check assoc a;\n")
+    path = write(tmp_path, spec, "bad.mg")
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:2:8: error: image list must be a permutation of 0..3\n")
