@@ -1,21 +1,30 @@
 """Exhaustive axiom checks over operation tables.
 
-Every check decides its whole tuple space in carrier order and reports the
-lexicographically first violation as its witness. A failing triple scan stops
-after the chunk that holds that witness (plus at most jobs - 1 chunks already
-in flight), so a refutation costs the chunks up to it, not all of them.
+Every check decides its whole tuple space and reports the lexicographically
+first violation, in carrier order, as its witness. Most laws are decided by a
+scan: a failing triple scan stops after the chunk that holds that witness
+(plus at most jobs - 1 chunks already in flight), so a refutation costs the
+chunks up to it, not all of them. Associativity (`assoc`, the assoc stage of
+`group`, the group checks of `skew_brace`, dimonoid axioms 1 and 5) and the
+interchange law (`interchange`, dimonoid axiom 3) may instead be proved
+without a scan: by Light's test over a generating set for associativity, and
+by a left-ideal cover for interchange. Light's test and the cover each give
+up past n^3/8 compared cells, and when a proof does not prove the law the
+ordinary scan runs, so every refutation comes from the scan.
 `checked` is the tuple-space size of every stage the check ran, not the
 number of comparisons made: n^3 per triple law, n^2 per pair law and n per
-element law, on pass and on fail alike. A composite check stops at its first
-failing stage, so its `checked` sums the stages up to and including that one.
-Both are functions of the carrier and the tables alone, which makes reports
-byte-identical across repeated runs and across thread counts.
+element law, on pass and on fail alike, proved or scanned. A composite check
+stops at its first failing stage, so its `checked` sums the stages up to and
+including that one. Both are functions of the carrier and the tables alone,
+which makes reports byte-identical across repeated runs and across thread
+counts.
 """
 
 import numpy as np
 
 from .errors import NotAGroupError, NotAUnitError
 from .optables import (
+    CHUNK_CELLS,
     AxiomReport,
     Multiset,
     OpTable,
@@ -42,14 +51,18 @@ def _side(side: str) -> str:
     return side
 
 
-def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None) -> AxiomReport:
-    """Scan one law over every triple and report its first violation.
+def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None, decide=None) -> AxiomReport:
+    """Decide one law over every triple and report its first violation.
 
     sides(a0, a1) returns the (left, right) values of the law for first
     coordinates a0..a1-1; their leading axes are (a - a0, b, c), and any
     further axes are compared too. cells_per_row (default n^2) sizes chunks.
+    decide, when given, may prove the law without a scan: when it returns
+    True the law holds on every triple; otherwise the scan runs.
     """
     n = len(carrier)
+    if decide is not None and decide():
+        return passing(axiom, n**3)
 
     def worker(a0, a1):
         left, right = sides(a0, a1)
@@ -65,6 +78,166 @@ def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None) -> AxiomR
     return passing(axiom, n**3)
 
 
+# Proofs: each returns True only when its law holds on every triple, and
+# False when it refutes the law or would compare more than `cap` cells. Every
+# temporary stays within CHUNK_CELLS cells, like one scan chunk.
+
+
+def _step(width: int) -> int:
+    """Rows of `width` cells that fit in one chunk."""
+    return max(1, CHUNK_CELLS // max(1, width))
+
+
+def _row_keys(t: np.ndarray) -> np.ndarray:
+    """A wrapping 64-bit linear hash of every row of t; equal rows get equal keys."""
+    m = t.shape[1]
+    weights = np.arange(1, m + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    weights ^= weights >> np.uint64(29)
+    keys = np.empty(len(t), dtype=np.uint64)
+    step = _step(4 * m)
+    for a0 in range(0, len(t), step):
+        keys[a0:a0 + step] = t[a0:a0 + step].astype(np.uint64) @ weights
+    return keys
+
+
+def _class_reps(t: np.ndarray) -> np.ndarray:
+    """Ascending indices of rows of t such that every row equals one of them.
+
+    Rows are sorted by key, and a row joins its predecessor's class only when
+    the two are exactly equal: a key collision can cost a merge, but never
+    merges unequal rows.
+    """
+    n, m = t.shape
+    order = np.argsort(_row_keys(t), kind="stable")
+    fresh = np.ones(n, dtype=bool)
+    step = _step(m)
+    for a0 in range(1, n, step):
+        a1 = min(a0 + step, n)
+        fresh[a0:a1] = (t[order[a0:a1]] != t[order[a0 - 1:a1 - 1]]).any(axis=1)
+    return np.sort(order[fresh])
+
+
+def _close(t: np.ndarray, generated: np.ndarray, new: np.ndarray) -> None:
+    """Add `new` to the submagma marked in `generated` and close it under t.
+
+    Each round multiplies the newly added elements by every member, on both
+    sides, so each ordered pair of members is multiplied at most twice.
+    """
+    new = new[~generated[new]]
+    while len(new):
+        generated[new] = True
+        members = np.flatnonzero(generated)
+        reached = np.zeros(len(generated), dtype=bool)
+        step = _step(4 * len(members))
+        for a0 in range(0, len(new), step):
+            block = new[a0:a0 + step]
+            reached[t[np.ix_(block, members)]] = True
+            reached[t[np.ix_(members, block)]] = True
+        new = np.flatnonzero(reached & ~generated)
+
+
+def _image_sizes(t: np.ndarray) -> np.ndarray:
+    """|x Q| for every x: the number of distinct entries in each row of t."""
+    n = len(t)
+    sizes = np.empty(n, dtype=np.intp)
+    step = _step(2 * n)
+    for a0 in range(0, n, step):
+        block = np.sort(t[a0:a0 + step], axis=1)
+        sizes[a0:a0 + step] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
+    return sizes
+
+
+def _generators(t: np.ndarray, limit: int):
+    """A generating set of the magma t, or None when it needs more than `limit`.
+
+    The elements outside t's image come first, since every generating set
+    holds them. Then, while some element is not generated, the one with the
+    largest image x Q (the least on ties) joins: in a matrix monoid the units
+    come first, and a few of them generate the whole group of units.
+    """
+    n = len(t)
+    image = np.zeros(n, dtype=bool)
+    step = _step(4 * n)
+    for a0 in range(0, n, step):
+        image[t[a0:a0 + step]] = True
+    gens = np.flatnonzero(~image)
+    if len(gens) > limit:
+        return None
+    generated = np.zeros(n, dtype=bool)
+    _close(t, generated, gens)
+    gens = gens.tolist()
+    for g in np.argsort(-_image_sizes(t), kind="stable").tolist():
+        if generated[g]:
+            continue
+        if len(gens) == limit:
+            return None
+        gens.append(g)
+        _close(t, generated, np.array([g]))
+    return np.array(gens, dtype=np.intp)
+
+
+def _associative(t: np.ndarray, cap: int) -> bool:
+    """Light's associativity test: (x g) y = x (g y) for every generator g.
+
+    The g for which this holds for all x and y are closed under the product,
+    so when a generating set passes, every element does (Clifford & Preston,
+    The Algebraic Theory of Semigroups, vol. 1, 1961). Both sides depend on
+    x only through row x of t, and on y only through column y, so x ranges
+    over one representative per class of equal rows, and y over one per
+    class of equal columns when those columns fit in one chunk (over every y
+    otherwise): |generators| * |x| * |y| cells.
+    """
+    n = len(t)
+    rows, cols = _class_reps(t), _class_reps(t.T)
+    if len(cols) == n or n * len(cols) > CHUNK_CELLS:
+        cols, narrow = np.arange(n), t
+    else:
+        narrow = t[:, cols]
+    gens = _generators(t, cap // (len(rows) * len(cols)))
+    if gens is None:
+        return False
+    # rows x and each (x, g, y) block take at most half a chunk each, so the
+    # two sides and their mask stay within what one scan chunk allocates
+    step = _step(2 * n)
+    for a0 in range(0, len(rows), step):
+        tx = t[rows[a0:a0 + step]]
+        per_block = _step(2 * len(tx) * len(cols))
+        for g0 in range(0, len(gens), per_block):
+            g = gens[g0:g0 + per_block]
+            # (x g) y and x (g y), each of shape (x, g, y)
+            if (narrow[tx[:, g]] != np.take(tx, narrow[g], axis=1)).any():
+                return False
+    return True
+
+
+def _interchanges(ti: np.ndarray, tj: np.ndarray, cap: int) -> bool:
+    """(x i y) j z = x i (y j z) for all triples, by a left-ideal cover.
+
+    When i is associative, the y for which the law holds for every x and z
+    form a left ideal of (Q, i): for such y and any w,
+        (x i (w i y)) j z = ((x i w) i y) j z = (x i w) i (y j z)
+                          = x i (w i (y j z)) = x i ((w i y) j z).
+    So each least y not yet covered is tested over all (x, z), n^2 cells, and
+    when it passes it covers itself and its column i[:, y].
+    """
+    if not _associative(ti, cap):
+        return False
+    n = len(ti)
+    covered = np.zeros(n, dtype=bool)
+    step = _step(n)
+    for _ in range(cap // (n * n)):
+        y = int(np.argmin(covered))
+        column, yz = ti[:, y], tj[y]
+        for a0 in range(0, n, step):
+            if (tj[column[a0:a0 + step]] != ti[a0:a0 + step][:, yz]).any():
+                return False
+        covered[y] = True
+        covered[column] = True
+        if covered.all():
+            return True
+    return False
+
+
 # Law shapes: each returns the chunk sides for _law.
 
 
@@ -74,6 +247,22 @@ def _bracket(A, B, C, D):
         return A[B[a0:a1], :], C[a0:a1][:, D]
 
     return sides
+
+
+def _bracket_law(axiom, carrier, law, jobs) -> AxiomReport:
+    """The law of _bracket(*law), proved without a scan where its shape allows.
+
+    With one table throughout it is associativity. With A and D one table j
+    and B and C one table i it is the interchange law (x i y) j z = x i (y j z).
+    """
+    A, B, C, D = law
+    cap = len(A) ** 3 // 8
+    decide = None
+    if A is B is C is D:
+        decide = lambda: _associative(A, cap)
+    elif A is D and B is C:
+        decide = lambda: _interchanges(B, A, cap)
+    return _law(axiom, carrier, _bracket(*law), jobs, decide=decide)
 
 
 def _mixed_distrib(ta, tb):
@@ -112,14 +301,14 @@ def _stages(name: str, stages) -> AxiomReport:
 def check_associativity(op: OpTable, jobs: int = 1) -> AxiomReport:
     """(a*b)*c = a*(b*c) over all triples."""
     t = op.table
-    return _law("assoc", op.carrier, _bracket(t, t, t, t), jobs)
+    return _bracket_law("assoc", op.carrier, (t, t, t, t), jobs)
 
 
 def check_interchange(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> AxiomReport:
     """(a *_i b) *_j c = a *_i (b *_j c) over all triples."""
     carrier = shared_carrier(op_i, op_j)
     ti, tj = op_i.table, op_j.table
-    return _law("interchange", carrier, _bracket(tj, ti, ti, tj), jobs)
+    return _bracket_law("interchange", carrier, (tj, ti, ti, tj), jobs)
 
 
 def check_idempotency(op: OpTable) -> AxiomReport:
@@ -247,7 +436,7 @@ def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport
     d, v = dashv.table, vdash.table
     laws = ((d, d, d, d), (d, d, d, v), (d, v, v, d), (v, d, v, v), (v, v, v, v))
     return _stages("dimonoid", [
-        (f"axiom-{k}", lambda law=law: _law("dimonoid", carrier, _bracket(*law), jobs))
+        (f"axiom-{k}", lambda law=law: _bracket_law("dimonoid", carrier, law, jobs))
         for k, law in enumerate(laws, 1)
     ])
 

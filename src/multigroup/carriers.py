@@ -69,9 +69,15 @@ def carrier_guard() -> int:
 
 
 def _guard_size(size: int, what: str) -> None:
+    """Refuse more candidates than the guard allows.
+
+    A count past 2^64 is not printed: it may have more digits than Python
+    converts to a string.
+    """
     guard = carrier_guard()
     if size > guard:
-        raise TooLargeError(f"{what} needs {size} candidates, above the guard of {guard}")
+        count = "more than 2^64" if size > 1 << 64 else size
+        raise TooLargeError(f"{what} needs {count} candidates, above the guard of {guard}")
 
 
 def _guard_power(p: int, e: int, what: str) -> None:

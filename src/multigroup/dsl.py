@@ -171,7 +171,8 @@ class CheckDecl:
 @dataclass
 class SpecDraft:
     source: SpecSource
-    statements: list = dc_field(default_factory=list)  # ("carrier"|"op"|"check", node)
+    # ("carrier"|"op"|"check", node), or ("op-name", name token) for an op that failed to parse
+    statements: list = dc_field(default_factory=list)
     diagnostics: list = dc_field(default_factory=list)
     values: dict = dc_field(default_factory=dict)  # op name -> argument values resolved by validation
     carrier: Carrier | None = None  # built by validation from a valid carrier declaration
@@ -353,7 +354,15 @@ class _Parser:
                         draft.statements.append(("carrier", atoms))
                 elif tok.kind == "ident" and tok.text == "op":
                     self.advance()
-                    draft.statements.append(("op", self.parse_op_decl()))
+                    name_tok = self.peek()
+                    try:
+                        draft.statements.append(("op", self.parse_op_decl()))
+                    except _ParseFailure:
+                        # the name parsed: keep it declared, so that checks
+                        # naming it add no second diagnostic
+                        if name_tok.kind == "ident":
+                            draft.statements.append(("op-name", name_tok))
+                        raise
                 elif tok.kind == "ident" and tok.text == "check":
                     self.advance()
                     draft.statements.append(("check", self.parse_check_decl()))
@@ -672,7 +681,9 @@ def _validate(draft: SpecDraft):
     validator = _OpValidator(draft)
     used_ops = set()
     for kind, node in draft.statements:
-        if kind == "op":
+        if kind == "op-name":  # an op whose parse error is its one diagnostic
+            validator.declared.append(node.text)
+        elif kind == "op":
             if atoms is None:
                 validator.error(node.token, "declare a carrier before any operations")
             if node.name in validator.declared:
@@ -745,7 +756,7 @@ def format_spec(draft: SpecDraft) -> str:
         elif kind == "op":
             args = ", ".join(f"{name}={value.render()}" for name, value, _ in node.args)
             lines.append(f"op {node.name} = {node.ctor}({args});")
-        else:
+        elif kind == "check":
             lines.append(node.render())
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -267,6 +267,10 @@ def test_module_entry_point():
     assert "cyclic(5): 5 elements" in proc.stdout
 
 
+# Two bounds of 4300 digits each, the most int() parses: their width has 4301.
+WIDE = "-" + "9" * 4300
+
+
 @pytest.mark.parametrize("expr, line", [
     ("gl(1,2305843009213693951)", "enumerating 1x1 matrices mod 2305843009213693951 needs "
                                   "2305843009213693951 candidates, above the guard of 1000000"),
@@ -275,13 +279,25 @@ def test_module_entry_point():
      "above the guard of 1000000"),
     ("matrices(200,2)", "enumerating 200x200 matrices mod 2 needs more than 2^64 candidates, "
                         "above the guard of 1000000"),
-], ids=["gl-prime-2^61-1", "vectors-prime-2^61-1", "matrices-200"])
+    (f"window({WIDE},{WIDE[1:]})", f"window({WIDE},{WIDE[1:]}) needs more than 2^64 candidates, "
+                                   "above the guard of 1000000"),
+], ids=["gl-prime-2^61-1", "vectors-prime-2^61-1", "matrices-200", "window-4301-digit-width"])
 def test_enumerate_guard_refuses_before_any_big_work(expr, line):
     # A prime test on a 61-bit modulus runs for minutes; 2^40000 has too many digits to print.
     env = {k: v for k, v in os.environ.items() if k != "MULTIGROUP_GUARD"}
     proc = subprocess.run([sys.executable, "-m", "multigroup", "enumerate", expr],
                           capture_output=True, text=True, timeout=30, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+
+def test_verify_guard_refuses_a_window_too_wide_to_print(tmp_path):
+    path = write(tmp_path, f"carrier window({WIDE},{WIDE[1:]});\n", "bad.mg")
+    env = {k: v for k, v in os.environ.items() if k != "MULTIGROUP_GUARD"}
+    proc = subprocess.run([sys.executable, "-m", "multigroup", "verify", path],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"{path}:1:9: error: window({WIDE},{WIDE[1:]}) needs more than 2^64 "
+                           "candidates, above the guard of 1000000\n")
 
 
 def test_verify_guard_refuses_a_huge_prime_modulus(tmp_path):

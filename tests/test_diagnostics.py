@@ -27,6 +27,13 @@ CASES = [
         ],
     ),
     (
+        'op-parse-error-keeps-name',
+        'carrier cyclic(4);\nop a = alexander_quandle(power=);\ncheck assoc a;\n',
+        [
+            "bad.mg:2:32: error: expected an integer, a matrix literal, or an identifier",
+        ],
+    ),
+    (
         'expected-punct-at-end',
         'carrier cyclic(3',
         [
