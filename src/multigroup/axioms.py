@@ -79,13 +79,21 @@ def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None, decide=No
 
 
 # Proofs: each returns True only when its law holds on every triple, and
-# False when it refutes the law or would compare more than `cap` cells. Every
-# temporary stays within CHUNK_CELLS cells, like one scan chunk.
+# False when it refutes the law or would compare more than `cap` cells.
+# Their temporaries stay within an eighth of a scan chunk: with a full chunk,
+# a failing assoc check on a 360-element carrier (proof, then scan) peaked
+# about 1.2 MB above the scan alone; with an eighth, 0.2-0.3 MB above.
+PROOF_CELLS = CHUNK_CELLS // 8
 
 
 def _step(width: int) -> int:
-    """Rows of `width` cells that fit in one chunk."""
-    return max(1, CHUNK_CELLS // max(1, width))
+    """Rows of `width` cells that fit in PROOF_CELLS.
+
+    Callers pass 4 * width where every cell becomes an 8-byte temporary (an
+    intp index or a uint64 key), which then takes the bytes of PROOF_CELLS
+    int16 cells.
+    """
+    return max(1, PROOF_CELLS // max(1, width))
 
 
 def _row_keys(t: np.ndarray) -> np.ndarray:
@@ -184,20 +192,19 @@ def _associative(t: np.ndarray, cap: int) -> bool:
     The Algebraic Theory of Semigroups, vol. 1, 1961). Both sides depend on
     x only through row x of t, and on y only through column y, so x ranges
     over one representative per class of equal rows, and y over one per
-    class of equal columns when those columns fit in one chunk (over every y
-    otherwise): |generators| * |x| * |y| cells.
+    class of equal columns when those columns fit in PROOF_CELLS (over every
+    y otherwise): |generators| * |x| * |y| cells.
     """
     n = len(t)
     rows, cols = _class_reps(t), _class_reps(t.T)
-    if len(cols) == n or n * len(cols) > CHUNK_CELLS:
+    if len(cols) == n or n * len(cols) > PROOF_CELLS:
         cols, narrow = np.arange(n), t
     else:
         narrow = t[:, cols]
     gens = _generators(t, cap // (len(rows) * len(cols)))
     if gens is None:
         return False
-    # rows x and each (x, g, y) block take at most half a chunk each, so the
-    # two sides and their mask stay within what one scan chunk allocates
+    # rows x and each (x, g, y) block take at most half of PROOF_CELLS each
     step = _step(2 * n)
     for a0 in range(0, len(rows), step):
         tx = t[rows[a0:a0 + step]]

@@ -123,24 +123,33 @@ def row_sum_keys(t):
     return t.astype(np.uint64).sum(axis=1)
 
 
-KEYS = [None, zero_keys, row_sum_keys]  # None: the real keys; the others collide
+# (row keys, chunk cells), None keeping the real ones: keys that collide, and
+# chunks so small that every chunked loop takes many steps and column
+# classes are narrowed or not
+VARIANTS = [(None, None), (zero_keys, None), (row_sum_keys, None), (None, 2), (None, 24)]
 
 
-@pytest.mark.parametrize("keys", KEYS)
+def _patch(patch, keys, chunk):
+    if keys is not None:
+        patch.setattr(axioms, "_row_keys", keys)
+    if chunk is not None:
+        patch.setattr(axioms, "PROOF_CELLS", chunk)
+
+
+@pytest.mark.parametrize("keys, chunk", VARIANTS)
 @given(tables())
-@settings(max_examples=150, deadline=None)
-def test_light_test_equals_naive_assoc(keys, t):
+@settings(max_examples=60, deadline=None)
+def test_light_test_equals_naive_assoc(keys, chunk, t):
     t = frozen(t)
     with pytest.MonkeyPatch.context() as patch:
-        if keys is not None:
-            patch.setattr(axioms, "_row_keys", keys)
+        _patch(patch, keys, chunk)
         assert axioms._associative(t, UNBOUNDED) == naive_assoc(t.tolist())
 
 
-@pytest.mark.parametrize("keys", KEYS)
+@pytest.mark.parametrize("keys, chunk", VARIANTS)
 @given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_left_ideal_cover_equals_naive_interchange(keys, data):
+@settings(max_examples=60, deadline=None)
+def test_left_ideal_cover_equals_naive_interchange(keys, chunk, data):
     ti = data.draw(st.one_of(associative_tables(), tables()))
     n = len(ti)
     kind = data.draw(st.sampled_from(["random", "same", "perturbed", "associative"]))
@@ -157,29 +166,30 @@ def test_left_ideal_cover_equals_naive_interchange(keys, data):
     ti, tj = frozen(ti), frozen(tj)
     want = naive_assoc(ti.tolist()) and naive_interchange(ti.tolist(), tj.tolist())
     with pytest.MonkeyPatch.context() as patch:
-        if keys is not None:
-            patch.setattr(axioms, "_row_keys", keys)
+        _patch(patch, keys, chunk)
         assert axioms._interchanges(ti, tj, UNBOUNDED) == want
 
 
+@pytest.mark.parametrize("chunk", [None, 2])
 @given(tables())
-@settings(max_examples=150, deadline=None)
-def test_generators_generate(t):
+@settings(max_examples=60, deadline=None)
+def test_generators_generate(chunk, t):
     t = frozen(t)
-    gens = axioms._generators(t, UNBOUNDED).tolist()
+    with pytest.MonkeyPatch.context() as patch:
+        _patch(patch, None, chunk)
+        gens = axioms._generators(t, UNBOUNDED).tolist()
     assert naive_closure(t.tolist(), gens) == set(range(len(t)))
     products = {v for row in t.tolist() for v in row}
     assert {g for g in range(len(t)) if g not in products} <= set(gens)
 
 
-@pytest.mark.parametrize("keys", KEYS)
+@pytest.mark.parametrize("keys, chunk", VARIANTS)
 @given(tables())
-@settings(max_examples=100, deadline=None)
-def test_class_reps_cover_every_row_exactly(keys, t):
+@settings(max_examples=60, deadline=None)
+def test_class_reps_cover_every_row_exactly(keys, chunk, t):
     t = frozen(t)
     with pytest.MonkeyPatch.context() as patch:
-        if keys is not None:
-            patch.setattr(axioms, "_row_keys", keys)
+        _patch(patch, keys, chunk)
         for table in (t, t.T):
             reps = axioms._class_reps(table).tolist()
             assert reps == sorted(set(reps))
