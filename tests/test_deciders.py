@@ -211,8 +211,8 @@ def test_cover_needs_an_associative_inner_table():
 
 
 def test_work_cap_gives_up():
-    # Z_8: 8 row and 8 column classes, generators 0 (the least) and 1, and
-    # one covering test, so each proof needs 2 * 8 * 8 cells
+    # Z_8: 8 row and 8 column classes, generators 0 and 1 (every row is onto,
+    # so the least come first) and one covering test: 2 * 8 * 8 cells each
     t = frozen([[(x + y) % 8 for y in range(8)] for x in range(8)])
     assert axioms._generators(t, UNBOUNDED).tolist() == [0, 1]
     assert axioms._associative(t, 128) and axioms._interchanges(t, t, 128)
@@ -245,3 +245,40 @@ def test_passes_are_decided_without_a_scan(spec, check, monkeypatch):
     assert report.passed
     stages = {"dimonoid": 5 * n**3, "group": n**3 + n + n * n}
     assert report.checked == stages.get(decl.name, n**3)
+
+
+def test_dimonoid_scans_only_axioms_2_and_4(monkeypatch):
+    # axioms 1 and 5 are associativity and axiom 3 the interchange law of
+    # (|-, -|); on 432 elements all three are proved within n^3/8
+    compiled = compile_spec(parse_spec(SpecSource(
+        "carrier vectors(2,3) x gl(2,3);\n"
+        "op d = action_dimonoid(part=dashv);\n"
+        "op v = action_dimonoid(part=vdash);\n"
+        "check dimonoid d v;\n")))
+    d, v = compiled.ops["d"].table, compiled.ops["v"].table
+    events = []
+
+    def record(name, proof):
+        def wrapper(*tables_and_cap):
+            verdict = proof(*tables_and_cap)
+            events.append((name, *(id(t) for t in tables_and_cap[:-1]), verdict))
+            return verdict
+        return wrapper
+
+    def fake_scan(worker, n_rows, cells_per_row, jobs=1):
+        events.append("scan")
+        return None
+
+    monkeypatch.setattr(axioms, "_associative", record("assoc", axioms._associative))
+    monkeypatch.setattr(axioms, "_interchanges", record("interchange", axioms._interchanges))
+    monkeypatch.setattr(axioms, "scan_chunks", fake_scan)
+    report = run_check(compiled, compiled.checks[0])
+    assert report.passed and report.checked == 5 * 432**3
+    assert events == [
+        ("assoc", id(d), True),                    # axiom 1
+        "scan",                                    # axiom 2
+        ("assoc", id(v), True),                    # axiom 3: its precondition
+        ("interchange", id(v), id(d), True),
+        "scan",                                    # axiom 4
+        ("assoc", id(v), True),                    # axiom 5
+    ]
