@@ -10,6 +10,7 @@ byte-reproducible regardless of how the scan was parallelized.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -254,8 +255,12 @@ def scan_chunks(worker: Callable, n_rows: int, cells_per_row: int, jobs: int = 1
     chunk that holds it: with jobs > 1 at most `jobs` chunks are in flight,
     submitted in chunk order and collected oldest first, so at most jobs - 1
     chunks past the witness chunk run and their results are discarded. The
-    result never depends on `jobs`.
+    result never depends on `jobs`, so jobs is capped at the CPUs this
+    process may run on: each chunk in flight holds its temporaries, and more
+    threads than CPUs only add memory and switching.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1)
     rows = max(1, CHUNK_CELLS // max(1, cells_per_row))
     ranges = chunk_ranges(n_rows, rows)
     if jobs <= 1 or len(ranges) <= 1:

@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -244,3 +245,36 @@ def test_scan_chunks_propagates_worker_errors(monkeypatch):
 
     with pytest.raises(RuntimeError, match="chunk 0 broke"):
         scan_chunks(worker, 4, 1, 2)
+
+
+def test_scan_chunks_runs_at_most_one_thread_per_cpu(monkeypatch):
+    # every chunk in flight holds its temporaries, so jobs past the CPU count
+    # cost memory and buy nothing; reports never depend on jobs
+    monkeypatch.setattr(optables, "CHUNK_CELLS", 1)
+    monkeypatch.setattr(optables.os, "sched_getaffinity", lambda pid: {0, 1})
+    pools = []
+
+    class Pool(optables.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(optables, "ThreadPoolExecutor", Pool)
+    lock = threading.Lock()
+    running, peak, ran = 0, 0, []
+
+    def worker(a0, a1):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            ran.append(a0)
+        time.sleep(0.002)
+        with lock:
+            running -= 1
+        return None
+
+    assert scan_chunks(worker, 40, 1, 32) is None
+    assert pools == [2]
+    assert 1 <= peak <= 2
+    assert sorted(ran) == list(range(40))
