@@ -4,13 +4,20 @@ Every check decides its whole tuple space and reports the lexicographically
 first violation, in carrier order, as its witness. Most laws are decided by a
 scan: a failing triple scan stops after the chunk that holds that witness
 (plus at most jobs - 1 chunks already in flight), so a refutation costs the
-chunks up to it, not all of them. Associativity (`assoc`, the assoc stage of
-`group`, the group checks of `skew_brace`, dimonoid axioms 1 and 5) and the
-interchange law (`interchange`, dimonoid axiom 3) may instead be proved
-without a scan: by Light's test over a generating set for associativity, and
-by a left-ideal cover for interchange. Light's test and the cover each give
-up past n^3/8 compared cells, and when a proof does not prove the law the
-ordinary scan runs, so every refutation comes from the scan.
+chunks up to it, not all of them. A triple law that holds may be decided
+without a full scan, in two steps tried before it:
+- Proofs. Associativity (`assoc`, the assoc stage of `group`, the group
+  checks of `skew_brace`, dimonoid axioms 1 and 5) by Light's test over a
+  generating set, and the interchange law (`interchange`, dimonoid axiom 3)
+  by a left-ideal cover. Each gives up past n^3/8 compared cells.
+- The orbit step, for every triple law. Candidate permutations come from
+  the carrier (x -> u x for units u on Z_n, conjugation by generators on
+  symmetric and matrix groups), and those verified to be automorphisms of
+  every table the law reads split the carrier into orbits; the law holds
+  when it holds on the triples whose first coordinate is an orbit's least
+  element. Other carriers have no candidates.
+When neither shows that the law holds, the ordinary scan runs from row 0,
+so every refutation, witness and reason comes from the scan.
 `checked` is the tuple-space size of every stage the check ran, not the
 number of comparisons made: n^3 per triple law, n^2 per pair law and n per
 element law, on pass and on fail alike, proved or scanned. A composite check
@@ -19,6 +26,8 @@ including that one. Both are functions of the carrier and the tables alone,
 which makes reports byte-identical across repeated runs and across thread
 counts.
 """
+
+import functools
 
 import numpy as np
 
@@ -51,31 +60,47 @@ def _side(side: str) -> str:
     return side
 
 
-def _law(axiom, carrier, sides, jobs, reason=None, cells_per_row=None, decide=None) -> AxiomReport:
+def _law(axiom, carrier, sides, orbits, jobs, reason=None, cells_per_row=None,
+         decide=None) -> AxiomReport:
     """Decide one law over every triple and report its first violation.
 
-    sides(a0, a1) returns the (left, right) values of the law for first
-    coordinates a0..a1-1; their leading axes are (a - a0, b, c), and any
-    further axes are compared too. cells_per_row (default n^2) sizes chunks.
-    decide, when given, may prove the law without a scan: when it returns
-    True the law holds on every triple; otherwise the scan runs.
+    sides(rows) returns the (left, right) values of the law for the first
+    coordinates that rows selects, a slice or an ascending intp array; their
+    leading axes are (a, b, c), a counted along the selection, and any further
+    axes are compared too. orbits() gives the orbit representatives of the
+    tables the law reads (see _orbits). cells_per_row (default n^2) sizes
+    chunks. decide, when given, may prove the law without a scan: when it
+    returns True the law holds on every triple. Otherwise the law may be shown
+    to hold on the orbit representatives, and when neither shows it, the scan
+    decides it from row 0.
     """
     n = len(carrier)
+    width = cells_per_row or n * n
     if decide is not None and decide():
         return passing(axiom, n**3)
+    reps = orbits()
+    if reps is not None and _first_failure(sides, len(reps), width, jobs, reps) is None:
+        return passing(axiom, n**3)
+    found = _first_failure(sides, n, width, jobs)
+    if found is not None:
+        return failing(axiom, carrier, found, n**3, reason)
+    return passing(axiom, n**3)
 
+
+def _first_failure(sides, n_rows, width, jobs, rows=None):
+    """The first failing (a, b, c) over first coordinates 0..n_rows-1, or along rows when given.
+
+    a counts positions in rows, so a hit on rows says only that the law fails.
+    """
     def worker(a0, a1):
-        left, right = sides(a0, a1)
+        left, right = sides(slice(a0, a1) if rows is None else rows[a0:a1])
         hit = first_true(left != right)
         if hit is None:
             return None
         a, b, c = hit[:3]
         return (a0 + a, b, c)
 
-    found = scan_chunks(worker, n, cells_per_row or n * n, jobs)
-    if found is not None:
-        return failing(axiom, carrier, found, n**3, reason)
-    return passing(axiom, n**3)
+    return scan_chunks(worker, n_rows, width, jobs)
 
 
 # Proofs: each returns True only when its law holds on every triple, and
@@ -245,18 +270,72 @@ def _interchanges(ti: np.ndarray, tj: np.ndarray, cap: int) -> bool:
     return False
 
 
-# Law shapes: each returns the chunk sides for _law.
+# The orbit step. If a permutation s of the carrier is an automorphism of
+# every table a law reads, the law fails at (a, b, c) exactly when it fails at
+# (s a, s b, s c). So the law holds on every triple when it holds on those
+# whose first coordinate is the least element of its orbit under the group
+# the verified candidates generate: |reps| * n^2 cells instead of n^3.
+# Candidates come from the carrier alone (Carrier.automorphism_candidates)
+# and are verified on every table; a law that fails on some representative
+# is scanned from row 0 as before.
+
+
+def _is_automorphism(s: np.ndarray, t: np.ndarray) -> bool:
+    """t[s x, s y] == s(t[x, y]) for every pair, a row take and a column take per row chunk."""
+    images = s.astype(t.dtype)
+    step = _step(4 * len(t))
+    for a0 in range(0, len(t), step):
+        moved = t.take(s[a0:a0 + step], axis=0).take(s, axis=1)
+        if (moved != images.take(t[a0:a0 + step])).any():
+            return False
+    return True
+
+
+def _orbit_reps(carrier, tables):
+    """The least element of every orbit of the candidates that are automorphisms of all tables.
+
+    Ascending, or None when no candidate survives. Orbits come from min-label
+    propagation: each element's label falls to the least label it reaches
+    through a kept permutation or through its own label, until nothing moves.
+    """
+    tables = list({id(t): t for t in tables}.values())
+    kept = [s for s in carrier.automorphism_candidates
+            if all(_is_automorphism(s, t) for t in tables)]
+    if not kept:
+        return None
+    every = np.arange(len(carrier))
+    labels = every
+    while True:
+        low = labels
+        for s in kept:
+            low = np.minimum(low, low[s])
+        low = low[low]
+        if np.array_equal(low, labels):
+            return np.flatnonzero(labels == every)
+        labels = low
+
+
+def _orbits(carrier, *tables):
+    """_orbit_reps(carrier, tables) as a thunk that computes it once, for laws that share it.
+
+    The tables are every table the laws read: a permutation that is an
+    automorphism of all of them is one of each table of each law.
+    """
+    return functools.cache(lambda: _orbit_reps(carrier, tables))
+
+
+# Law shapes: each returns the sides(rows) of _law.
 
 
 def _bracket(A, B, C, D):
     """(x B y) A z = x C (y D z)."""
-    def sides(a0, a1):
-        return A[B[a0:a1], :], C[a0:a1][:, D]
+    def sides(rows):
+        return A[B[rows], :], C[rows][:, D]
 
     return sides
 
 
-def _bracket_law(axiom, carrier, law, jobs) -> AxiomReport:
+def _bracket_law(axiom, carrier, law, jobs, orbits=None) -> AxiomReport:
     """The law of _bracket(*law), proved without a scan where its shape allows.
 
     With one table throughout it is associativity. With A and D one table j
@@ -269,22 +348,51 @@ def _bracket_law(axiom, carrier, law, jobs) -> AxiomReport:
         decide = lambda: _associative(A, cap)
     elif A is D and B is C:
         decide = lambda: _interchanges(B, A, cap)
-    return _law(axiom, carrier, _bracket(*law), jobs, decide=decide)
+    return _law(axiom, carrier, _bracket(*law), orbits or _orbits(carrier, *law), jobs,
+                decide=decide)
 
 
 def _mixed_distrib(ta, tb):
     """(x a y) b z = (x b z) a (y b z)."""
-    def sides(a0, a1):
-        return tb[ta[a0:a1], :], ta[tb[a0:a1][:, None, :], tb[None, :, :]]
+    def sides(rows):
+        return tb[ta[rows], :], ta[tb[rows][:, None, :], tb[None, :, :]]
 
     return sides
 
 
 def _left_distrib(t):
     """x t (y t z) = (x t y) t (x t z)."""
-    def sides(a0, a1):
-        sub = t[a0:a1]
+    def sides(rows):
+        sub = t[rows]
         return sub[:, t], t[sub[:, :, None], sub[:, None, :]]
+
+    return sides
+
+
+def _brace_compatibility(d, c):
+    """g1 c (g2 d g3) = (g1 c g2) d g1^-1 d (g1 c g3), with the inverse of the group d."""
+    inv = inverse_indices(d, unit_indices(d)[0])
+
+    def sides(rows):
+        csub = c[rows]
+        partial = d[csub, inv[rows][:, None]]        # (g1 o g2) . g1^-1
+        return csub[:, d], d[partial[:, :, None], csub[:, None, :]]
+
+    return sides
+
+
+def _nvalued(stack):
+    """(x * y) * z = x * (y * z) as multisets over every pair of the stacked tables."""
+    m, n = stack.shape[0], stack.shape[1]
+
+    def sides(rows):
+        sub = stack[:, rows, :]                      # (m, k, n): a *_i b
+        k = sub.shape[1]
+        left = stack[:, sub, :]                      # (j, i, a, b, c)
+        left = np.sort(left.reshape(m * m, k, n, n), axis=0)
+        right = sub[:, :, stack]                     # (j, a, i, b, c)
+        right = np.sort(right.transpose(0, 2, 1, 3, 4).reshape(m * m, k, n, n), axis=0)
+        return np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -1)
 
     return sides
 
@@ -365,7 +473,7 @@ def check_self_distributivity(op: OpTable, side: str, jobs: int = 1) -> AxiomRep
     _side(side)
     t = op.table
     sides = _mixed_distrib(t, t) if side == RIGHT else _left_distrib(t)
-    return _law(f"distrib_{side}", op.carrier, sides, jobs)
+    return _law(f"distrib_{side}", op.carrier, sides, _orbits(op.carrier, t), jobs)
 
 
 def find_units(op: OpTable) -> list:
@@ -442,8 +550,9 @@ def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport
     carrier = shared_carrier(dashv, vdash)
     d, v = dashv.table, vdash.table
     laws = ((d, d, d, d), (d, d, d, v), (d, v, v, d), (v, d, v, v), (v, v, v, v))
+    orbits = _orbits(carrier, d, v)
     return _stages("dimonoid", [
-        (f"axiom-{k}", lambda law=law: _bracket_law("dimonoid", carrier, law, jobs))
+        (f"axiom-{k}", lambda law=law: _bracket_law("dimonoid", carrier, law, jobs, orbits))
         for k, law in enumerate(laws, 1)
     ])
 
@@ -465,16 +574,10 @@ def check_skew_brace(dot: OpTable, circ: OpTable, jobs: int = 1) -> AxiomReport:
         group_report = check_group(op, jobs=jobs)
         if not group_report.passed:
             raise NotAGroupError(which, group_report)
+    # an automorphism of dot commutes with its inverse, so (d, c) are all the law reads
     d, c = dot.table, circ.table
-    inv = inverse_indices(d, unit_indices(d)[0])
-
-    def sides(a0, a1):
-        csub = c[a0:a1]
-        left = csub[:, d]
-        partial = d[csub, inv[a0:a1, None]]        # (g1 o g2) . g1^-1
-        return left, d[partial[:, :, None], csub[:, None, :]]
-
-    return _law("skew_brace", carrier, sides, jobs, reason="compatibility")
+    return _law("skew_brace", carrier, _brace_compatibility(d, c), _orbits(carrier, d, c), jobs,
+                reason="compatibility")
 
 
 def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> AxiomReport:
@@ -485,8 +588,10 @@ def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> Axio
     """
     carrier = shared_carrier(op_i, op_j)
     ti, tj = op_i.table, op_j.table
+    orbits = _orbits(carrier, ti, tj)
     return _stages("multiquandle", [
-        (label, lambda ta=ta, tb=tb: _law("multiquandle", carrier, _mixed_distrib(ta, tb), jobs))
+        (label, lambda ta=ta, tb=tb: _law("multiquandle", carrier, _mixed_distrib(ta, tb),
+                                          orbits, jobs))
         for label, ta, tb in (("mixed-distrib-ij", ti, tj), ("mixed-distrib-ji", tj, ti))
     ])
 
@@ -526,16 +631,7 @@ def check_nvalued_associativity(ops, jobs: int = 1) -> AxiomReport:
     results, checked for every triple.
     """
     stack = _op_stack(ops)
-    carrier = ops[0].carrier
     m, n = stack.shape[0], stack.shape[1]
-
-    def sides(a0, a1):
-        k = a1 - a0
-        rows = stack[:, a0:a1, :]                    # (m, k, n): a *_i b
-        left = stack[:, rows, :]                     # (j, i, a, b, c)
-        left = np.sort(left.reshape(m * m, k, n, n), axis=0)
-        right = rows[:, :, stack]                    # (j, a, i, b, c)
-        right = np.sort(right.transpose(0, 2, 1, 3, 4).reshape(m * m, k, n, n), axis=0)
-        return np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -1)
-
-    return _law("nvalued_assoc", carrier, sides, jobs, cells_per_row=n * n * m * m)
+    orbits = _orbits(ops[0].carrier, *(op.table for op in ops))
+    return _law("nvalued_assoc", ops[0].carrier, _nvalued(stack), orbits, jobs,
+                cells_per_row=n * n * m * m)

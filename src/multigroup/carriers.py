@@ -12,7 +12,9 @@ matrix carriers, and the factors' products for direct products. The
 |Q| x |Q| Cayley table `cayley` is built from it on first use, once per
 carrier object, and is write-protected; `mul`, `inv` and `identity` read the
 same structure on encodings without building the table. Vector-group pairs
-carry an action table `action[A, v]` instead.
+carry an action table `action[A, v]` instead. Cyclic, symmetric and matrix
+groups also offer `automorphism_candidates`, index permutations that the
+axiom checks verify on each table before reducing a law to orbits.
 
 Element encodings are plain hashable Python values: ints for cyclic groups and
 integer windows, tuples for permutations and vectors, tuples of row tuples for
@@ -20,6 +22,7 @@ matrices, and 2-tuples for products and vector-group pairs.
 """
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,6 +238,29 @@ class Carrier:
         return _frozen(power_index(self, np.arange(len(self)), self.orders - 1))
 
     @cached_property
+    def automorphism_candidates(self) -> tuple:
+        """Index permutations that may be automorphisms of tables on this carrier, built once.
+
+        On cyclic groups x -> u x for a greedy generating set of the units; on
+        symmetric and matrix groups conjugation x -> g x g^-1 by the
+        generating set that Light's associativity test finds in the Cayley
+        table. Other kinds have none, and identity maps are left out. None is
+        trusted: a table's automorphisms are verified on the table.
+        """
+        n = len(self)
+        if self.kind == "cyclic-group":
+            maps = [np.arange(n) * u % n for u in _unit_generators(n)]
+        elif self.kind in ("symmetric-group", "matrix-group"):
+            from .axioms import _generators
+
+            c = self.cayley
+            maps = [c[c[g], self.inverse[g]] for g in _generators(c, n).tolist()]
+        else:
+            return ()
+        every = np.arange(n)
+        return tuple(_frozen(s.astype(np.intp)) for s in maps if (s != every).any())
+
+    @cached_property
     def action(self) -> np.ndarray:
         """action[A, v]: index of the vector A v on vector-group pairs; vectors in base-p order."""
         if self.kind != "vector-group-pairs":
@@ -250,6 +276,22 @@ class Carrier:
 
     def inv(self, a):
         return self.elements[int(self.inverse[self.index[a]])]
+
+
+def _unit_generators(n: int) -> list:
+    """A greedy generating set of the units of Z_n: each unit not yet generated joins, least first."""
+    generated = np.zeros(n, dtype=bool)
+    generated[1 % n] = True
+    gens = []
+    for u in range(2, n):
+        if generated[u] or math.gcd(u, n) != 1:
+            continue
+        gens.append(u)
+        coset = np.flatnonzero(generated)
+        while not generated[coset[0] * u % n]:  # add the cosets H u, H u^2, ... of H
+            coset = coset * u % n
+            generated[coset] = True
+    return gens
 
 
 def power_index(carrier: Carrier, i, k) -> np.ndarray:

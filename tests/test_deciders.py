@@ -1,4 +1,4 @@
-"""The proofs that decide passing associativity and interchange without a scan.
+"""The steps that decide passing triple laws without a full scan.
 
 `axioms._associative` (Light's test) and `axioms._interchanges` (the
 left-ideal cover) may only return True on a law that holds on every triple.
@@ -6,17 +6,19 @@ Given an unbounded work cap they are also complete, so on small tables their
 verdicts must equal plain triple loops exactly. The tables come from random
 magmas, relabelled transformation semigroups and their one-cell
 perturbations, left-zero, right-zero and null bands, and tables with repeated
-rows or columns.
+rows or columns. The orbit step, which reduces every triple law to orbit
+representatives, is held to naive loops further down.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multigroup import axioms, optables
-from multigroup.carriers import cyclic_group
+from multigroup import axioms, carriers, optables
+from multigroup.carriers import cyclic_group, direct_product, group_carrier, symmetric_group
 from multigroup.dsl import SpecSource, compile_spec, parse_spec, run_check
 from multigroup.optables import table_from_array
 
@@ -282,3 +284,269 @@ def test_dimonoid_scans_only_axioms_2_and_4(monkeypatch):
         "scan",                                    # axiom 4
         ("assoc", id(v), True),                    # axiom 5
     ]
+
+
+# The orbit step. `axioms._orbit_reps` keeps the carrier's candidate
+# permutations that are automorphisms of every table a law reads and returns
+# the least element of each orbit of the group they generate; `axioms._law`
+# passes a law that holds on those rows and otherwise scans from row 0. Both
+# are held to naive loops: automorphisms by the definition, orbits by closure,
+# laws over every triple.
+
+
+def naive_automorphism(s, t):
+    n = len(t)
+    return all(t[s[x]][s[y]] == s[t[x][y]] for x in range(n) for y in range(n))
+
+
+def naive_orbit_reps(perms, n):
+    reps, seen = [], set()
+    for x in range(n):
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for s in perms:
+                if s[y] not in orbit:
+                    orbit.add(s[y])
+                    frontier.append(s[y])
+        seen |= orbit
+        reps.append(x)
+    return reps
+
+
+def _group_maps(carrier):
+    """Every element of the group the carrier's candidates generate, as index lists."""
+    every = tuple(range(len(carrier)))
+    group, frontier = {every}, [every]
+    gens = [tuple(s.tolist()) for s in carrier.automorphism_candidates]
+    while frontier:
+        f = frontier.pop()
+        for s in gens:
+            g = tuple(s[i] for i in f)
+            if g not in group:
+                group.add(g)
+                frontier.append(g)
+    return sorted(group)
+
+
+def _invariant(draw, carrier):
+    """A table t with t[g x, g y] = g t[x, y] for every g the candidates generate.
+
+    Each pair orbit takes a value fixed by the pair's stabilizer, spread over
+    the orbit by the group.
+    """
+    n = len(carrier)
+    group = _group_maps(carrier)
+    t = np.full((n, n), -1, dtype=np.int64)
+    for x in range(n):
+        for y in range(n):
+            if t[x, y] >= 0:
+                continue
+            stab = [g for g in group if g[x] == x and g[y] == y]
+            v = draw(st.sampled_from([v for v in range(n) if all(g[v] == v for g in stab)]))
+            for g in group:
+                t[g[x], g[y]] = g[v]
+    return t
+
+
+@st.composite
+def carrier_tables(draw):
+    """A carrier and two tables on it, each invariant, linear, affine or perturbed."""
+    kind = draw(st.sampled_from(["cyclic", "symmetric"]))
+    if kind == "cyclic":
+        carrier = cyclic_group(draw(st.integers(2, 12)))
+    else:
+        carrier = symmetric_group(draw(st.integers(3, 4)))
+    n = len(carrier)
+
+    def one():
+        shape = draw(st.sampled_from(["invariant", "linear", "affine", "perturbed"]))
+        if shape in ("linear", "affine") and kind == "cyclic":
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = draw(st.integers(0, n - 1)) if shape == "affine" else 0
+            x, y = np.ogrid[:n, :n]
+            return (a * x + b * y + c) % n
+        t = _invariant(draw, carrier)
+        if shape == "perturbed":  # one cell off: some candidate no longer preserves it
+            x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            t[x, y] = draw(st.integers(0, n - 1))
+        return t
+
+    first = one()
+    second = first.copy() if draw(st.booleans()) else one()
+    return carrier, *(table_from_array(carrier, t, "t").table for t in (first, second))
+
+
+def _naive_law(shape, tables, carrier):
+    """holds(x, y, z): whether the law of the shape holds at one triple, by plain lookups."""
+    ta, tb = (t.tolist() for t in tables)
+    if shape == "bracket":
+        A, B, C, D = ta, tb, tb, ta
+        return lambda x, y, z: A[B[x][y]][z] == C[x][D[y][z]]
+    if shape == "bracket-mixed":
+        A, B, C, D = ta, ta, ta, tb
+        return lambda x, y, z: A[B[x][y]][z] == C[x][D[y][z]]
+    if shape == "mixed":
+        return lambda x, y, z: tb[ta[x][y]][z] == ta[tb[x][z]][tb[y][z]]
+    if shape == "left":
+        return lambda x, y, z: ta[x][ta[y][z]] == ta[ta[x][y]][ta[x][z]]
+    if shape == "brace":
+        d = carrier.cayley.tolist()
+        inv = carrier.inverse.tolist()
+        return lambda x, y, z: ta[x][d[y][z]] == d[d[ta[x][y]][inv[x]]][ta[x][z]]
+    if shape == "nvalued":
+        ops = (ta, tb)
+
+        def holds(x, y, z):
+            left = sorted(j[i[x][y]][z] for i in ops for j in ops)
+            right = sorted(i[x][j[y][z]] for i in ops for j in ops)
+            return left == right
+        return holds
+    raise AssertionError(shape)
+
+
+def _law_parts(shape, tables, carrier):
+    """(sides, tables read, cells per row) of the law shape in axioms."""
+    ta, tb = tables
+    n = len(carrier)
+    if shape == "bracket":
+        return axioms._bracket(ta, tb, tb, ta), (ta, tb), None
+    if shape == "bracket-mixed":
+        return axioms._bracket(ta, ta, ta, tb), (ta, tb), None
+    if shape == "mixed":
+        return axioms._mixed_distrib(ta, tb), (ta, tb), None
+    if shape == "left":
+        return axioms._left_distrib(ta), (ta,), None
+    if shape == "brace":
+        d = carrier.cayley
+        return axioms._brace_compatibility(d, ta), (d, ta), None
+    stack = np.stack(tables)
+    return axioms._nvalued(stack), tables, 4 * n * n
+
+
+SHAPES = ["bracket", "bracket-mixed", "mixed", "left", "brace", "nvalued"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@given(carrier_tables(), st.sampled_from([(None, 1), (2_000, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
+    # chunks: real chunk sizes at one thread, or chunks of a few rows and
+    # proof steps of one row at two threads
+    carrier, ta, tb = drawn
+    cells, jobs = chunks
+    n = len(carrier)
+    sides, read, width = _law_parts(shape, (ta, tb), carrier)
+    holds = _naive_law(shape, (ta, tb), carrier)
+    failures = (w for w in np.ndindex(n, n, n) if not holds(*w))
+    first = next(failures, None)
+    perms = [s for s in carrier.automorphism_candidates
+             if all(naive_automorphism(s.tolist(), t.tolist()) for t in read)]
+    with pytest.MonkeyPatch.context() as patch:
+        if cells is not None:
+            patch.setattr(optables, "CHUNK_CELLS", cells)
+            patch.setattr(axioms, "PROOF_CELLS", 1)
+        reps = axioms._orbit_reps(carrier, read)
+        report = axioms._law("law", carrier, sides, axioms._orbits(carrier, *read), jobs,
+                             cells_per_row=width)
+        if reps is not None:
+            on_reps = axioms._first_failure(sides, len(reps), width or n * n, jobs, reps) is None
+    if not perms:
+        assert reps is None
+    else:
+        assert reps.tolist() == naive_orbit_reps([s.tolist() for s in perms], n)
+        assert on_reps == (first is None)
+    assert report.passed == (first is None)
+    if first is not None:
+        assert report.witness == tuple(carrier.elements[i] for i in first)
+    assert report.checked == n**3
+
+
+def test_unit_candidates_generate_the_units():
+    # Z_360: the greedy set 7, 11, 13, 17 generates all 96 units, and x -> u x
+    # has 24 orbits, one per divisor of 360 (and 0)
+    assert carriers._unit_generators(360) == [7, 11, 13, 17]
+    units = {u for u in range(360) if np.gcd(u, 360) == 1}
+    assert {int(np.prod(c)) % 360 for c in itertools.product(
+        *[[u**k % 360 for k in range(12)] for u in (7, 11, 13, 17)])} == units
+    carrier = cyclic_group(360)
+    reps = axioms._orbit_reps(carrier, [carrier.cayley])
+    assert reps.tolist() == [0] + [d for d in range(1, 360) if 360 % d == 0]
+    for n in (1, 2):
+        assert cyclic_group(n).automorphism_candidates == ()
+
+
+def test_candidates_drop_identity_maps_and_other_carriers():
+    # the greedy generating set of S_3 starts with its identity, whose
+    # conjugation is the identity map and is left out
+    s3 = symmetric_group(3)
+    assert axioms._generators(s3.cayley, 6).tolist() == [0, 1, 2]
+    every = np.arange(6)
+    candidates = s3.automorphism_candidates
+    assert len(candidates) == 2 and all((s != every).any() for s in candidates)
+    assert direct_product(cyclic_group(2), cyclic_group(3)).automorphism_candidates == ()
+    assert group_carrier("vectors(2,2) x gl(2,2)").automorphism_candidates == ()
+
+
+def _recording_scans(monkeypatch):
+    """Record (rows, cells per row) of every scan and the rows its chunks ran."""
+    calls = []
+    real = optables.scan_chunks
+
+    def scan(worker, n_rows, cells_per_row, jobs=1):
+        ran = []
+        calls.append((n_rows, cells_per_row, ran))
+
+        def counted(a0, a1):
+            ran.append(a1 - a0)
+            return worker(a0, a1)
+        return real(counted, n_rows, cells_per_row, jobs)
+
+    monkeypatch.setattr(optables, "scan_chunks", scan)
+    monkeypatch.setattr(axioms, "scan_chunks", scan)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_passing_identity_is_decided_on_orbit_representatives(jobs, monkeypatch):
+    calls = _recording_scans(monkeypatch)
+    compiled = _compiled("orbit_cyclic")
+    [decl] = [c for c in compiled.checks if c.name == "multiquandle"]
+    report = run_check(compiled, decl, jobs=jobs)
+    assert not report.passed and report.reason == "mixed-distrib-ji"
+    assert report.witness == (0, 0, 1) and report.checked == 2 * 360**3
+    # the first identity: one scan over the 24 representatives, every row run;
+    # the second: a representative scan that fails, then the scan from row 0
+    (reps, width, ran), (reps2, _, _), (rows, _, _) = calls
+    assert (reps, reps2, rows, width) == (24, 24, 360, 360 * 360)
+    assert sum(ran) == 24
+
+
+def test_no_scan_is_added_where_the_orbit_step_cannot_apply(monkeypatch):
+    calls = _recording_scans(monkeypatch)
+    # a pair carrier has no candidates
+    pairs = group_carrier("vectors(2,2) x gl(2,2)")
+    op = table_from_array(pairs, np.arange(len(pairs))[None, :].repeat(len(pairs), 0), "right")
+    assert axioms.check_self_distributivity(op, axioms.LEFT).passed
+    # x + y + 1 on Z_12: no x -> u x with u != 1 preserves it
+    x, y = np.ogrid[:12, :12]
+    op = table_from_array(cyclic_group(12), (x + y + 1) % 12, "t")
+    assert axioms._orbit_reps(op.carrier, [op.table]) is None
+    assert not axioms.check_self_distributivity(op, axioms.RIGHT).passed
+    assert [(n, width) for n, width, _ in calls] == [(len(pairs), len(pairs)**2), (12, 144)]
+
+
+@pytest.mark.parametrize("spec", ["orbit_gl", "orbit_symmetric"])
+def test_pinned_alexander_quandle_drops_a_conjugation(spec):
+    # orbit_*.mg pin a law decided after a candidate was dropped: conjugation
+    # by some generator is not an automorphism of the inner(1) quandle
+    compiled = _compiled(spec)
+    carrier, alex = compiled.carrier, compiled.ops["alex"].table
+    candidates = carrier.automorphism_candidates
+    kept = [s for s in candidates if axioms._is_automorphism(s, alex)]
+    assert 0 < len(kept) < len(candidates)
+    assert all(naive_automorphism(s.tolist(), alex.tolist()) for s in kept)
+    assert axioms._orbit_reps(carrier, [alex]).tolist() == naive_orbit_reps(
+        [s.tolist() for s in kept], len(carrier))
