@@ -1,23 +1,21 @@
 """Exhaustive axiom checks over operation tables.
 
 Every check decides its whole tuple space and reports the lexicographically
-first violation, in carrier order, as its witness. Most laws are decided by a
-scan: a failing triple scan stops after the chunk that holds that witness
-(plus at most jobs - 1 chunks already in flight), so a refutation costs the
-chunks up to it, not all of them. A triple law that holds may be decided
-without a full scan, in two steps tried before it:
+first violation, in carrier order, as its witness. A triple law is decided in
+at most two steps:
 - Proofs. Associativity (`assoc`, the assoc stage of `group`, the group
   checks of `skew_brace`, dimonoid axioms 1 and 5) by Light's test over a
   generating set, and the interchange law (`interchange`, dimonoid axiom 3)
   by a left-ideal cover. Each gives up past n^3/8 compared cells.
-- The orbit step, for every triple law. Candidate permutations come from
+- One scan over the orbit representatives. Candidate permutations come from
   the carrier (x -> u x for units u on Z_n, conjugation by generators on
   symmetric and matrix groups), and those verified to be automorphisms of
-  every table the law reads split the carrier into orbits; the law holds
-  when it holds on the triples whose first coordinate is an orbit's least
-  element. Other carriers have no candidates.
-When neither shows that the law holds, the ordinary scan runs from row 0,
-so every refutation, witness and reason comes from the scan.
+  every table the law reads split the carrier into orbits. The scan covers
+  the triples whose first coordinate is an orbit's least element, in
+  ascending order, and its first hit is the witness. Carriers with no
+  surviving candidate have one orbit per element, so every row is scanned.
+  A failing scan stops after the chunk that holds its first hit (plus at
+  most jobs - 1 chunks already in flight).
 `checked` is the tuple-space size of every stage the check ran, not the
 number of comparisons made: n^3 per triple law, n^2 per pair law and n per
 element law, on pass and on fail alike, proved or scanned. A composite check
@@ -65,42 +63,33 @@ def _law(axiom, carrier, sides, orbits, jobs, reason=None, cells_per_row=None,
     """Decide one law over every triple and report its first violation.
 
     sides(rows) returns the (left, right) values of the law for the first
-    coordinates that rows selects, a slice or an ascending intp array; their
-    leading axes are (a, b, c), a counted along the selection, and any further
-    axes are compared too. orbits() gives the orbit representatives of the
-    tables the law reads (see _orbits). cells_per_row (default n^2) sizes
-    chunks. decide, when given, may prove the law without a scan: when it
-    returns True the law holds on every triple. Otherwise the law may be shown
-    to hold on the orbit representatives, and when neither shows it, the scan
-    decides it from row 0.
+    coordinates in rows, an ascending intp array; their leading axes are
+    (a, b, c), a counted along rows, and any further axes are compared too.
+    orbits() gives the orbit representatives of the tables the law reads (see
+    _orbits). cells_per_row (default n^2) sizes chunks. decide, when given,
+    may prove the law without a scan: when it returns True the law holds on
+    every triple. Otherwise one scan over the representatives decides it.
     """
     n = len(carrier)
-    width = cells_per_row or n * n
     if decide is not None and decide():
         return passing(axiom, n**3)
-    reps = orbits()
-    if reps is not None and _first_failure(sides, len(reps), width, jobs, reps) is None:
-        return passing(axiom, n**3)
-    found = _first_failure(sides, n, width, jobs)
+    found = _first_failure(sides, orbits(), cells_per_row or n * n, jobs)
     if found is not None:
         return failing(axiom, carrier, found, n**3, reason)
     return passing(axiom, n**3)
 
 
-def _first_failure(sides, n_rows, width, jobs, rows=None):
-    """The first failing (a, b, c) over first coordinates 0..n_rows-1, or along rows when given.
-
-    a counts positions in rows, so a hit on rows says only that the law fails.
-    """
+def _first_failure(sides, rows, width, jobs):
+    """The first failing (a, b, c) with a in rows, an ascending intp array of first coordinates."""
     def worker(a0, a1):
-        left, right = sides(slice(a0, a1) if rows is None else rows[a0:a1])
+        left, right = sides(rows[a0:a1])
         hit = first_true(left != right)
         if hit is None:
             return None
         a, b, c = hit[:3]
-        return (a0 + a, b, c)
+        return (rows[a0 + a], b, c)
 
-    return scan_chunks(worker, n_rows, width, jobs)
+    return scan_chunks(worker, len(rows), width, jobs)
 
 
 # Proofs: each returns True only when its law holds on every triple, and
@@ -272,12 +261,13 @@ def _interchanges(ti: np.ndarray, tj: np.ndarray, cap: int) -> bool:
 
 # The orbit step. If a permutation s of the carrier is an automorphism of
 # every table a law reads, the law fails at (a, b, c) exactly when it fails at
-# (s a, s b, s c). So the law holds on every triple when it holds on those
-# whose first coordinate is the least element of its orbit under the group
-# the verified candidates generate: |reps| * n^2 cells instead of n^3.
-# Candidates come from the carrier alone (Carrier.automorphism_candidates)
-# and are verified on every table; a law that fails on some representative
-# is scanned from row 0 as before.
+# (s a, s b, s c). So the first coordinates of failing triples are a union of
+# orbits under the group the verified candidates generate, and the least of
+# them is the least element of its orbit: scanning only the rows of those
+# least elements, in ascending order, finds the lexicographically first
+# witness, in |reps| * n^2 cells instead of n^3. Candidates come from the
+# carrier alone (Carrier.automorphism_candidates) and are verified on every
+# table.
 
 
 def _is_automorphism(s: np.ndarray, t: np.ndarray) -> bool:
@@ -294,15 +284,14 @@ def _is_automorphism(s: np.ndarray, t: np.ndarray) -> bool:
 def _orbit_reps(carrier, tables):
     """The least element of every orbit of the candidates that are automorphisms of all tables.
 
-    Ascending, or None when no candidate survives. Orbits come from min-label
-    propagation: each element's label falls to the least label it reaches
-    through a kept permutation or through its own label, until nothing moves.
+    An ascending intp array; every element when no candidate survives. Orbits
+    come from min-label propagation: each element's label falls to the least
+    label it reaches through a kept permutation or through its own label,
+    until nothing moves.
     """
     tables = list({id(t): t for t in tables}.values())
     kept = [s for s in carrier.automorphism_candidates
             if all(_is_automorphism(s, t) for t in tables)]
-    if not kept:
-        return None
     every = np.arange(len(carrier))
     labels = every
     while True:
@@ -324,7 +313,8 @@ def _orbits(carrier, *tables):
     return functools.cache(lambda: _orbit_reps(carrier, tables))
 
 
-# Law shapes: each returns the sides(rows) of _law.
+# Law shapes: each returns the sides(rows) of _law, which take only an ascending
+# intp array of first coordinates.
 
 
 def _bracket(A, B, C, D):

@@ -288,10 +288,11 @@ def test_dimonoid_scans_only_axioms_2_and_4(monkeypatch):
 
 # The orbit step. `axioms._orbit_reps` keeps the carrier's candidate
 # permutations that are automorphisms of every table a law reads and returns
-# the least element of each orbit of the group they generate; `axioms._law`
-# passes a law that holds on those rows and otherwise scans from row 0. Both
-# are held to naive loops: automorphisms by the definition, orbits by closure,
-# laws over every triple.
+# the least element of each orbit of the group they generate (every element
+# when none survives); `axioms._law` scans the law on those rows only, in
+# ascending order, and reports the first hit as its witness. Both are held to
+# naive loops: automorphisms by the definition, orbits by closure, laws over
+# every triple.
 
 
 def naive_automorphism(s, t):
@@ -451,13 +452,9 @@ def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
         reps = axioms._orbit_reps(carrier, read)
         report = axioms._law("law", carrier, sides, axioms._orbits(carrier, *read), jobs,
                              cells_per_row=width)
-        if reps is not None:
-            on_reps = axioms._first_failure(sides, len(reps), width or n * n, jobs, reps) is None
-    if not perms:
-        assert reps is None
-    else:
-        assert reps.tolist() == naive_orbit_reps([s.tolist() for s in perms], n)
-        assert on_reps == (first is None)
+        on_reps = axioms._first_failure(sides, reps, width or n * n, jobs)
+    assert reps.tolist() == naive_orbit_reps([s.tolist() for s in perms], n)
+    assert on_reps == first
     assert report.passed == (first is None)
     if first is not None:
         assert report.witness == tuple(carrier.elements[i] for i in first)
@@ -517,10 +514,10 @@ def test_passing_identity_is_decided_on_orbit_representatives(jobs, monkeypatch)
     report = run_check(compiled, decl, jobs=jobs)
     assert not report.passed and report.reason == "mixed-distrib-ji"
     assert report.witness == (0, 0, 1) and report.checked == 2 * 360**3
-    # the first identity: one scan over the 24 representatives, every row run;
-    # the second: a representative scan that fails, then the scan from row 0
-    (reps, width, ran), (reps2, _, _), (rows, _, _) = calls
-    assert (reps, reps2, rows, width) == (24, 24, 360, 360 * 360)
+    # one scan over the 24 representatives per identity: the first runs every
+    # row and passes, the second fails and reports its first hit
+    (reps, width, ran), (reps2, _, _) = calls
+    assert (reps, reps2, width) == (24, 24, 360 * 360)
     assert sum(ran) == 24
 
 
@@ -533,9 +530,45 @@ def test_no_scan_is_added_where_the_orbit_step_cannot_apply(monkeypatch):
     # x + y + 1 on Z_12: no x -> u x with u != 1 preserves it
     x, y = np.ogrid[:12, :12]
     op = table_from_array(cyclic_group(12), (x + y + 1) % 12, "t")
-    assert axioms._orbit_reps(op.carrier, [op.table]) is None
+    assert axioms._orbit_reps(op.carrier, [op.table]).tolist() == list(range(12))
     assert not axioms.check_self_distributivity(op, axioms.RIGHT).passed
     assert [(n, width) for n, width, _ in calls] == [(len(pairs), len(pairs)**2), (12, 144)]
+
+
+def _row_law_table(case):
+    """A table on Z_24 preserved by every x -> u x, u a unit, whose assoc first fails late.
+
+    "swaps": x y = 3x on the orbit {6, 18} and 5x on {8, 16}, x elsewhere, so
+    assoc fails on rows 6, 8, 16 and 18. "last": 12 y = 12 + y and x y = x
+    elsewhere, so assoc fails on row 12 only.
+    """
+    x, y = np.ogrid[:24, :24]
+    t = np.broadcast_to(x, (24, 24)).copy()
+    if case == "swaps":
+        t[[6, 18]] = t[[18, 6]]
+        t[[8, 16]] = t[[16, 8]]
+    else:
+        t[12] = (12 + y[0]) % 24
+    return table_from_array(cyclic_group(24), t, case)
+
+
+@pytest.mark.parametrize("case, witness", [("swaps", (6, 0, 0)), ("last", (12, 0, 1))])
+def test_witness_is_the_representative_not_its_position(case, witness, monkeypatch):
+    # the representatives of Z_24 are 0 and its divisors; 6 is the sixth and
+    # 12 the eighth, so a hit at position 5 or 7 is reported as row 6 or 12
+    op = _row_law_table(case)
+    t = op.table.tolist()
+    assert all(naive_automorphism(s.tolist(), t) for s in op.carrier.automorphism_candidates)
+    reps = axioms._orbit_reps(op.carrier, [op.table]).tolist()
+    assert reps == [0, 1, 2, 3, 4, 6, 8, 12]
+    first = next((x, y, z) for x, y, z in np.ndindex(24, 24, 24)
+                 if t[t[x][y]][z] != t[x][t[y][z]])
+    assert first == witness and reps.index(witness[0]) != witness[0]
+    calls = _recording_scans(monkeypatch)
+    report = axioms.check_associativity(op)
+    assert not report.passed and report.witness == witness
+    assert report.checked == 24**3
+    assert [(rows, width) for rows, width, _ in calls] == [(len(reps), 24 * 24)]
 
 
 @pytest.mark.parametrize("spec", ["orbit_gl", "orbit_symmetric"])
