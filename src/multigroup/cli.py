@@ -66,9 +66,11 @@ def cmd_verify(args) -> int:
         started = time.perf_counter()
         try:
             report = run_check(compiled, check, jobs=args.jobs)
-        except WorkbenchError as err:
+        except (WorkbenchError, MemoryError) as err:
             tok = check.token
-            print(f"{source.origin}:{tok.line}:{tok.column}: error: check {check.name}: {err}",
+            # numpy's MemoryError names the refused size; a bare one has no message
+            message = str(err) or "out of memory"
+            print(f"{source.origin}:{tok.line}:{tok.column}: error: check {check.name}: {message}",
                   file=sys.stderr)
             return EXIT_ERROR
         elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -661,13 +661,15 @@ class _OpValidator:
 
 
 def _at(token: Token, build: Callable):
-    """build(), with a WorkbenchError it raises re-raised as a SpecError positioned at token."""
+    """build(), with a WorkbenchError or MemoryError it raises re-raised as a SpecError at token."""
     try:
         return build()
     except SpecError:
         raise
-    except WorkbenchError as err:
-        raise SpecError([ParseDiagnostic(ERROR, token.line, token.column, str(err))]) from err
+    except (WorkbenchError, MemoryError) as err:
+        # numpy's MemoryError names the refused size; a bare one has no message
+        message = str(err) or "out of memory"
+        raise SpecError([ParseDiagnostic(ERROR, token.line, token.column, message)]) from err
 
 
 def _validate(draft: SpecDraft):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from multigroup import axioms, carriers
 from multigroup.cli import main
 from test_diagnostics import CASES
 
@@ -60,6 +61,46 @@ def test_verify_compile_error_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "guard" in captured.err
+
+
+
+MEMORY = "carrier cyclic(5);\nop q = core_quandle();\ncheck idempotent q;\n"
+
+
+def _refuse(message):
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+    return refuse
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 37.3 GiB for an array", "Unable to allocate 37.3 GiB for an array"),
+    ("", "out of memory"),
+])
+def test_verify_allocation_failure_in_a_construction_exit_two(tmp_path, capsys, monkeypatch,
+                                                             message, shown):
+    monkeypatch.setattr(carriers.Carrier, "cayley", property(_refuse(message)))
+    path = write(tmp_path, MEMORY)
+    code = main(["verify", path, "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"{path}:2:8: error: {shown}\n"
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 1.00 TiB for an array", "Unable to allocate 1.00 TiB for an array"),
+    ("", "out of memory"),
+])
+def test_verify_allocation_failure_in_a_check_exit_two(tmp_path, capsys, monkeypatch,
+                                                      message, shown):
+    monkeypatch.setattr(axioms, "check_idempotency", _refuse(message))
+    path = write(tmp_path, MEMORY)
+    code = main(["verify", path, "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"{path}:3:7: error: check idempotent: {shown}\n"
 
 
 @pytest.mark.parametrize("operands", ["a b", "b a"])
