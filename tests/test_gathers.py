@@ -10,12 +10,14 @@ failing pair or triple, with the same text, as the rule-by-rule build did.
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from multigroup import cli
 from multigroup.carriers import (
+    CAYLEY_CHUNK_CELLS,
     Carrier,
     cyclic_group,
     direct_product,
@@ -137,6 +139,78 @@ def test_cayley_table_and_unit(spec):
     assert carrier.identity == g.e
     if carrier.is_group:
         assert [carrier.inv(a) for a in carrier] == [g.inv(a) for a in carrier]
+
+
+def unitriangular(n, p):
+    """The upper unitriangular n x n matrices mod p, listed by hand."""
+    spots = [(r, c) for r in range(n) for c in range(r + 1, n)]
+    return [tuple(tuple(int(r == c) + dict(zip(spots, values)).get((r, c), 0) for c in range(n))
+                  for r in range(n))
+            for values in itertools.product(range(p), repeat=len(spots))]
+
+
+# Carriers the table above leaves out: 1x1 and 3x3 matrices, degree 5, and a
+# listed group of 27 elements whose rank space (3^9) exceeds n^2.
+PRODUCT_CARRIERS = {
+    "gl(1,5)": lambda: gl_group(1, 5),
+    "matrices(1,3)": lambda: matrix_set(1, 3),
+    "gl(3,2)": lambda: gl_group(3, 2),
+    "symmetric(5)": lambda: symmetric_group(5),
+    "unitriangular(3,3)": lambda: matrix_subgroup(unitriangular(3, 3), 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_CARRIERS)
+def test_products_on_more_carriers(name):
+    carrier = PRODUCT_CARRIERS[name]()
+    g = Plain(carrier)
+    want = build_op_table(carrier, g.mul).table
+    assert np.array_equal(carrier.cayley, want)
+    n = len(carrier)
+    every = np.arange(n)
+    picks = np.random.default_rng(12).integers(0, n, size=(2, 7))
+    assert [int(carrier.product(i, j)) for i, j in picks.T] == [want[i, j] for i, j in picks.T]
+    assert np.array_equal(carrier.product(picks[0, 0], every), want[picks[0, 0]])
+    assert np.array_equal(carrier.product(every, picks[1, 0]), want[:, picks[1, 0]])
+    assert np.array_equal(carrier.product(picks[0][:, None], picks[1][None, :]),
+                          want[picks[0][:, None], picks[1][None, :]])
+    assert [carrier.mul(a, b) for a, b in zip(carrier, carrier.elements[::-1])] == \
+        [g.mul(a, b) for a, b in zip(carrier, carrier.elements[::-1])]
+
+
+def listed_matrices(elements, p):
+    """A matrix set carrier on the given matrices, not checked for closure."""
+    return Carrier("matrix-set", tuple(sorted(elements)), "listed", field=PrimeField(p),
+                   dim=len(elements[0]))
+
+
+# Matrix sets that are not closed. The first two have rank spaces of at most
+# n^2 (5 <= 9, 16 <= 36), the last two larger ones (7 > 4, 81 > 25).
+OPEN_SETS = [
+    ([((0,),), ((1,),), ((2,),)], 5),
+    ([m for m in matrix_set(2, 2).elements if m[0][0] == 0][:6], 2),
+    ([((1,),), ((2,),)], 7),
+    (list(gl_group(2, 3).elements[:5]), 3),
+]
+
+
+@pytest.mark.parametrize("elements, p", OPEN_SETS)
+def test_an_absent_product_is_minus_one(elements, p):
+    carrier = listed_matrices(elements, p)
+    mul, index = mat_mul_mod(p), carrier.index
+    want = [[index.get(mul(a, b), -1) for b in carrier] for a in carrier]
+    assert -1 in np.array(want)
+    every = np.arange(len(carrier))
+    assert carrier.product(every[:, None], every[None, :]).tolist() == want
+    absent = next(m for m in matrix_set(len(elements[0]), p).elements if m not in index)
+    assert carrier.lookup(np.array(absent)) == -1
+    assert carrier.lookup(np.array([carrier[-1], absent, carrier[0]])).tolist() == \
+        [len(carrier) - 1, -1, 0]
+    with pytest.raises(NotClosedError) as got:
+        carrier.cayley
+    with pytest.raises(NotClosedError) as oracle:
+        build_op_table(carrier, mul)
+    assert str(got.value) == str(oracle.value)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -388,6 +462,34 @@ def test_single_products_do_not_build_the_table():
     assert carrier.mul(a, b) == mat_mul_mod(3)(a, b)
     assert mat_mul_mod(3)(a, carrier.inv(a)) == carrier.identity
     assert "cayley" not in vars(carrier)
+
+
+def traced_peak(build):
+    """Peak bytes that tracemalloc sees while build() runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cayley_builds_in_chunks():
+    # Four int64 temporaries per chunk cell at most; an int64 grid of every
+    # product at once (1.8 MB on gl(2,5)) does not fit beside the table.
+    carrier = gl_group(2, 5)
+    carrier.array, carrier.index
+    peak = traced_peak(lambda: carrier.cayley)
+    assert peak <= carrier.cayley.nbytes + 4 * 8 * CAYLEY_CHUNK_CELLS
+
+
+def test_products_in_a_small_listed_group_allocate_little():
+    # Indexing every vector of F_101^3 would take megabytes per column.
+    one = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    flip = ((100, 0, 0), (0, 1, 0), (0, 0, 1))
+    carrier = matrix_subgroup([one, flip], 3, 101)
+    assert traced_peak(lambda: carrier.mul(flip, flip)) < 2**20
+    assert traced_peak(lambda: matrix_subgroup([one, flip], 3, 101).mul(flip, flip)) < 2**20
 
 
 def test_cayley_table_is_write_protected():
