@@ -5,16 +5,19 @@ matrices are row-major lexicographic, permutations are in one-line-notation
 order, pairs are lexicographic with the left component first.
 
 Monoid and group carriers multiply in index space. `Carrier.product(i, j)`
-gives the index of elements[i] * elements[j] elementwise over index arrays,
-with one implementation per kind: arithmetic for cyclic groups, a
-permutation gather for symmetric groups, a matrix product and rank lookup for
-matrix carriers, and the factors' products for direct products. The
-|Q| x |Q| Cayley table `cayley` is built from it on first use, once per
-carrier object, and is write-protected; `mul`, `inv` and `identity` read the
-same structure on encodings without building the table. Vector-group pairs
-carry an action table `action[A, v]` instead. Cyclic, symmetric and matrix
-groups also offer `automorphism_candidates`, index permutations that the
-axiom checks verify on each table before reducing a law to orbits.
+gives the index of elements[i] * elements[j] elementwise over index arrays:
+arithmetic for cyclic groups, the factors' products for direct products, and
+one column decomposition for permutations and matrices. Column c of x y
+depends only on column c of y, so the product's rank is a sum of one
+precomputed gather per column; a dense rank index turns the rank into an
+index when the rank space has at most |Q|^2 cells, a binary search over the
+sorted ranks otherwise. The |Q| x |Q| Cayley table `cayley` is built from the
+product on first use, once per carrier object, and is write-protected;
+`mul`, `inv` and `identity` read the same structure on encodings without
+building the table. Vector-group pairs carry an action table `action[A, v]`
+instead. Cyclic, symmetric and matrix groups also offer
+`automorphism_candidates`, index permutations that the axiom checks verify on
+each table before reducing a law to orbits.
 
 Element encodings are plain hashable Python values: ints for cyclic groups and
 integer windows, tuples for permutations and vectors, tuples of row tuples for
@@ -45,8 +48,9 @@ from .optables import first_true, index_dtype
 
 DEFAULT_GUARD = 10**6
 
-# Matrix or permutation entries per Cayley chunk: half a megabyte per int64
-# temporary, so building a table adds little to peak memory.
+# Cells per Cayley chunk. A chunk's rank sum, column gathers and lookup are a
+# few arrays of at most int64 per cell, half a megabyte each, so building a
+# table adds little to peak memory.
 CAYLEY_CHUNK_CELLS = 65_536
 
 KINDS = (
@@ -147,6 +151,11 @@ class Carrier:
         return np.array(self.elements, dtype=np.int64)
 
     @cached_property
+    def _rank_space(self) -> int:
+        """The number of possible ranks: p^(d*d) for matrices, degree^degree for permutations."""
+        return (self.field.p if self.field is not None else self.dim) ** self.array[0].size
+
+    @cached_property
     def _weights(self) -> np.ndarray:
         """Place values of an element's entries: base p, or a permutation's degree."""
         base, size = (self.field.p if self.field is not None else self.dim), self.array[0].size
@@ -165,29 +174,82 @@ class Carrier:
         """The elements' ranks, ascending because the canonical order is lexicographic."""
         return _frozen(self._ranks(self.array))
 
-    def lookup(self, values) -> np.ndarray:
-        """Indices of the matrices or permutations on the trailing axes of values, -1 if absent."""
-        wanted = self._ranks(values)
+    @cached_property
+    def _rank_index(self) -> np.ndarray | None:
+        """rank -> index, -1 where no element has the rank; None when the rank space exceeds n^2.
+
+        Within n^2 cells the table is never larger than the Cayley table it serves.
+        """
+        n = len(self)
+        if self._rank_space > n * n:
+            return None
+        table = np.full(self._rank_space, -1, dtype=index_dtype(n))
+        table[self.ranks] = np.arange(n)
+        return _frozen(table)
+
+    def _index_of_ranks(self, wanted) -> np.ndarray:
+        """Indices of the elements with the given ranks, -1 where absent."""
+        if self._rank_index is not None:
+            return self._rank_index.take(wanted)
         i = np.minimum(np.searchsorted(self.ranks, wanted), len(self) - 1)
         return np.where(self.ranks[i] == wanted, i, -1)
+
+    def lookup(self, values) -> np.ndarray:
+        """Indices of the matrices or permutations on the trailing axes of values, -1 if absent.
+
+        A dense rank index serves the lookup when the rank space has at most
+        n^2 cells; otherwise a binary search over the sorted ranks does.
+        """
+        return self._index_of_ranks(self._ranks(values))
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """(S, code): the column decomposition of the matrix and permutation products.
+
+        Column c of x y depends only on column c of y: A (B e_c) for
+        matrices, p[q[c]] for permutations. code[j, c] numbers column c of
+        elements[j] among the distinct columns U_c found at position c, and
+        S[c][i, u] is what column c of elements[i] U_c[u] adds to the rank
+        of the product. Only the distinct columns are indexed, so S[c] holds
+        at most n min(n, p^d) entries. Ranks below 2^31 are kept as int32.
+        """
+        d, matrix = self.dim, self.field is not None
+        dtype = np.int32 if self._rank_space <= 1 << 31 else np.int64
+        weights = self._weights.reshape(-1, d)  # [row, column]; one row for permutations
+        columns = self.array.transpose(0, 2, 1) if matrix else self.array[:, :, None]
+        keys = (columns * weights.T).sum(axis=2)  # [j, c]: column c's own part of the rank
+        code = np.empty((len(self), d), dtype=np.intp)
+        tables = []
+        for c in range(d):
+            _, first, code[:, c] = np.unique(keys[:, c], return_index=True, return_inverse=True)
+            distinct = columns[first, c]  # U_c, one column per row
+            if matrix:  # [i, u] -> sum over r of (A_i U_c[u])[r] * weight[r, c]
+                part = weights[:, c] @ (self.array @ distinct.T % self.field.p)
+            else:  # [i, u] -> p_i[U_c[u]] * weight[c]
+                part = self.array[:, distinct[:, 0]] * weights[0, c]
+            tables.append(_frozen(part.astype(dtype)))
+        return tuple(tables), _frozen(code)
 
     def product(self, i, j) -> np.ndarray:
         """Index of elements[i] * elements[j], elementwise over broadcast index arrays.
 
-        -1 marks a matrix product outside the carrier, which a verified
-        carrier never produces.
+        Matrices and permutations sum one gather per column into the
+        product's rank, rank = sum_c S[c][i, code[j, c]] (see `_columns`),
+        and look the rank up. -1 marks a matrix product outside the carrier,
+        which a verified carrier never produces.
         """
         if self.kind == "cyclic-group":
             return (np.asarray(i, dtype=np.int64) + j) % len(self)
-        if self.kind == "symmetric-group":  # (p q)(k) = p[q[k]]
-            p, q = np.broadcast_arrays(self.array[i], self.array[j])
-            return self.lookup(np.take_along_axis(p, q, axis=-1))
-        if self.kind in ("matrix-set", "matrix-group"):
-            return self.lookup(self.array[i] @ self.array[j] % self.field.p)
+        if self.kind in ("symmetric-group", "matrix-set", "matrix-group"):
+            tables, code = self._columns
+            rank = tables[0][i, code[j, 0]]
+            for c in range(1, len(tables)):
+                rank += tables[c][i, code[j, c]]
+            return self._index_of_ranks(rank)
         if self.kind == "direct-product":
             left, right = self.factors
             (li, ri), (lj, rj) = np.divmod(i, len(right)), np.divmod(j, len(right))
-            return left.product(li, lj) * len(right) + right.product(ri, rj)
+            return left.product(li, lj).astype(np.int64) * len(right) + right.product(ri, rj)
         raise UnsupportedCarrierError(f"{self.label} has no product")
 
     @cached_property
@@ -195,8 +257,9 @@ class Carrier:
         """cayley[i, j] = product(i, j) for all pairs, built once and write-protected.
 
         Direct products combine their factors' tables. Other kinds evaluate
-        their product over row chunks; a matrix product outside the carrier
-        raises NotClosedError at the first such pair in row-major order.
+        their product over chunks of about CAYLEY_CHUNK_CELLS cells; a matrix
+        product outside the carrier raises NotClosedError at the first such
+        pair in row-major order.
         """
         n = len(self)
         if self.kind == "direct-product":
@@ -208,7 +271,7 @@ class Carrier:
             return _frozen(table)
         table = np.empty((n, n), dtype=index_dtype(n))
         rows = np.arange(n)[:, None]
-        step = max(1, CAYLEY_CHUNK_CELLS // (n * self.array[0].size))
+        step = max(1, CAYLEY_CHUNK_CELLS // n)
         for a0 in range(0, n, step):
             block = self.product(rows[a0:a0 + step], rows.T)
             bad = first_true(block < 0)

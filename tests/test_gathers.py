@@ -178,6 +178,29 @@ def test_products_on_more_carriers(name):
         [g.mul(a, b) for a, b in zip(carrier, carrier.elements[::-1])]
 
 
+def test_direct_product_indices_past_int16():
+    # The factors' products come in int16; their combined index does not fit it.
+    carrier = direct_product(symmetric_group(5), cyclic_group(300))
+    g = Plain(carrier)
+    picks = np.random.default_rng(5).integers(0, len(carrier), size=(2, 9))
+    picks[0, 0] = len(carrier) - 1
+    want = [carrier.index[g.mul(carrier[i], carrier[j])] for i, j in picks.T]
+    assert carrier.product(picks[0], picks[1]).tolist() == want
+    assert [int(carrier.product(i, j)) for i, j in picks.T] == want
+
+
+def test_lookup_path_follows_the_rank_space(monkeypatch):
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(a) or search(*a, **k))
+    for carrier in (gl_group(2, 5), symmetric_group(5), matrix_set(1, 3)):  # 625, 3125, 3 ranks
+        carrier.cayley, carrier.lookup(carrier.array)
+    assert searches == []
+    listed = matrix_subgroup(unitriangular(3, 3), 3, 3)  # 3^9 ranks > 27^2
+    assert searches
+    assert listed.lookup(listed.array).tolist() == list(range(len(listed)))
+
+
 def listed_matrices(elements, p):
     """A matrix set carrier on the given matrices, not checked for closure."""
     return Carrier("matrix-set", tuple(sorted(elements)), "listed", field=PrimeField(p),
