@@ -12,7 +12,9 @@ as skew_brace on a non-group), a carrier expression is invalid (such as a
 modulus that is not prime) or a demo claim is unknown. `enumerate` prints the
 messages `verify` prints for the same carrier, without their positions. When
 stdout closes early (as under `| head`) the command stops and exits 1 with
-nothing on stderr. With --no-timing the output carries no timings and is
+nothing on stderr. A failed allocation while building a carrier or a table,
+or during a check or a demo claim, ends in one line on stderr and exit 2,
+never in a traceback. With --no-timing the output carries no timings and is
 byte-identical across repeated runs.
 """
 
@@ -38,6 +40,11 @@ EXIT_ERROR = 2
 def _print_diagnostics(origin, diagnostics):
     for diag in diagnostics:
         print(f"{origin}:{diag}", file=sys.stderr)
+
+
+def _message(err) -> str:
+    # numpy's MemoryError names the refused size; a bare one has no message
+    return str(err) or "out of memory"
 
 
 def cmd_verify(args) -> int:
@@ -68,10 +75,8 @@ def cmd_verify(args) -> int:
             report = run_check(compiled, check, jobs=args.jobs)
         except (WorkbenchError, MemoryError) as err:
             tok = check.token
-            # numpy's MemoryError names the refused size; a bare one has no message
-            message = str(err) or "out of memory"
-            print(f"{source.origin}:{tok.line}:{tok.column}: error: check {check.name}: {message}",
-                  file=sys.stderr)
+            print(f"{source.origin}:{tok.line}:{tok.column}: error: check {check.name}: "
+                  f"{_message(err)}", file=sys.stderr)
             return EXIT_ERROR
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         entry = {"check": check.name, "operands": list(check.operand_names)}
@@ -127,6 +132,9 @@ def cmd_demo(args) -> int:
     except WorkbenchError as err:
         print(str(err), file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as err:
+        print(f"demo {claim_id}: {_message(err)}", file=sys.stderr)
+        return EXIT_ERROR
 
     verdicts = [c["verdict"] for c in claims]
     if demos.FAIL in verdicts:
@@ -152,8 +160,8 @@ def cmd_enumerate(args) -> int:
         for diag in err.diagnostics:
             print(diag.message, file=sys.stderr)
         return EXIT_ERROR
-    except WorkbenchError as err:
-        print(str(err), file=sys.stderr)
+    except (WorkbenchError, MemoryError) as err:
+        print(_message(err), file=sys.stderr)
         return EXIT_ERROR
     print(f"{carrier.label}: {len(carrier)} elements")
     if args.list:

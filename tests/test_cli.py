@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from multigroup import axioms, carriers
+from multigroup import axioms, carriers, demos
 from multigroup.cli import main
 from test_diagnostics import CASES
 
@@ -186,6 +186,34 @@ def test_demo_unknown_claim_exit_two(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown claim" in captured.err
+
+
+@pytest.mark.parametrize("claim", [None, "S4-conj-rack"])
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 8.00 GiB for an array", "Unable to allocate 8.00 GiB for an array"),
+    ("", "out of memory"),
+])
+def test_demo_allocation_failure_exit_two(capsys, monkeypatch, claim, message, shown):
+    monkeypatch.setattr(demos, "run_demo", _refuse(message))
+    code = main(["demo", *([claim] if claim else []), "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"demo {claim or demos.CLAIM_IDS[0]}: {shown}\n"
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 2.00 TiB for an array", "Unable to allocate 2.00 TiB for an array"),
+    ("", "out of memory"),
+])
+def test_enumerate_allocation_failure_exit_two(capsys, monkeypatch, message, shown):
+    monkeypatch.setattr(carriers, "gl_group", _refuse(message))
+    for expr in ("gl(2,3)", "vectors(2,3) x gl(2,3)", "cyclic(2) x gl(2,3)"):
+        code = main(["enumerate", expr])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"{shown}\n"
 
 
 def test_demo_refutation_keeps_exit_zero(capsys):
