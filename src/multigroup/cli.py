@@ -29,7 +29,7 @@ from pathlib import Path
 from . import demos
 from .carriers import group_carrier
 from .dsl import SpecSource, compile_spec, parse_spec, run_check
-from .errors import SpecError, WorkbenchError
+from .errors import SpecError, WorkbenchError, error_message
 from .optables import encode_element
 
 EXIT_OK = 0
@@ -40,11 +40,6 @@ EXIT_ERROR = 2
 def _print_diagnostics(origin, diagnostics):
     for diag in diagnostics:
         print(f"{origin}:{diag}", file=sys.stderr)
-
-
-def _message(err) -> str:
-    # numpy's MemoryError names the refused size; a bare one has no message
-    return str(err) or "out of memory"
 
 
 def cmd_verify(args) -> int:
@@ -76,7 +71,7 @@ def cmd_verify(args) -> int:
         except (WorkbenchError, MemoryError) as err:
             tok = check.token
             print(f"{source.origin}:{tok.line}:{tok.column}: error: check {check.name}: "
-                  f"{_message(err)}", file=sys.stderr)
+                  f"{error_message(err)}", file=sys.stderr)
             return EXIT_ERROR
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         entry = {"check": check.name, "operands": list(check.operand_names)}
@@ -133,7 +128,7 @@ def cmd_demo(args) -> int:
         print(str(err), file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as err:
-        print(f"demo {claim_id}: {_message(err)}", file=sys.stderr)
+        print(f"demo {claim_id}: {error_message(err)}", file=sys.stderr)
         return EXIT_ERROR
 
     verdicts = [c["verdict"] for c in claims]
@@ -161,7 +156,7 @@ def cmd_enumerate(args) -> int:
             print(diag.message, file=sys.stderr)
         return EXIT_ERROR
     except (WorkbenchError, MemoryError) as err:
-        print(_message(err), file=sys.stderr)
+        print(error_message(err), file=sys.stderr)
         return EXIT_ERROR
     print(f"{carrier.label}: {len(carrier)} elements")
     if args.list:

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 from . import axioms
 from .axioms import LEFT, RIGHT
 from .carriers import Carrier, build_carrier, make_automorphism
-from .errors import NotAGroupError, SpecError, WorkbenchError
+from .errors import NotAGroupError, SpecError, WorkbenchError, error_message
 from .matrix import Matrix, mat_det
 from .constructions import (
     MatrixOpParams,
@@ -667,9 +667,7 @@ def _at(token: Token, build: Callable):
     except SpecError:
         raise
     except (WorkbenchError, MemoryError) as err:
-        # numpy's MemoryError names the refused size; a bare one has no message
-        message = str(err) or "out of memory"
-        raise SpecError([ParseDiagnostic(ERROR, token.line, token.column, message)]) from err
+        raise SpecError([ParseDiagnostic(ERROR, token.line, token.column, error_message(err))]) from err
 
 
 def _validate(draft: SpecDraft):

@@ -9,6 +9,14 @@ class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 
 
+def error_message(err: Exception) -> str:
+    """The text to report for a WorkbenchError or MemoryError.
+
+    numpy's MemoryError names the refused size; a bare one has no message.
+    """
+    return str(err) or "out of memory"
+
+
 class NotPrimeError(WorkbenchError, ValueError):
     """A prime field was requested for a modulus that is not prime."""
 
