@@ -142,7 +142,7 @@ def test_cayley_table_and_unit(spec):
 
 
 def unitriangular(n, p):
-    """The upper unitriangular n x n matrices mod p, listed by hand."""
+    """The upper unitriangular n x n matrices mod p, as an explicit list."""
     spots = [(r, c) for r in range(n) for c in range(r + 1, n)]
     return [tuple(tuple(int(r == c) + dict(zip(spots, values)).get((r, c), 0) for c in range(n))
                   for r in range(n))
