@@ -6,7 +6,9 @@ at most two steps:
 - Proofs. Associativity (`assoc`, the assoc stage of `group`, the group
   checks of `skew_brace`, dimonoid axioms 1 and 5) by Light's test over a
   generating set, and the interchange law (`interchange`, dimonoid axiom 3)
-  by a left-ideal cover. Each gives up past n^3/8 compared cells.
+  by Light's test on its inner table and a left-ideal cover. Light's test
+  runs once per table within a check. Each proof gives up past n^3/8
+  compared cells.
 - One scan over the orbit representatives. Candidate permutations come from
   the carrier (x -> u x for units u on Z_n, conjugation by generators on
   symmetric and matrix groups), and those verified to be automorphisms of
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import NotAGroupError, NotAUnitError
 from .optables import (
-    CHUNK_CELLS,
+    PROOF_CELLS,
     AxiomReport,
     Multiset,
     OpTable,
@@ -46,6 +48,9 @@ from .optables import (
     shared_carrier,
     table_from_array,
     unit_indices,
+    _endomorphism_failure,
+    _generators,
+    _step,
 )
 
 LEFT = "left"
@@ -93,21 +98,8 @@ def _first_failure(sides, rows, width, jobs):
 
 
 # Proofs: each returns True only when its law holds on every triple, and
-# False when it refutes the law or would compare more than `cap` cells.
-# Their temporaries stay within an eighth of a scan chunk: with a full chunk,
-# a failing assoc check on a 360-element carrier (proof, then scan) peaked
-# about 1.2 MB above the scan alone; with an eighth, 0.2-0.3 MB above.
-PROOF_CELLS = CHUNK_CELLS // 8
-
-
-def _step(width: int) -> int:
-    """Rows of `width` cells that fit in PROOF_CELLS.
-
-    Callers pass 4 * width where every cell becomes an 8-byte temporary (an
-    intp index or a uint64 key), which then takes the bytes of PROOF_CELLS
-    int16 cells.
-    """
-    return max(1, PROOF_CELLS // max(1, width))
+# False when it refutes the law or would compare more than `cap` cells. Their
+# temporaries stay within PROOF_CELLS (see optables).
 
 
 def _row_keys(t: np.ndarray) -> np.ndarray:
@@ -137,65 +129,6 @@ def _class_reps(t: np.ndarray) -> np.ndarray:
         a1 = min(a0 + step, n)
         fresh[a0:a1] = (t[order[a0:a1]] != t[order[a0 - 1:a1 - 1]]).any(axis=1)
     return np.sort(order[fresh])
-
-
-def _close(t: np.ndarray, generated: np.ndarray, new: np.ndarray) -> None:
-    """Add `new` to the submagma marked in `generated` and close it under t.
-
-    Each round multiplies the newly added elements by every member, on both
-    sides, so each ordered pair of members is multiplied at most twice.
-    """
-    new = new[~generated[new]]
-    while len(new):
-        generated[new] = True
-        members = np.flatnonzero(generated)
-        reached = np.zeros(len(generated), dtype=bool)
-        step = _step(4 * len(members))
-        for a0 in range(0, len(new), step):
-            block = new[a0:a0 + step]
-            reached[t[np.ix_(block, members)]] = True
-            reached[t[np.ix_(members, block)]] = True
-        new = np.flatnonzero(reached & ~generated)
-
-
-def _image_sizes(t: np.ndarray) -> np.ndarray:
-    """|x Q| for every x: the number of distinct entries in each row of t."""
-    n = len(t)
-    sizes = np.empty(n, dtype=np.intp)
-    step = _step(2 * n)
-    for a0 in range(0, n, step):
-        block = np.sort(t[a0:a0 + step], axis=1)
-        sizes[a0:a0 + step] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
-    return sizes
-
-
-def _generators(t: np.ndarray, limit: int):
-    """A generating set of the magma t, or None when it needs more than `limit`.
-
-    The elements outside t's image come first, since every generating set
-    holds them. Then, while some element is not generated, the one with the
-    largest image x Q (the least on ties) joins: in a matrix monoid the units
-    come first, and a few of them generate the whole group of units.
-    """
-    n = len(t)
-    image = np.zeros(n, dtype=bool)
-    step = _step(4 * n)
-    for a0 in range(0, n, step):
-        image[t[a0:a0 + step]] = True
-    gens = np.flatnonzero(~image)
-    if len(gens) > limit:
-        return None
-    generated = np.zeros(n, dtype=bool)
-    _close(t, generated, gens)
-    gens = gens.tolist()
-    for g in np.argsort(-_image_sizes(t), kind="stable").tolist():
-        if generated[g]:
-            continue
-        if len(gens) == limit:
-            return None
-        gens.append(g)
-        _close(t, generated, np.array([g]))
-    return np.array(gens, dtype=np.intp)
 
 
 def _associative(t: np.ndarray, cap: int) -> bool:
@@ -232,17 +165,17 @@ def _associative(t: np.ndarray, cap: int) -> bool:
 
 
 def _interchanges(ti: np.ndarray, tj: np.ndarray, cap: int) -> bool:
-    """(x i y) j z = x i (y j z) for all triples, by a left-ideal cover.
+    """(x i y) j z = x i (y j z) for all triples, by a left-ideal cover of an associative i.
 
     When i is associative, the y for which the law holds for every x and z
     form a left ideal of (Q, i): for such y and any w,
         (x i (w i y)) j z = ((x i w) i y) j z = (x i w) i (y j z)
                           = x i (w i (y j z)) = x i ((w i y) j z).
     So each least y not yet covered is tested over all (x, z), n^2 cells, and
-    when it passes it covers itself and its column i[:, y].
+    when it passes it covers itself and its column i[:, y]. The caller proves
+    the associativity of i first: on a table that is not associative the
+    cover proves nothing.
     """
-    if not _associative(ti, cap):
-        return False
     n = len(ti)
     covered = np.zeros(n, dtype=bool)
     step = _step(n)
@@ -266,19 +199,9 @@ def _interchanges(ti: np.ndarray, tj: np.ndarray, cap: int) -> bool:
 # them is the least element of its orbit: scanning only the rows of those
 # least elements, in ascending order, finds the lexicographically first
 # witness, in |reps| * n^2 cells instead of n^3. Candidates come from the
-# carrier alone (Carrier.automorphism_candidates) and are verified on every
-# table.
-
-
-def _is_automorphism(s: np.ndarray, t: np.ndarray) -> bool:
-    """t[s x, s y] == s(t[x, y]) for every pair, a row take and a column take per row chunk."""
-    images = s.astype(t.dtype)
-    step = _step(4 * len(t))
-    for a0 in range(0, len(t), step):
-        moved = t.take(s[a0:a0 + step], axis=0).take(s, axis=1)
-        if (moved != images.take(t[a0:a0 + step])).any():
-            return False
-    return True
+# carrier alone (Carrier.automorphism_candidates), and each is kept only when
+# optables._endomorphism_failure finds no pair it breaks on any table; the
+# candidates are permutations, so a kept one is an automorphism.
 
 
 def _orbit_reps(carrier, tables):
@@ -291,7 +214,7 @@ def _orbit_reps(carrier, tables):
     """
     tables = list({id(t): t for t in tables}.values())
     kept = [s for s in carrier.automorphism_candidates
-            if all(_is_automorphism(s, t) for t in tables)]
+            if all(_endomorphism_failure(s, t) is None for t in tables)]
     every = np.arange(len(carrier))
     labels = every
     while True:
@@ -325,19 +248,35 @@ def _bracket(A, B, C, D):
     return sides
 
 
-def _bracket_law(axiom, carrier, law, jobs, orbits=None) -> AxiomReport:
+def _associativity(cap: int):
+    """t -> _associative(t, cap), run once per table, for laws that share tables."""
+    verdicts = {}
+
+    def associative(t):
+        if id(t) not in verdicts:
+            verdicts[id(t)] = _associative(t, cap)
+        return verdicts[id(t)]
+
+    return associative
+
+
+def _bracket_law(axiom, carrier, law, jobs, orbits=None, associative=None) -> AxiomReport:
     """The law of _bracket(*law), proved without a scan where its shape allows.
 
     With one table throughout it is associativity. With A and D one table j
-    and B and C one table i it is the interchange law (x i y) j z = x i (y j z).
+    and B and C one table i it is the interchange law (x i y) j z = x i (y j z),
+    proved by the associativity of i and the left-ideal cover. associative
+    (default: a fresh _associativity) holds the verdicts of Light's test that
+    the laws of one check share.
     """
     A, B, C, D = law
     cap = len(A) ** 3 // 8
+    associative = associative or _associativity(cap)
     decide = None
     if A is B is C is D:
-        decide = lambda: _associative(A, cap)
+        decide = lambda: associative(A)
     elif A is D and B is C:
-        decide = lambda: _interchanges(B, A, cap)
+        decide = lambda: associative(B) and _interchanges(B, A, cap)
     return _law(axiom, carrier, _bracket(*law), orbits or _orbits(carrier, *law), jobs,
                 decide=decide)
 
@@ -426,17 +365,22 @@ def check_idempotency(op: OpTable) -> AxiomReport:
 
 
 def _solution_counts(op: OpTable, side: str) -> np.ndarray:
-    """counts[x, y]: right mode solutions z of x = z*y; left mode solutions u of x*u = y."""
-    t = op.table
+    """counts[x, y]: right mode solutions z of x = z*y; left mode solutions u of x*u = y.
+
+    The left count of row x is the histogram of its values, taken by one
+    bincount per row block. The right count is the left count of the
+    transposed table, transposed back; it is a view, in which first_true
+    still finds the row-major first (x, y).
+    """
+    t = op.table if side == LEFT else op.table.T
     n = len(op)
-    counts = np.zeros((n, n), dtype=np.int64)
-    if side == RIGHT:
-        cols = np.broadcast_to(np.arange(n), (n, n))
-        np.add.at(counts, (t, cols), 1)
-    else:
-        rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
-        np.add.at(counts, (rows, t), 1)
-    return counts
+    counts = np.empty((n, n), dtype=np.int32)
+    step = _step(4 * n)
+    for a0 in range(0, n, step):
+        block = t[a0:a0 + step]
+        cells = np.arange(len(block))[:, None] * n + block
+        counts[a0:a0 + step] = np.bincount(cells.ravel(), minlength=block.size).reshape(block.shape)
+    return counts if side == LEFT else counts.T
 
 
 def check_divisibility(op: OpTable, side: str, unique: bool = True) -> AxiomReport:
@@ -541,8 +485,11 @@ def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport
     d, v = dashv.table, vdash.table
     laws = ((d, d, d, d), (d, d, d, v), (d, v, v, d), (v, d, v, v), (v, v, v, v))
     orbits = _orbits(carrier, d, v)
+    # axioms 3 and 5 both rest on the associativity of |-: prove it once
+    associative = _associativity(len(carrier) ** 3 // 8)
     return _stages("dimonoid", [
-        (f"axiom-{k}", lambda law=law: _bracket_law("dimonoid", carrier, law, jobs, orbits))
+        (f"axiom-{k}", lambda law=law: _bracket_law("dimonoid", carrier, law, jobs, orbits,
+                                                    associative))
         for k, law in enumerate(laws, 1)
     ])
 

@@ -14,10 +14,15 @@ index when the rank space has at most |Q|^2 cells, a binary search over the
 sorted ranks otherwise. The |Q| x |Q| Cayley table `cayley` is built from the
 product on first use, once per carrier object, and is write-protected;
 `mul`, `inv` and `identity` read the same structure on encodings without
-building the table. Vector-group pairs carry an action table `action[A, v]`
-instead. Cyclic, symmetric and matrix groups also offer
-`automorphism_candidates`, index permutations that the axiom checks verify on
-each table before reducing a law to orbits.
+building the table. Inverses are powers: every x in a group of order n has
+x^n = e, so x^-1 = x^(n-1) by binary powering, and powers are reduced mod n.
+Element orders are stepped only for `element_order` and `group_exponent`.
+Vector-group pairs carry an action table `action[A, v]` instead. Cyclic,
+symmetric and matrix groups also offer `automorphism_candidates`, index
+permutations that the axiom checks verify on each table before reducing a
+law to orbits. `make_automorphism` and that verification share one row-block
+endomorphism test from the table layer (`optables`), which also gives the
+generating set that the conjugation candidates use.
 
 Element encodings are plain hashable Python values: ints for cyclic groups and
 integer windows, tuples for permutations and vectors, tuples of row tuples for
@@ -44,7 +49,7 @@ from .errors import (
 )
 from .field import PrimeField
 from .matrix import Matrix, mat_det, mat_inv
-from .optables import first_true, index_dtype
+from .optables import _endomorphism_failure, _generators, first_true, index_dtype
 
 DEFAULT_GUARD = 10**6
 
@@ -297,8 +302,15 @@ class Carrier:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """inverse[i]: index of the inverse of elements[i], as elements[i]^(order - 1)."""
-        return _frozen(power_index(self, np.arange(len(self)), self.orders - 1))
+        """inverse[i]: index of the inverse of elements[i], as elements[i]^(n - 1).
+
+        Every x in a group of order n has x^n = e (Lagrange), so one binary
+        power takes 2 log2(n) products, whatever the element orders.
+        """
+        if not self.is_group:
+            raise UnsupportedCarrierError("element orders need a group carrier")
+        n = len(self)
+        return _frozen(power_index(self, np.arange(n), n - 1))
 
     @cached_property
     def automorphism_candidates(self) -> tuple:
@@ -306,16 +318,15 @@ class Carrier:
 
         On cyclic groups x -> u x for a greedy generating set of the units; on
         symmetric and matrix groups conjugation x -> g x g^-1 by the
-        generating set that Light's associativity test finds in the Cayley
-        table. Other kinds have none, and identity maps are left out. None is
-        trusted: a table's automorphisms are verified on the table.
+        generating set `optables._generators` finds in the Cayley table, the
+        one Light's associativity test uses. Other kinds have none, and
+        identity maps are left out. None is trusted: a table's automorphisms
+        are verified on the table.
         """
         n = len(self)
         if self.kind == "cyclic-group":
             maps = [np.arange(n) * u % n for u in _unit_generators(n)]
         elif self.kind in ("symmetric-group", "matrix-group"):
-            from .axioms import _generators
-
             c = self.cayley
             maps = [c[c[g], self.inverse[g]] for g in _generators(c, n).tolist()]
         else:
@@ -604,8 +615,9 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
     """Build and exhaustively validate an automorphism.
 
     rule is one of: "identity", ("inner", g), ("power", k), or an explicit
-    sequence of image indices. Validation checks bijectivity and the
-    homomorphism law over all pairs, naming the first failing pair.
+    sequence of image indices; a power is reduced mod |G|. Validation checks
+    bijectivity and then the homomorphism law over all pairs, in row blocks,
+    naming the first failing pair.
     """
     if not group.is_group:
         raise UnsupportedCarrierError("automorphisms need a group carrier")
@@ -622,7 +634,7 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
         images = group.product(group.product(gi, every), group.inverse[gi])
         label = f"inner({gi})"
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "power":
-        images = power_index(group, every, rule[1] % group_exponent(group))
+        images = power_index(group, every, rule[1] % n)
         label = f"power({rule[1]})"
     else:
         images = [int(i) for i in rule]
@@ -633,8 +645,7 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
 
     if not np.array_equal(np.sort(images), every):
         raise NotBijectiveError(f"{label} is not a bijection on {group.label}")
-    table, images = group.cayley, images.astype(group.cayley.dtype)
-    bad = first_true(images[table] != table[images[:, None], images[None, :]])
+    bad = _endomorphism_failure(images, group.cayley)
     if bad is not None:
         a, b = (group.elements[i] for i in bad)
         raise NotHomomorphismError(f"{label} breaks the homomorphism law at ({a!r}, {b!r})")

@@ -17,7 +17,6 @@ from .carriers import (
     Carrier,
     GroupAutomorphism,
     direct_product,
-    group_exponent,
     power_index,
 )
 from .errors import (
@@ -108,12 +107,12 @@ def _require_group(carrier: Carrier, who: str) -> None:
 
 
 def _powers(group: Carrier, k: int) -> np.ndarray:
-    """Index of g^k for every g, the exponent reduced mod the group exponent."""
-    return power_index(group, np.arange(len(group)), k % group_exponent(group))
+    """Index of g^k for every g, the exponent reduced mod the group order (g^|G| = e)."""
+    return power_index(group, np.arange(len(group)), k % len(group))
 
 
 def conj_quandle(group: Carrier, m: int = 1, label: str | None = None) -> OpTable:
-    """Twisted conjugation a*b = b^-m a b^m; the exponent is reduced mod the group exponent."""
+    """Twisted conjugation a*b = b^-m a b^m; the exponent is reduced mod the group order."""
     _require_group(group, "conj_quandle")
     c, power = group.cayley, _powers(group, m)
     x, y = _grid(len(group))

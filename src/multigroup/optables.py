@@ -1,8 +1,12 @@
-"""Operation tables, axiom reports, and multisets.
+"""Operation tables, the index-array helpers on them, axiom reports, and multisets.
 
 An OpTable is a dense |Q| x |Q| grid of result indices over a fixed carrier.
 Closure is structural: a table cannot be built with results outside the
-carrier. AxiomReports serialize to the stable JSON shape
+carrier. The helpers below work on such grids alone: units and inverses and,
+in row blocks within the proof budget PROOF_CELLS, the first pair an index
+map fails to preserve and a generating set of a magma. Carriers use them for
+their automorphisms and orbit candidates, and the checks for their proofs.
+AxiomReports serialize to the stable JSON shape
 {axiom, verdict, witness, checked, reason, exhaustive}; the witness is always
 the lexicographically first violating tuple in carrier order, so reports are
 byte-reproducible regardless of how the scan was parallelized.
@@ -31,6 +35,12 @@ if TYPE_CHECKING:
 # faulted in fresh pages, which made a passing assoc scan on 625 elements
 # about 40 % slower.
 CHUNK_CELLS = 262_144
+
+# Proofs and the table helpers below keep their temporaries within an eighth
+# of a scan chunk: with a full chunk, a failing assoc check on a 360-element
+# carrier (proof, then scan) peaked about 1.2 MB above the scan alone; with an
+# eighth, 0.2-0.3 MB above.
+PROOF_CELLS = CHUNK_CELLS // 8
 
 
 def index_dtype(n: int):
@@ -66,6 +76,92 @@ def inverse_indices(table: np.ndarray, e: int) -> np.ndarray:
     """For each a, the first b with a*b = b*a = e, or -1 when there is none."""
     both = (table == e) & (table.T == e)
     return np.where(both.any(axis=1), both.argmax(axis=1), -1)
+
+
+def _step(width: int) -> int:
+    """Rows of `width` cells that fit in PROOF_CELLS.
+
+    Callers pass 4 * width where every cell becomes an 8-byte temporary (an
+    intp index or a uint64 key), which then takes the bytes of PROOF_CELLS
+    int16 cells.
+    """
+    return max(1, PROOF_CELLS // max(1, width))
+
+
+def _endomorphism_failure(s: np.ndarray, t: np.ndarray):
+    """The first (x, y) in row-major order with t[s x, s y] != s(t[x, y]), or None.
+
+    None means the index map s is an endomorphism of t, and an automorphism
+    when s is a permutation. Each row block takes a row take, a column take
+    and an image gather.
+    """
+    images = s.astype(t.dtype)
+    step = _step(4 * len(t))
+    for a0 in range(0, len(t), step):
+        moved = t.take(s[a0:a0 + step], axis=0).take(s, axis=1)
+        hit = first_true(moved != images.take(t[a0:a0 + step]))
+        if hit is not None:
+            return a0 + hit[0], hit[1]
+    return None
+
+
+def _close(t: np.ndarray, generated: np.ndarray, new: np.ndarray) -> None:
+    """Add `new` to the submagma marked in `generated` and close it under t.
+
+    Each round multiplies the newly added elements by every member, on both
+    sides, so each ordered pair of members is multiplied at most twice.
+    """
+    new = new[~generated[new]]
+    while len(new):
+        generated[new] = True
+        members = np.flatnonzero(generated)
+        reached = np.zeros(len(generated), dtype=bool)
+        step = _step(4 * len(members))
+        for a0 in range(0, len(new), step):
+            block = new[a0:a0 + step]
+            reached[t[np.ix_(block, members)]] = True
+            reached[t[np.ix_(members, block)]] = True
+        new = np.flatnonzero(reached & ~generated)
+
+
+def _image_sizes(t: np.ndarray) -> np.ndarray:
+    """|x Q| for every x: the number of distinct entries in each row of t."""
+    n = len(t)
+    sizes = np.empty(n, dtype=np.intp)
+    step = _step(2 * n)
+    for a0 in range(0, n, step):
+        block = np.sort(t[a0:a0 + step], axis=1)
+        sizes[a0:a0 + step] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
+    return sizes
+
+
+def _generators(t: np.ndarray, limit: int):
+    """A generating set of the magma t, or None when it needs more than `limit`.
+
+    The elements outside t's image come first, since every generating set
+    holds them. Then, while some element is not generated, the one with the
+    largest image x Q (the least on ties) joins: in a matrix monoid the units
+    come first, and a few of them generate the whole group of units.
+    """
+    n = len(t)
+    image = np.zeros(n, dtype=bool)
+    step = _step(4 * n)
+    for a0 in range(0, n, step):
+        image[t[a0:a0 + step]] = True
+    gens = np.flatnonzero(~image)
+    if len(gens) > limit:
+        return None
+    generated = np.zeros(n, dtype=bool)
+    _close(t, generated, gens)
+    gens = gens.tolist()
+    for g in np.argsort(-_image_sizes(t), kind="stable").tolist():
+        if generated[g]:
+            continue
+        if len(gens) == limit:
+            return None
+        gens.append(g)
+        _close(t, generated, np.array([g]))
+    return np.array(gens, dtype=np.intp)
 
 
 def encode_element(element):

@@ -44,7 +44,7 @@ from multigroup.constructions import (
 from multigroup.errors import NoUnitError, NotAGroupError, NotAUnitError
 from multigroup.field import PrimeField
 from multigroup.matrix import Matrix
-from multigroup import optables
+from multigroup import axioms, optables
 from multigroup.optables import build_op_table, table_from_array
 
 
@@ -190,6 +190,41 @@ def test_divisibility_against_oracle():
                 if bad:
                     break
             assert report.witness == bad
+
+
+def naive_solution_counts(t):
+    """(left, right): left[x][y] counts the u with x*u = y, right[x][y] the z with z*y = x."""
+    n = len(t)
+    left, right = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            left[x][t[x][y]] += 1
+            right[t[x][y]][y] += 1
+    return left, right
+
+
+@pytest.mark.parametrize("kind", ["group", "random"])
+def test_solution_counts_over_several_row_blocks(kind):
+    # 420 rows take several row blocks of the histogram; one changed cell
+    # moves a count of a group table from 1 to 0 and another to 2
+    n = 420
+    x, y = np.ogrid[:n, :n]
+    rng = np.random.default_rng(5)
+    base = (x + y) % n if kind == "group" else rng.integers(0, n, (n, n))
+    for cell in (None, (0, 0), (n - 1, n - 1), (n // 2, 3)):
+        t = np.array(base)
+        if cell is not None:
+            t[cell] = (t[cell] + 1) % n
+        op = table_from_array(cyclic_group(n), t)
+        for side, want in zip((LEFT, RIGHT), naive_solution_counts(t.tolist())):
+            counts = axioms._solution_counts(op, side)
+            assert counts.dtype == np.int32 and counts.tolist() == want
+            bad = next(((a, b) for a in range(n) for b in range(n) if want[a][b] != 1), None)
+            report = check_divisibility(op, side)
+            assert report.witness == bad
+            if bad is not None:
+                assert report.reason == ("no-solution" if want[bad[0]][bad[1]] == 0
+                                         else "exists-not-unique")
 
 
 def test_divisibility_rejects_bad_side():

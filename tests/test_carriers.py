@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from multigroup import carriers
 from multigroup.carriers import (
+    Carrier,
     build_carrier_atom,
     cyclic_group,
     direct_product,
@@ -239,3 +244,45 @@ def test_cyclic_group_laws(n):
     for a in range(0, n, max(1, n // 7)):
         assert z.mul(a, z.inv(a)) == 0
         assert z.mul(a, z.identity) == a
+
+
+def test_inverse_is_one_power_by_lagrange(monkeypatch):
+    # x^(n-1) by binary powering takes two products per bit of n - 1; stepping
+    # every power up to the largest element order took 32000 products here
+    group = cyclic_group(32000)
+    calls = []
+    product = Carrier.product
+
+    def counted(self, i, j):
+        calls.append(self.label)
+        return product(self, i, j)
+
+    monkeypatch.setattr(Carrier, "product", counted)
+    inverse = group.inverse
+    assert len(calls) <= 2 * (len(group) - 1).bit_length()
+    assert inverse[:3].tolist() == [0, 31999, 31998] and inverse[-1] == 1
+
+
+@pytest.mark.parametrize("spec", ["matrices(2,2)", "window(0,3)", "vectors(2,2) x gl(2,2)",
+                                  "matrices(1,2) x cyclic(2)"])
+def test_inverse_needs_a_group_carrier(spec):
+    carrier = group_carrier(spec)
+    for inverse in (lambda: carrier.inverse, lambda: carrier.inv(carrier.elements[0])):
+        with pytest.raises(UnsupportedCarrierError) as got:
+            inverse()
+        assert str(got.value) == "element orders need a group carrier"
+
+
+def test_lower_layers_never_import_axioms():
+    # carriers, constructions and the table layer sit below the checks
+    source = Path(carriers.__file__).parent
+    for name in ("carriers.py", "constructions.py", "optables.py"):
+        tree = ast.parse((source / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            assert "axioms" not in {m.rsplit(".", 1)[-1] for m in modules}, (name, node.lineno)

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multigroup import cli
+from multigroup import cli, optables
 from multigroup.carriers import (
     CAYLEY_CHUNK_CELLS,
     Carrier,
@@ -48,6 +48,7 @@ from multigroup.constructions import (
     z_parity_brace,
 )
 from multigroup.demos import run_demo
+from multigroup.dsl import SpecSource, compile_spec, parse_spec, run_check
 from multigroup.errors import (
     NotAnActionError,
     NotBijectiveError,
@@ -523,3 +524,31 @@ def test_cayley_table_is_write_protected():
         table[0, 0] = 1
     for arrays in (gl_group(2, 2).inverse, pair_carrier(2, 2, gl_group(2, 2)).action):
         assert not arrays.flags.writeable
+
+
+def test_automorphism_check_allocates_within_the_proof_budget():
+    # checked in row blocks: a whole-table check held three n x n temporaries,
+    # 41.5 MB beside the 16.6 MB table of this 2880-element group
+    group = group_carrier("symmetric(5) x symmetric(4)")
+    group.cayley, group.inverse, group.index
+    for rule in ("identity", ("inner", group.elements[-1]), ("power", 1)):
+        peak = traced_peak(lambda: make_automorphism(group, rule))
+        assert peak <= group.cayley.nbytes + 8 * optables.PROOF_CELLS
+
+
+@pytest.mark.parametrize("text", [
+    "carrier symmetric(4);\nop c = conj_quandle(m=5);\nop k = core_quandle();\n"
+    "op a = alexander_quandle(power=13);\ncheck rack_left c;\ncheck quandle_right a;\n"
+    "check distrib_left k;\n",
+    "carrier vectors(2,2) x gl(2,2);\nop p = vxg_phi_op(power=7);\nop q = vxg_conj_op(n=2);\n"
+    "check rack_left p;\ncheck rack_left q;\n",
+], ids=["symmetric", "pairs"])
+def test_constructions_and_checks_never_step_element_orders(text):
+    # inverses are x^(n-1) and powers are reduced mod n, so only element_order
+    # and group_exponent read the element orders
+    compiled = compile_spec(parse_spec(SpecSource(text)))
+    for decl in compiled.checks:
+        run_check(compiled, decl)
+    carrier = compiled.carrier
+    for group in (carrier, carrier.group):
+        assert group is None or "orders" not in vars(group)

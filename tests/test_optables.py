@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multigroup import optables
 from multigroup.carriers import cyclic_group, matrix_set, symmetric_group
@@ -278,3 +279,66 @@ def test_scan_chunks_runs_at_most_one_thread_per_cpu(monkeypatch):
     assert pools == [2]
     assert 1 <= peak <= 2
     assert sorted(ran) == list(range(40))
+
+
+# The endomorphism test that make_automorphism and the orbit step share:
+# `optables._endomorphism_failure(s, t)` is the first (x, y) in row-major
+# order with t[s x, s y] != s(t[x, y]), held to naive loops.
+
+
+def naive_endomorphism_failure(s, t):
+    n = len(t)
+    pairs = ((x, y) for x in range(n) for y in range(n))
+    return next(((x, y) for x, y in pairs if t[s[x]][s[y]] != s[t[x][y]]), None)
+
+
+@st.composite
+def maps_and_tables(draw):
+    """An index map s and a table t it preserves, possibly with one cell changed.
+
+    x -> u x preserves addition on Z_n, and every map preserves the left-zero
+    band x y = x; random pairs preserve little.
+    """
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["cyclic", "band", "random"]))
+    every = st.integers(0, n - 1)
+    if kind == "cyclic":
+        u = draw(every)
+        s = [u * x % n for x in range(n)]
+        t = [[(x + y) % n for y in range(n)] for x in range(n)]
+    else:
+        s = draw(st.lists(every, min_size=n, max_size=n))
+        t = [[x] * n for x in range(n)]
+        if kind == "random":
+            t = [draw(st.lists(every, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        t[draw(every)][draw(every)] = draw(every)
+    return np.array(s, dtype=np.intp), table_from_array(cyclic_group(n), t, "t").table
+
+
+@pytest.mark.parametrize("cells", [None, 1, 24])
+@given(maps_and_tables())
+@settings(max_examples=80, deadline=None)
+def test_endomorphism_failure_equals_naive_loops(cells, drawn):
+    # cells: the real proof budget, or one so small that every row is its own block
+    s, t = drawn
+    want = naive_endomorphism_failure(s.tolist(), t.tolist())
+    with pytest.MonkeyPatch.context() as patch:
+        if cells is not None:
+            patch.setattr(optables, "PROOF_CELLS", cells)
+        assert optables._endomorphism_failure(s, t) == want
+
+
+def test_endomorphism_failure_in_the_last_row_block():
+    # every map preserves the left-zero band; with its last cell changed, the
+    # swap of 0 and 1 breaks the law at that cell only, so the last of
+    # several row blocks holds the one failing pair
+    n = 200
+    assert optables.PROOF_CELLS < n * n
+    t = np.repeat(np.arange(n)[:, None], n, axis=1)
+    swap = np.arange(n)
+    swap[[0, 1]] = [1, 0]
+    assert optables._endomorphism_failure(swap, table_from_array(cyclic_group(n), t).table) is None
+    t[n - 1, n - 1] = 0
+    assert optables._endomorphism_failure(swap, table_from_array(cyclic_group(n), t).table) == \
+        (n - 1, n - 1)
