@@ -16,7 +16,8 @@ product on first use, once per carrier object, and is write-protected;
 `mul`, `inv` and `identity` read the same structure on encodings without
 building the table. Inverses are powers: every x in a group of order n has
 x^n = e, so x^-1 = x^(n-1) by binary powering, and powers are reduced mod n.
-Element orders are stepped only for `element_order` and `group_exponent`.
+Element orders (read only by `element_order` and `group_exponent`) take one
+binary power per prime factor of n; GL_n keeps the matrices of nonzero determinant.
 Vector-group pairs carry an action table `action[A, v]` instead. Cyclic,
 symmetric and matrix groups also offer `automorphism_candidates`, index
 permutations that the axiom checks verify on each table before reducing a
@@ -48,7 +49,7 @@ from .errors import (
     UnsupportedCarrierError,
 )
 from .field import PrimeField
-from .matrix import Matrix, mat_det, mat_inv
+from .matrix import Matrix, mat_inv
 from .optables import _endomorphism_failure, _generators, first_true, index_dtype
 
 DEFAULT_GUARD = 10**6
@@ -282,22 +283,22 @@ class Carrier:
             bad = first_true(block < 0)
             if bad is not None:
                 a, b = a0 + bad[0], bad[1]
-                escaped = Matrix(self.field, (self.array[a] @ self.array[b]).tolist()).rows
-                raise NotClosedError(self[a], self[b], escaped)
+                escaped = self.array[a] @ self.array[b] % self.field.p
+                raise NotClosedError(self[a], self[b], tuple(map(tuple, escaped.tolist())))
             table[a0:a0 + step] = block
         return _frozen(table)
 
     @cached_property
     def orders(self) -> np.ndarray:
-        """The order of every element of a group, stepping all powers together."""
+        """The order of every element of a group, by one binary power per prime factor of n."""
         if not self.is_group:
             raise UnsupportedCarrierError("element orders need a group carrier")
-        step = np.arange(len(self))
-        orders = np.zeros(len(self), dtype=np.int64)
-        power, k = step, 1
-        while not orders.all():
-            orders[(power == self.identity_index) & (orders == 0)] = k
-            power, k = self.product(power, step), k + 1
+        n = len(self)
+        orders = np.full(n, n, dtype=np.int64)
+        for q in _prime_factors(n):  # o becomes o/q wherever x^(o/q) = e
+            lower = orders // q
+            orders = np.where(power_index(self, np.arange(n), lower) == self.identity_index,
+                              lower, orders)
         return _frozen(orders)
 
     @cached_property
@@ -368,6 +369,12 @@ def _unit_generators(n: int) -> list:
     return gens
 
 
+def _prime_factors(n: int) -> list:
+    """The prime factors of n in ascending order, with multiplicity."""
+    q = next((q for q in range(2, math.isqrt(n) + 1) if n % q == 0), n)
+    return [] if n == 1 else [q] + _prime_factors(n // q)
+
+
 def power_index(carrier: Carrier, i, k) -> np.ndarray:
     """Index of elements[i]^k by binary powering, elementwise over i and k >= 0."""
     k = np.asarray(k)
@@ -405,20 +412,28 @@ def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier
     """All of M_n(F_p), or GL_n(F_p), in row-major lexicographic order.
 
     The enumeration space p^(n*n) must stay within the carrier guard. The
-    full matrix set is a monoid under multiplication but not a group.
+    candidates are one int64 stack in that order. GL_n keeps those whose
+    determinant, a signed sum over the n! permutations reduced mod p after
+    every product, is nonzero; no value reaches p^2, and a prime with p^2
+    beyond int64 would need a stack of more than 3e9 rows. The full matrix
+    set is a monoid under multiplication but not a group.
     """
     kind, name = ("matrix-group", "gl") if invertible_only else ("matrix-set", "matrices")
     if n < 1:
         raise _usage_error(name)
     _guard_power(p, n * n, f"enumerating {n}x{n} matrices mod {p}")
     fld = PrimeField(p)
-    elements = []
-    for flat in itertools.product(range(p), repeat=n * n):
-        rows = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if invertible_only and mat_det(Matrix(fld, rows)) == 0:
-            continue
-        elements.append(rows)
-    return Carrier(kind, tuple(elements), f"{name}({n},{p})", identity=_identity_rows(n),
+    stack = np.indices((p,) * (n * n), dtype=np.int64).reshape(n * n, -1).T.reshape(-1, n, n)
+    if invertible_only:
+        det = np.zeros(len(stack), dtype=np.int64)
+        for perm in itertools.permutations(range(n)):
+            term = stack[:, 0, perm[0]]
+            for row in range(1, n):
+                term = term * stack[:, row, perm[row]] % p
+            det += term * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        stack = stack[det % p != 0]
+    elements = tuple(tuple(map(tuple, m.tolist())) for m in stack)
+    return Carrier(kind, elements, f"{name}({n},{p})", identity=_identity_rows(n),
                    is_group=invertible_only, field=fld, dim=n)
 
 

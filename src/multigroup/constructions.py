@@ -81,8 +81,8 @@ def _sandwich_table(carrier: Carrier, m: Matrix, label: str) -> OpTable:
     bad = first_true(rows < 0)
     if bad is not None:
         a = bad[0]
-        result = Matrix(m.field, (mats[a] @ m_array @ mats[0]).tolist()).rows
-        raise NotClosedError(carrier[a], carrier[0], result)
+        result = mats[a] @ m_array @ mats[0] % p
+        raise NotClosedError(carrier[a], carrier[0], tuple(map(tuple, result.tolist())))
     return table_from_array(carrier, carrier.cayley[rows], label)
 
 

@@ -18,6 +18,8 @@ the demo states it, with the refuting instance recorded in the details.
 
 import random
 
+import numpy as np
+
 from . import axioms
 from .carriers import (
     cyclic_group,
@@ -44,8 +46,8 @@ from .constructions import (
 )
 from .errors import UnknownClaimError
 from .field import PrimeField
-from .matrix import Matrix, mat_add_scaled, mat_det, mat_inv
-from .optables import encode_element, table_from_array
+from .matrix import Matrix, mat_add_scaled
+from .optables import encode_element, first_true, inverse_indices, table_from_array
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -60,10 +62,6 @@ def _all_pass(key, reports):
     """PASS when every report passed, with one {key: value, report} detail each."""
     details = [{key: value, "report": report.to_json_dict()} for value, report in reports]
     return _verdict(all(report.passed for _, report in reports)), details
-
-
-def _rows(m):
-    return list(map(list, m.rows))
 
 
 # --- matrix product family ----------------------------------------------------
@@ -101,8 +99,8 @@ def _demo_s3_assoc(jobs):
             tables += 1
             if not report.passed:
                 verdict = FAIL
-                details.append({"modulus": p, "s": s, "t": t, "m1": _rows(m1),
-                                "m2": _rows(m2), "report": report.to_json_dict()})
+                details.append({"modulus": p, "s": s, "t": t, "m1": encode_element(m1.rows),
+                                "m2": encode_element(m2.rows), "report": report.to_json_dict()})
         details.append({"modulus": p, "carrier": op.carrier.label,
                         "tables_checked": tables, "all_associative": verdict == PASS})
     return verdict, details
@@ -137,10 +135,11 @@ def _demo_s3_multisemigroup(jobs):
 def _demo_s3_unit(jobs):
     details = []
     for p in (2, 3):
+        glc = gl_group(2, p)
         for s, t, m1, m2, op in _twisted_ops(p, 300 + p, 3):
             units = axioms.find_units(op)
-            collapsed = mat_add_scaled(s, m1, t, m2)
-            expected = [mat_inv(collapsed).rows] if mat_det(collapsed) != 0 else []
+            collapsed = mat_add_scaled(s, m1, t, m2).rows
+            expected = [glc.inv(collapsed)] if collapsed in glc.index else []
             if units != expected:
                 details.append({"modulus": p, "s": s, "t": t,
                                 "units": [encode_element(u) for u in units],
@@ -165,31 +164,33 @@ def _demo_s3_group(jobs):
     details = []  # every failure detail names its "constant"
 
     def groups(glc, constants):
-        """Yield (m, m^-1, op) for each constant m whose product is a group."""
-        for rows in constants:
-            m = Matrix.from_rows(rows, glc.field)
-            op = gl_group_op(m, glc)
+        """Yield (m, op) for each constant index m whose product is a group."""
+        for m in constants:
+            op = gl_group_op(Matrix.from_rows(glc[m], glc.field), glc)
             report = axioms.check_group(op, jobs=jobs)
             if report.passed:
-                yield m, mat_inv(m), op
+                yield m, op
             else:
-                details.append({"constant": _rows(m), "report": report.to_json_dict()})
+                details.append({"constant": encode_element(glc[m]),
+                                "report": report.to_json_dict()})
 
     glc = gl_group(2, 2)
-    for m, minv, op in groups(glc, glc.elements):
+    for m, op in groups(glc, range(len(glc))):
         units = axioms.find_units(op)
-        if units != [minv.rows]:
-            details.append({"constant": _rows(m), "units": [encode_element(u) for u in units]})
+        if units != [glc[glc.inverse[m]]]:
+            details.append({"constant": encode_element(glc[m]),
+                            "units": [encode_element(u) for u in units]})
     details.append({"carrier": glc.label, "constants_checked": len(glc)})
 
     glc3 = gl_group(2, 3)
+    c, inverse = glc3.cayley, glc3.inverse
     sampled = sorted(random.Random(33).sample(range(len(glc3)), 10))
-    for m, minv, op in groups(glc3, [glc3.elements[i] for i in sampled]):
-        _, inverses = axioms.find_inverses(op, minv.rows)
-        for a_rows, got in inverses.items():
-            if got != (minv * mat_inv(Matrix.from_rows(a_rows, glc3.field)) * minv).rows:
-                details.append({"constant": _rows(m), "element": encode_element(a_rows)})
-                break
+    for m, op in groups(glc3, sampled):
+        minv = inverse[m]  # the unit; the inverse of a is minv a^-1 minv
+        bad = first_true(inverse_indices(op.table, minv) != c[c[minv, inverse], minv])
+        if bad is not None:
+            details.append({"constant": encode_element(glc3[m]),
+                            "element": encode_element(glc3[bad[0]])})
     ok = not any("constant" in detail for detail in details)
     details.append({"carrier": glc3.label, "constants_sampled": len(sampled),
                     "inverse_formula": "minv * ainv * minv", "all_groups": ok})
@@ -319,9 +320,9 @@ def _demo_e1_multiquandle_degenerate(jobs):
     for n in range(2, 13):
         q = core_quandle(cyclic_group(n))
         prod = axioms.op_product(q, q)
-        is_projection = all(prod.table[x, y] == x for x in range(n) for y in range(n))
+        is_projection = bool((prod.table == np.arange(n)[:, None]).all())
         ok = ok and is_projection
-        projections.append({"order": n, "first_projection": bool(is_projection)})
+        projections.append({"order": n, "first_projection": is_projection})
     details.append({"core_products": projections})
     return _verdict(ok), details
 

@@ -83,24 +83,9 @@ def mat_add_scaled(s: int, a: Matrix, t: int, b: Matrix) -> Matrix:
     return Matrix(field, rows)
 
 
-def _det_cofactor(rows, p: int) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % p
-    if n == 2:
-        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % p
-    # n == 3: rule of Sarrus
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return (a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h) % p
-
-
 def mat_det(a: Matrix) -> int:
-    """Determinant by Gaussian elimination with modular pivots (cofactors for n <= 3)."""
+    """Determinant by Gaussian elimination with modular pivots, exact for any prime."""
     p, n = a.field.p, a.n
-    if n <= 3:
-        return _det_cofactor(a.rows, p)
     rows = [list(r) for r in a.rows]
     det = 1
     for col in range(n):

@@ -1,4 +1,6 @@
 import ast
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,8 @@ from multigroup.errors import (
     TooLargeError,
     UnsupportedCarrierError,
 )
+from multigroup.field import PrimeField
+from multigroup.matrix import Matrix, mat_det
 
 IDENT2 = ((1, 0), (0, 1))
 SWAP2 = ((0, 1), (1, 0))
@@ -54,6 +58,40 @@ def test_matrix_order_is_row_major():
     glc = gl_group(2, 2)
     assert glc.elements[0] == ((0, 1), (1, 0))
     assert list(glc.elements) == sorted(glc.elements)
+
+
+GL_CASES = [(1, 2), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n,p", GL_CASES, ids=[f"gl({n},{p})" for n, p in GL_CASES])
+def test_gl_elements_are_the_candidates_with_nonzero_determinant(n, p):
+    field = PrimeField(p)
+    candidates = [tuple(flat[i * n:(i + 1) * n] for i in range(n))
+                  for flat in itertools.product(range(p), repeat=n * n)]
+    invertible = tuple(rows for rows in candidates if mat_det(Matrix(field, rows)) != 0)
+    for carrier, want in ((matrix_set(n, p), tuple(candidates)), (gl_group(n, p), invertible)):
+        assert carrier.elements == want
+        assert {type(v) for rows in carrier.elements for row in rows for v in row} == {int}
+
+
+@pytest.mark.parametrize("n,p", GL_CASES + [(4, 2)])
+def test_gl_has_the_order_of_gl_n_fp(n, p):
+    assert len(gl_group(n, p)) == math.prod(p**n - p**i for i in range(n))
+
+
+def test_matrix_enumeration_builds_no_matrix_objects(monkeypatch):
+    # the candidates are one integer stack, not one Matrix per candidate
+    built = []
+    post_init = Matrix.__post_init__
+
+    def counted(self):
+        built.append(self.rows)
+        post_init(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    gl_group(2, 5)
+    matrix_set(2, 5)
+    assert built == []
 
 
 def test_matrix_rank_index():
@@ -261,6 +299,29 @@ def test_inverse_is_one_power_by_lagrange(monkeypatch):
     inverse = group.inverse
     assert len(calls) <= 2 * (len(group) - 1).bit_length()
     assert inverse[:3].tolist() == [0, 31999, 31998] and inverse[-1] == 1
+
+
+def test_orders_take_one_power_per_prime_factor(monkeypatch):
+    # o = n, divided by each prime q of n (with multiplicity) where x^(o/q) = e:
+    # one binary power per prime factor; stepping took 32000 products here
+    group = cyclic_group(32000)
+    n, omega, rest, q = len(group), 0, len(group), 2
+    while rest > 1:
+        while rest % q == 0:
+            omega, rest = omega + 1, rest // q
+        q += 1
+    calls = []
+    product = Carrier.product
+
+    def counted(self, i, j):
+        calls.append(self.label)
+        return product(self, i, j)
+
+    monkeypatch.setattr(Carrier, "product", counted)
+    orders = group.orders
+    assert omega == 11 and len(calls) <= 2 * omega * n.bit_length()
+    assert orders.tolist() == (n // np.gcd(np.arange(n), n)).tolist()
+    assert group_exponent(group) == n
 
 
 @pytest.mark.parametrize("spec", ["matrices(2,2)", "window(0,3)", "vectors(2,2) x gl(2,2)",

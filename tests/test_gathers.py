@@ -209,12 +209,14 @@ def listed_matrices(elements, p):
 
 
 # Matrix sets that are not closed. The first two have rank spaces of at most
-# n^2 (5 <= 9, 16 <= 36), the last two larger ones (7 > 4, 81 > 25).
+# n^2 (5 <= 9, 16 <= 36), the last three larger ones (7 > 4, 81 > 25, 5 > 4).
+# In the last, 3 * 3 = 9 escapes and is named by its residue 4.
 OPEN_SETS = [
     ([((0,),), ((1,),), ((2,),)], 5),
     ([m for m in matrix_set(2, 2).elements if m[0][0] == 0][:6], 2),
     ([((1,),), ((2,),)], 7),
     (list(gl_group(2, 3).elements[:5]), 3),
+    ([((1,),), ((3,),)], 5),
 ]
 
 
@@ -356,6 +358,18 @@ def test_singular_sandwich_fails_at_the_first_pair(spec):
             matrix_op(MatrixOpParams(1, 0, Matrix(PrimeField(p), m), Matrix(PrimeField(p), m)), carrier)
         assert (got.value.x, got.value.y) == (carrier[0], carrier[0])
         assert str(got.value) == str(want.value)
+
+
+def test_sandwich_outside_a_listed_group_names_the_product_mod_p():
+    # A = B = 2 * swap is the first element; A M B is ((4, 0), (4, 4)) over the integers
+    group = matrix_subgroup([((1, 0), (0, 1)), ((0, 2), (2, 0))], 2, 3)
+    mul, m = mat_mul_mod(3), ((1, 1), (0, 1))
+    with pytest.raises(NotClosedError) as want:
+        build_op_table(group, lambda a, b: mul(mul(a, m), b))
+    with pytest.raises(NotClosedError) as got:
+        gl_group_op(Matrix(PrimeField(3), m), group)
+    assert got.value.result == ((1, 0), (1, 1))
+    assert str(got.value) == str(want.value)
 
 
 def plain_subgroup_error(rows_list, n, p):

@@ -5,15 +5,16 @@ and every failure reason the DSL's constructions produce, next to the
 recorded stdout of `verify --no-timing` in both formats, and `demo
 --no-timing` in both formats. The recorded files come from a run at --jobs 1;
 every --jobs value must reproduce them. To
-re-record after an intended output change, run from tests/golden:
+re-record after an intended output change, run from tests/golden (the
+PYTHONPATH prefix finds the package in a checkout without an install):
 
-    python3 -m multigroup verify NAME.mg --no-timing --format json > NAME.json
-    python3 -m multigroup verify NAME.mg --no-timing > NAME.txt
-    python3 -m multigroup demo --no-timing --format json > demo.json
-    python3 -m multigroup demo --no-timing > demo.txt
-    python3 ../../scripts/probe_brace_dimonoid.py > probe_brace_dimonoid.txt
-    python3 ../../scripts/probe_op_products.py > probe_op_products.txt
-    python3 -m multigroup enumerate "EXPR" --list > enumerate_NAME.txt
+    PYTHONPATH=../../src python3 -m multigroup verify NAME.mg --no-timing --format json > NAME.json
+    PYTHONPATH=../../src python3 -m multigroup verify NAME.mg --no-timing > NAME.txt
+    PYTHONPATH=../../src python3 -m multigroup demo --no-timing --format json > demo.json
+    PYTHONPATH=../../src python3 -m multigroup demo --no-timing > demo.txt
+    PYTHONPATH=../../src python3 ../../scripts/probe_brace_dimonoid.py > probe_brace_dimonoid.txt
+    PYTHONPATH=../../src python3 ../../scripts/probe_op_products.py > probe_op_products.txt
+    PYTHONPATH=../../src python3 -m multigroup enumerate "EXPR" --list > enumerate_NAME.txt
 
 with NAME and EXPR from ENUMERATE below.
 
