@@ -8,6 +8,7 @@ and assert that the claim reports FAIL with the detail that names the fault.
 import types
 
 import numpy as np
+import pytest
 
 from multigroup import axioms, demos
 from multigroup.constructions import gl_group_op
@@ -20,14 +21,20 @@ def _failures(result, key):
     return [detail for detail in result["details"] if key in detail]
 
 
-def test_s3_assoc_reports_each_table_that_is_not_associative(monkeypatch):
-    monkeypatch.setattr(axioms, "check_associativity",
-                        lambda op, jobs=1: failing("assoc", op.carrier, (0, 0, 0), 1))
-    result = run_demo("S3-assoc")
+@pytest.mark.parametrize("claim, check, tables, keys", [
+    # (1 + 5 drawn matrix pairs) x p^2 scalar pairs, for p = 2 and 3
+    ("S3-assoc", "check_associativity", 6 * 4 + 6 * 9, {"modulus", "s", "t", "m1", "m2"}),
+    # five products, every ordered pair
+    ("S3-multisemigroup", "check_interchange", 25, {"pair"}),
+])
+def test_twisted_product_claims_report_each_failing_table(monkeypatch, claim, check, tables, keys):
+    monkeypatch.setattr(axioms, check,
+                        lambda op, *more, jobs=1: failing(check, op.carrier, (0, 0, 0), 1))
+    result = run_demo(claim)
     assert result["verdict"] == "FAIL"
     failures = _failures(result, "report")
-    assert len(failures) == 6 * 4 + 6 * 9  # (1 + 5 pairs) x p^2 scalar pairs, p = 2 and 3
-    assert set(failures[0]) == {"modulus", "s", "t", "m1", "m2", "report"}
+    assert len(failures) == tables
+    assert all(set(detail) == keys | {"report"} for detail in failures)
 
 
 def test_s3_group_reports_constants_whose_product_is_no_group(monkeypatch):
