@@ -187,6 +187,38 @@ def test_generators_generate(chunk, t):
     assert {g for g in range(len(t)) if g not in products} <= set(gens)
 
 
+def greedy_generators(t, limit):
+    """The greedy generating set of `optables._generators`, by closure under every product.
+
+    The elements outside the image come first; then, in order of descending
+    image size (least first on ties), each element not in the submagma the
+    set generates so far joins it. None when the set outgrows limit.
+    """
+    n = len(t)
+    products = {v for row in t for v in row}
+    gens = [g for g in range(n) if g not in products]
+    generated = naive_closure(t, gens)
+    for g in sorted(range(n), key=lambda x: -len(set(t[x]))):
+        if g not in generated:
+            gens.append(g)
+            generated = naive_closure(t, gens)
+    return gens if len(gens) <= limit else None
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@given(associative_tables(), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_generators_equal_the_greedy_closure_on_semigroups(chunk, t, limit):
+    # on an associative table every generated element is a word in the
+    # generators, so the search must pick exactly the greedy set above
+    t = frozen(t)
+    with pytest.MonkeyPatch.context() as patch:
+        _patch(patch, None, chunk)
+        gens = optables._generators(t, limit)
+    want = greedy_generators(t.tolist(), limit)
+    assert (gens if gens is None else gens.tolist()) == want
+
+
 @pytest.mark.parametrize("keys, chunk", VARIANTS)
 @given(tables())
 @settings(max_examples=60, deadline=None)
