@@ -117,11 +117,15 @@ def _row_keys(t: np.ndarray) -> np.ndarray:
 def _class_reps(t: np.ndarray) -> np.ndarray:
     """Ascending indices of rows of t such that every row equals one of them.
 
-    Rows are sorted by key, and a row joins its predecessor's class only when
-    the two are exactly equal: a key collision can cost a merge, but never
-    merges unequal rows.
+    When column 0 takes n distinct values, as on a group table, no two rows
+    are equal and every row is its own class: one bincount. Otherwise rows
+    are sorted by key, and a row joins its predecessor's class only when the
+    two are exactly equal: a key collision can cost a merge, but never merges
+    unequal rows.
     """
     n, m = t.shape
+    if np.bincount(t[:, 0]).max() == 1:
+        return np.arange(n)
     order = np.argsort(_row_keys(t), kind="stable")
     fresh = np.ones(n, dtype=bool)
     step = _step(m)
@@ -140,7 +144,9 @@ def _associative(t: np.ndarray, cap: int) -> bool:
     x only through row x of t, and on y only through column y, so x ranges
     over one representative per class of equal rows, and y over one per
     class of equal columns when those columns fit in PROOF_CELLS (over every
-    y otherwise): |generators| * |x| * |y| cells.
+    y otherwise): |generators| * |x| * |y| cells. When |x| * |y| <= n, every
+    element is tested: the whole carrier generates, and testing it costs at
+    most n^2 cells, which a search for generators reads anyway.
     """
     n = len(t)
     rows, cols = _class_reps(t), _class_reps(t.T)
@@ -148,9 +154,13 @@ def _associative(t: np.ndarray, cap: int) -> bool:
         cols, narrow = np.arange(n), t
     else:
         narrow = t[:, cols]
-    gens = _generators(t, cap // (len(rows) * len(cols)))
-    if gens is None:
-        return False
+    limit = cap // (len(rows) * len(cols))
+    if len(rows) * len(cols) <= n <= limit:
+        gens = np.arange(n)
+    else:
+        gens = _generators(t, limit)
+        if gens is None:
+            return False
     # rows x and each (x, g, y) block take at most half of PROOF_CELLS each
     step = _step(2 * n)
     for a0 in range(0, len(rows), step):

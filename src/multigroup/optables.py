@@ -105,23 +105,24 @@ def _endomorphism_failure(s: np.ndarray, t: np.ndarray):
     return None
 
 
-def _close(t: np.ndarray, generated: np.ndarray, new: np.ndarray) -> None:
-    """Add `new` to the submagma marked in `generated` and close it under t.
+def _close_right(t: np.ndarray, reached: np.ndarray, gens: np.ndarray, seeds: np.ndarray) -> None:
+    """Mark in `reached` the seeds and their products on the right by gens, repeated.
 
-    Each round multiplies the newly added elements by every member, on both
-    sides, so each ordered pair of members is multiplied at most twice.
+    Each round multiplies the newly reached elements on the right by every
+    generator, one gather per row block. Every element marked is a product of
+    generators. On an associative table the marks are closed under right
+    products by the generators, so they hold every word that starts with a
+    seed and goes on in generators.
     """
-    new = new[~generated[new]]
+    hit = np.zeros(len(t), dtype=bool)
+    hit[seeds] = True
+    new = np.flatnonzero(hit & ~reached)
+    step = _step(4 * len(gens))
     while len(new):
-        generated[new] = True
-        members = np.flatnonzero(generated)
-        reached = np.zeros(len(generated), dtype=bool)
-        step = _step(4 * len(members))
+        reached[new] = True
         for a0 in range(0, len(new), step):
-            block = new[a0:a0 + step]
-            reached[t[np.ix_(block, members)]] = True
-            reached[t[np.ix_(members, block)]] = True
-        new = np.flatnonzero(reached & ~generated)
+            hit[t[new[a0:a0 + step, None], gens]] = True
+        new = np.flatnonzero(hit & ~reached)
 
 
 def _image_sizes(t: np.ndarray) -> np.ndarray:
@@ -139,9 +140,14 @@ def _generators(t: np.ndarray, limit: int):
     """A generating set of the magma t, or None when it needs more than `limit`.
 
     The elements outside t's image come first, since every generating set
-    holds them. Then, while some element is not generated, the one with the
+    holds them. Then, while some element is not reached, the one with the
     largest image x Q (the least on ties) joins: in a matrix monoid the units
-    come first, and a few of them generate the whole group of units.
+    come first, and a few of them generate the whole group of units. A
+    joining g seeds the closure with g and with x g for every reached x, so
+    on an associative table the reached elements are exactly the submagma
+    the set generates, and the set is the greedy one of a closure under every
+    product. On any table every reached element is generated, so the set
+    always generates t.
     """
     n = len(t)
     image = np.zeros(n, dtype=bool)
@@ -151,16 +157,16 @@ def _generators(t: np.ndarray, limit: int):
     gens = np.flatnonzero(~image)
     if len(gens) > limit:
         return None
-    generated = np.zeros(n, dtype=bool)
-    _close(t, generated, gens)
+    reached = np.zeros(n, dtype=bool)
+    _close_right(t, reached, gens, gens)
     gens = gens.tolist()
     for g in np.argsort(-_image_sizes(t), kind="stable").tolist():
-        if generated[g]:
+        if reached[g]:
             continue
         if len(gens) == limit:
             return None
         gens.append(g)
-        _close(t, generated, np.array([g]))
+        _close_right(t, reached, np.array(gens), np.append(t[reached, g], g))
     return np.array(gens, dtype=np.intp)
 
 

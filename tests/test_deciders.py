@@ -261,6 +261,45 @@ def _compiled(name):
     return compile_spec(parse_spec(SpecSource(text, f"{name}.mg")))
 
 
+def _refuse(what):
+    def refused(*args):
+        raise AssertionError(f"called {what}")
+    return refused
+
+
+def test_whole_carrier_is_tested_when_that_is_cheaper(monkeypatch):
+    # M = s M1 + t M2 has rank 1, so A*B = A M B has 25 row and 25 column
+    # classes on matrices(2,5): every g costs 25 * 25 cells, n^2 in all, no
+    # more than the search for generators reads
+    compiled = compile_spec(parse_spec(SpecSource(
+        "carrier matrices(2,5);\n"
+        "op m = matrix_op(s=1, t=0, m1=[[0,3],[0,3]], m2=[[4,1],[3,3]]);\n", "rank1.mg")))
+    t = compiled.ops["m"].table
+    assert len(axioms._class_reps(t)) == len(axioms._class_reps(t.T)) == 25
+    searches = []
+    monkeypatch.setattr(axioms, "_generators", lambda t, limit: searches.append(limit))
+    assert axioms._associative(t, 625**3 // 8) and axioms._associative(t, 625 * 625)
+    assert searches == []
+    # with a cap below 625 generators' worth of cells the search runs
+    assert not axioms._associative(t, 625 * 625 - 1)
+    assert searches == [624]
+
+
+def test_group_tables_are_not_hashed(monkeypatch):
+    # sandwich groups on gl(2,5): every column is injective, so the class
+    # representatives of rows and columns are every element
+    compiled = compile_spec(parse_spec(SpecSource(
+        "carrier gl(2,5);\n"
+        "op g = gl_group_op(m=[[3,1],[3,4]]);\n"
+        "op h = gl_group_op(m=[[4,3],[4,2]]);\n"
+        "check group g;\n"
+        "check interchange g h;\n", "groups.mg")))
+    monkeypatch.setattr(axioms, "_row_keys", _refuse("_row_keys"))
+    for decl in compiled.checks:
+        report = run_check(compiled, decl)
+        assert report.passed, report
+
+
 @pytest.mark.parametrize("spec, check", [
     ("decided_matrices", "assoc inv"),
     ("decided_matrices", "assoc sing"),
