@@ -81,24 +81,27 @@ def carrier_guard() -> int:
         raise UnsupportedCarrierError(f"MULTIGROUP_GUARD={raw!r} is not an integer") from None
 
 
-def _guard_size(size: int, what: str) -> None:
-    """Refuse more candidates than the guard allows.
+def _guard_size(size: int, what: str, entries: int = 1) -> None:
+    """Refuse more candidates than the guard allows, or than one array holds.
 
-    A count past 2^64 is not printed: it may have more digits than Python
-    converts to a string.
+    Whatever the guard, `size` candidates of `entries` int64 values each must
+    fit in one array, which numpy caps at 2^63 bytes. A count past 2^64 is
+    not printed: it may have more digits than Python converts to a string.
     """
     guard = carrier_guard()
+    count = "more than 2^64" if size > 1 << 64 else size
     if size > guard:
-        count = "more than 2^64" if size > 1 << 64 else size
         raise TooLargeError(f"{what} needs {count} candidates, above the guard of {guard}")
+    if 8 * entries * size >= 1 << 63:
+        raise TooLargeError(f"{what} needs {count} candidates, more than one array holds")
 
 
 def _guard_power(p: int, e: int, what: str) -> None:
-    """_guard_size for p**e candidates; a plainly huge power is refused by bit length."""
+    """_guard_size for p**e candidates of e entries; a plainly huge power is refused by bit length."""
     guard = carrier_guard()
     if e * (p.bit_length() - 1) > max(64, guard.bit_length()):  # then p**e > 2**64
         raise TooLargeError(f"{what} needs more than 2^64 candidates, above the guard of {guard}")
-    _guard_size(p**e, what)
+    _guard_size(p**e, what, e)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

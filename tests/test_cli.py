@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -377,6 +378,35 @@ def test_verify_guard_refuses_a_huge_prime_modulus(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == (f"{path}:1:9: error: enumerating 1x1 matrices mod 2305843009213693951 "
                            "needs 2305843009213693951 candidates, above the guard of 1000000\n")
+
+
+def _unguarded(argv):
+    """The CLI under a guard of 10^30, its address space capped at 2 GB: nothing big is allocated."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "MULTIGROUP_GUARD": str(10**30)}
+    return subprocess.run([sys.executable, "-m", "multigroup", *argv], capture_output=True,
+                          text=True, timeout=60, env=env, preexec_fn=cap)
+
+
+# Past the guard's reach: gl(9,2) needs an 82-axis candidate stack and
+# matrices(2,32749) one of 2^65 bytes, beyond numpy's limits on axes and bytes,
+# and cyclic(10^20) an index past int64.
+@pytest.mark.parametrize("expr, line", [
+    ("gl(9,2)", "enumerating 9x9 matrices mod 2 needs more than 2^64 candidates, "
+                "more than one array holds"),
+    ("matrices(2,32749)", "enumerating 2x2 matrices mod 32749 needs 1150249817153994001 "
+                          "candidates, more than one array holds"),
+    ("cyclic(100000000000000000000)", "cyclic(100000000000000000000) needs more than 2^64 "
+                                      "candidates, more than one array holds"),
+], ids=["gl-9-2", "matrices-2-32749", "cyclic-10^20"])
+def test_guard_cannot_admit_what_no_array_holds(tmp_path, expr, line):
+    proc = _unguarded(["enumerate", expr])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+    path = write(tmp_path, f"carrier {expr};\n", "big.mg")
+    proc = _unguarded(["verify", path])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"{path}:1:9: error: {line}\n")
 
 
 def test_overlong_integer_literal_is_reported_at_the_literal(tmp_path, capsys):

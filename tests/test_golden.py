@@ -24,6 +24,7 @@ test_axioms.py cover those reasons.
 """
 
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +77,22 @@ def test_probe_matches_golden(script, capsys, monkeypatch):
 def test_enumerate_matches_golden(name, capsys):
     assert main(["enumerate", ENUMERATE[name], "--list"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"enumerate_{name}.txt").read_text(encoding="utf-8")
+
+
+def test_runs_leave_numpy_ma_unimported():
+    # numpy.ma costs 10-14 ms of import in a fresh process, and plain
+    # np.unique (without return_index) imports it on its first call
+    script = (
+        "import contextlib, io, sys\n"
+        "from multigroup.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for spec in {SPECS!r}:\n"
+        "        main(['verify', spec + '.mg', '--no-timing'])\n"
+        "    main(['demo', '--no-timing'])\n"
+        f"    for expr in {sorted(ENUMERATE.values())!r}:\n"
+        "        main(['enumerate', expr, '--list'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=GOLDEN, capture_output=True,
+                          text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
