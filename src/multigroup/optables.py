@@ -143,11 +143,11 @@ def _generators(t: np.ndarray, limit: int):
     holds them. Then, while some element is not reached, the one with the
     largest image x Q (the least on ties) joins: in a matrix monoid the units
     come first, and a few of them generate the whole group of units. A
-    joining g seeds the closure with g and with x g for every reached x, so
-    on an associative table the reached elements are exactly the submagma
-    the set generates, and the set is the greedy one of a closure under every
-    product. On any table every reached element is generated, so the set
-    always generates t.
+    joining g seeds the closure by right products (_close_right) with g and
+    with x g for every reached x. Every reached element is generated, so the
+    set always generates t. On an associative table the reached elements are
+    every word in the set, the whole submagma it generates, so the set is
+    the one a closure under every product of members would pick.
     """
     n = len(t)
     image = np.zeros(n, dtype=bool)
