@@ -5,10 +5,11 @@ first violation, in carrier order, as its witness. A triple law is decided in
 at most two steps:
 - Proofs. Associativity (`assoc`, the assoc stage of `group`, the group
   checks of `skew_brace`, dimonoid axioms 1 and 5) by Light's test over a
-  generating set, and the interchange law (`interchange`, dimonoid axiom 3)
-  by Light's test on its inner table and a left-ideal cover. Light's test
-  runs once per table within a check. Each proof gives up past n^3/8
-  compared cells.
+  generating set, the whole carrier when testing every element costs no more
+  cells than searching for generators, and the interchange law
+  (`interchange`, dimonoid axiom 3) by Light's test on its inner table and
+  a left-ideal cover. Light's test runs once per table within a check. Each
+  proof gives up past n^3/8 compared cells.
 - One scan over the orbit representatives. Candidate permutations come from
   the carrier (x -> u x for units u on Z_n, conjugation by generators on
   symmetric and matrix groups), and those verified to be automorphisms of

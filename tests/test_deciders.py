@@ -231,6 +231,11 @@ def test_class_reps_cover_every_row_exactly(keys, chunk, t):
             assert reps == sorted(set(reps))
             rows = [tuple(r) for r in table.tolist()]
             assert {rows[x] for x in reps} == set(rows)
+            if keys is None:
+                # one representative per class: the real keys of these small
+                # tables do not collide, and a column with a repeated value
+                # must not pass for injective
+                assert len(reps) == len(set(rows))
 
 
 def test_cover_needs_an_associative_inner_table():
