@@ -145,9 +145,10 @@ def _associative(t: np.ndarray, cap: int) -> bool:
     x only through row x of t, and on y only through column y, so x ranges
     over one representative per class of equal rows, and y over one per
     class of equal columns when those columns fit in PROOF_CELLS (over every
-    y otherwise): |generators| * |x| * |y| cells. When |x| * |y| <= n, every
-    element is tested: the whole carrier generates, and testing it costs at
-    most n^2 cells, which a search for generators reads anyway.
+    y otherwise): |generators| * |x| * |y| cells. When |x| * |y| <= n and
+    the cap allows n generators, every element is tested: the whole carrier
+    generates, and testing it costs at most n^2 cells, which a search for
+    generators reads anyway.
     """
     n = len(t)
     rows, cols = _class_reps(t), _class_reps(t.T)
