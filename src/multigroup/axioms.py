@@ -115,17 +115,32 @@ def _row_keys(t: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _has_right_unit(t: np.ndarray) -> bool:
+    """Whether some column e of t has t[x, e] = x for every x, as a monoid's unit has.
+
+    Only the columns with t[n - 1, e] = n - 1 are candidates, and each is
+    verified whole.
+    """
+    n = len(t)
+    candidates = np.flatnonzero(t[n - 1] == n - 1)
+    xs = np.arange(n)[:, None]
+    step = _step(n)
+    return any((t[:, candidates[c0:c0 + step]] == xs).all(axis=0).any()
+               for c0 in range(0, len(candidates), step))
+
+
 def _class_reps(t: np.ndarray) -> np.ndarray:
     """Ascending indices of rows of t such that every row equals one of them.
 
-    When column 0 takes n distinct values, as on a group table, no two rows
-    are equal and every row is its own class: one bincount. Otherwise rows
-    are sorted by key, and a row joins its predecessor's class only when the
-    two are exactly equal: a key collision can cost a merge, but never merges
-    unequal rows.
+    No two rows are equal, and every row is its own class, when column 0
+    takes n distinct values, as on a group table (one bincount), or when t
+    has a right unit, whose column tells every row apart, as on a monoid
+    table whose column 0 repeats. Otherwise rows are sorted by key, and a row
+    joins its predecessor's class only when the two are exactly equal: a key
+    collision can cost a merge, but never merges unequal rows.
     """
     n, m = t.shape
-    if np.bincount(t[:, 0]).max() == 1:
+    if np.bincount(t[:, 0]).max() == 1 or _has_right_unit(t):
         return np.arange(n)
     order = np.argsort(_row_keys(t), kind="stable")
     fresh = np.ones(n, dtype=bool)

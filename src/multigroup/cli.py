@@ -18,17 +18,29 @@ never in a traceback. With --no-timing the output carries no timings and is
 byte-identical across repeated runs.
 """
 
+import os
+
+# Before anything loads numpy: its bundled OpenBLAS starts a worker thread on
+# import, which spins for about 0.1 s of CPU before it sleeps, a third of a
+# short call's CPU on a 2-core machine. multigroup never calls BLAS (numpy
+# keeps integer matmuls out of it), so the CLI asks for no pool. A value the
+# user set is kept, and `import multigroup` in a library sets nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# dsl loads numpy and the library before the modules below: loading
+# argparse, hashlib, json and pathlib first raised a call's peak RSS by
+# 0.2-0.7 MB.
+from .dsl import SpecSource, compile_spec, parse_spec, run_check
+
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import demos
 from .carriers import group_carrier
-from .dsl import SpecSource, compile_spec, parse_spec, run_check
 from .errors import SpecError, WorkbenchError, error_message
 from .optables import encode_element
 

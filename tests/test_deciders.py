@@ -238,6 +238,28 @@ def test_class_reps_cover_every_row_exactly(keys, chunk, t):
                 assert len(reps) == len(set(rows))
 
 
+def naive_right_unit(rows):
+    n = len(rows)
+    return any(all(rows[x][e] == x for x in range(n)) for e in range(n))
+
+
+@given(tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_class_reps_equal_naive_classes_with_and_without_a_right_unit(t, data):
+    t = np.array(t)
+    n = len(t)
+    if data.draw(st.booleans()):
+        t[:, data.draw(st.integers(0, n - 1))] = np.arange(n)  # plant a right unit
+    t = frozen(t)
+    for table in (t, t.T):
+        rows = [tuple(r) for r in table.tolist()]
+        first = {}
+        for x, row in enumerate(rows):
+            first.setdefault(row, x)
+        assert axioms._has_right_unit(table) == naive_right_unit(rows)
+        assert axioms._class_reps(table).tolist() == sorted(first.values())
+
+
 def test_cover_needs_an_associative_inner_table():
     # 0 is a two-sided unit, so y = 0 passes and its column covers everything,
     # yet (1*1)*2 = 0 and 1*(1*2) = 1: only the associativity test refutes it
@@ -301,6 +323,26 @@ def test_group_tables_are_not_hashed(monkeypatch):
     for decl in compiled.checks:
         report = run_check(compiled, decl)
         assert report.passed, report
+
+
+@pytest.mark.parametrize("m", [[[1, 0], [0, 1]], [[1, 2], [3, 4]]], ids=["cayley", "invertible"])
+def test_monoid_tables_are_not_hashed(m, monkeypatch):
+    # A*B = A M B on matrices(2,5) with M invertible: column 0 (the zero
+    # matrix) is constant, but the unit M^-1 is a two-sided one, so its row
+    # and column tell every element apart
+    compiled = compile_spec(parse_spec(SpecSource(
+        f"carrier matrices(2,5);\nop m = matrix_op(s=1, t=0, m1={m}, m2=[[0,0],[0,0]]);\n"
+        "check assoc m;\n", "monoid.mg")))
+    t = compiled.ops["m"].table
+    assert np.bincount(t[:, 0]).max() == len(t)
+
+    def no_keys(t):
+        raise AssertionError("hashed rows")
+
+    monkeypatch.setattr(axioms, "_row_keys", no_keys)
+    assert axioms._class_reps(t).tolist() == axioms._class_reps(t.T).tolist() == list(range(625))
+    [decl] = compiled.checks
+    assert run_check(compiled, decl).passed
 
 
 @pytest.mark.parametrize("spec, check", [
