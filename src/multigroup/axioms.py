@@ -1,15 +1,17 @@
 """Exhaustive axiom checks over operation tables.
 
 Every check decides its whole tuple space and reports the lexicographically
-first violation, in carrier order, as its witness. A triple law is decided in
-at most two steps:
-- Proofs. Associativity (`assoc`, the assoc stage of `group`, the group
-  checks of `skew_brace`, dimonoid axioms 1 and 5) by Light's test over a
-  generating set, the whole carrier when testing every element costs no more
-  cells than searching for generators, and the interchange law
-  (`interchange`, dimonoid axiom 3) by Light's test on its inner table and
-  a left-ideal cover. Light's test runs once per table within a check. Each
-  proof gives up past n^3/8 compared cells.
+first violation, in carrier order, as its witness. A triple law is a shape
+and its tables, and one ladder (_Laws.decide) decides every triple law in at
+most two steps:
+- The proof the law's shape allows, chosen in one place (_Laws.proved).
+  Associativity (`assoc`, the assoc stage of `group`, the group checks of
+  `skew_brace`, dimonoid axioms 1 and 5) by Light's test over a generating
+  set, the whole carrier when testing every element costs no more cells
+  than searching for generators, and the interchange law (`interchange`,
+  dimonoid axiom 3) by Light's test on its inner table and a left-ideal
+  cover. Other shapes have no proof yet. Light's test runs once per table
+  within a check. Each proof gives up past n^3/8 compared cells.
 - One scan over the orbit representatives. Candidate permutations come from
   the carrier (x -> u x for units u on Z_n, conjugation by generators on
   symmetric and matrix groups), and those verified to be automorphisms of
@@ -22,13 +24,11 @@ at most two steps:
 `checked` is the tuple-space size of every stage the check ran, not the
 number of comparisons made: n^3 per triple law, n^2 per pair law and n per
 element law, on pass and on fail alike, proved or scanned. A composite check
-stops at its first failing stage, so its `checked` sums the stages up to and
-including that one. Both are functions of the carrier and the tables alone,
-which makes reports byte-identical across repeated runs and across thread
-counts.
+runs its stages in order and nothing after its first failing stage, so its
+`checked` sums the stages up to and including that one. Both are functions
+of the carrier and the tables alone, which makes reports byte-identical
+across repeated runs and across thread counts.
 """
-
-import functools
 
 import numpy as np
 
@@ -62,27 +62,6 @@ def _side(side: str) -> str:
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return side
-
-
-def _law(axiom, carrier, sides, orbits, jobs, reason=None, cells_per_row=None,
-         decide=None) -> AxiomReport:
-    """Decide one law over every triple and report its first violation.
-
-    sides(rows) returns the (left, right) values of the law for the first
-    coordinates in rows, an ascending intp array; their leading axes are
-    (a, b, c), a counted along rows, and any further axes are compared too.
-    orbits() gives the orbit representatives of the tables the law reads (see
-    _orbits). cells_per_row (default n^2) sizes chunks. decide, when given,
-    may prove the law without a scan: when it returns True the law holds on
-    every triple. Otherwise one scan over the representatives decides it.
-    """
-    n = len(carrier)
-    if decide is not None and decide():
-        return passing(axiom, n**3)
-    found = _first_failure(sides, orbits(), cells_per_row or n * n, jobs)
-    if found is not None:
-        return failing(axiom, carrier, found, n**3, reason)
-    return passing(axiom, n**3)
 
 
 def _first_failure(sides, rows, width, jobs):
@@ -254,17 +233,10 @@ def _orbit_reps(carrier, tables):
         labels = low
 
 
-def _orbits(carrier, *tables):
-    """_orbit_reps(carrier, tables) as a thunk that computes it once, for laws that share it.
-
-    The tables are every table the laws read: a permutation that is an
-    automorphism of all of them is one of each table of each law.
-    """
-    return functools.cache(lambda: _orbit_reps(carrier, tables))
-
-
-# Law shapes: each returns the sides(rows) of _law, which take only an ascending
-# intp array of first coordinates.
+# Law shapes. A law is a shape and its tables: shape(*tables) returns sides(rows),
+# the (left, right) values of the law for the first coordinates in rows, an
+# ascending intp array; their leading axes are (a, b, c), a counted along rows,
+# and any further axes are compared too.
 
 
 def _bracket(A, B, C, D):
@@ -273,39 +245,6 @@ def _bracket(A, B, C, D):
         return A[B[rows], :], C[rows][:, D]
 
     return sides
-
-
-def _associativity(cap: int):
-    """t -> _associative(t, cap), run once per table, for laws that share tables."""
-    verdicts = {}
-
-    def associative(t):
-        if id(t) not in verdicts:
-            verdicts[id(t)] = _associative(t, cap)
-        return verdicts[id(t)]
-
-    return associative
-
-
-def _bracket_law(axiom, carrier, law, jobs, orbits=None, associative=None) -> AxiomReport:
-    """The law of _bracket(*law), proved without a scan where its shape allows.
-
-    With one table throughout it is associativity. With A and D one table j
-    and B and C one table i it is the interchange law (x i y) j z = x i (y j z),
-    proved by the associativity of i and the left-ideal cover. associative
-    (default: a fresh _associativity) holds the verdicts of Light's test that
-    the laws of one check share.
-    """
-    A, B, C, D = law
-    cap = len(A) ** 3 // 8
-    associative = associative or _associativity(cap)
-    decide = None
-    if A is B is C is D:
-        decide = lambda: associative(A)
-    elif A is D and B is C:
-        decide = lambda: associative(B) and _interchanges(B, A, cap)
-    return _law(axiom, carrier, _bracket(*law), orbits or _orbits(carrier, *law), jobs,
-                decide=decide)
 
 
 def _mixed_distrib(ta, tb):
@@ -353,15 +292,69 @@ def _nvalued(stack):
     return sides
 
 
-def _stages(name: str, stages) -> AxiomReport:
-    """Run (label, thunk) stages in order and stop at the first failing one.
+class _Laws:
+    """The decision ladder for the triple laws of one check, and what those laws share.
 
+    tables are every table the laws read: a permutation that is an
+    automorphism of all of them is one of each table of each law, so the orbit
+    representatives are computed once, on the first scan. Light's test runs
+    once per table, so laws that rest on the associativity of one table share
+    its verdict.
+    """
+
+    def __init__(self, carrier, jobs, *tables):
+        self.carrier, self.jobs, self.tables = carrier, jobs, tables
+        self.cap = len(carrier) ** 3 // 8
+        self.reps = None
+        self.light = {}
+
+    def associative(self, t) -> bool:
+        if id(t) not in self.light:
+            self.light[id(t)] = _associative(t, self.cap)
+        return self.light[id(t)]
+
+    def proved(self, shape, tables) -> bool:
+        """Whether the proof the law's shape allows shows that it holds on every triple.
+
+        _bracket(A, B, C, D) with one table throughout is associativity. With
+        A and D one table j and B and C one table i it is the interchange law
+        (x i y) j z = x i (y j z), proved by the associativity of i and the
+        left-ideal cover. No other shape has a proof yet.
+        """
+        if shape is not _bracket:
+            return False
+        A, B, C, D = tables
+        if A is B is C is D:
+            return self.associative(A)
+        return A is D and B is C and self.associative(B) and _interchanges(B, A, self.cap)
+
+    def decide(self, axiom, shape, *tables, reason=None, width=None) -> AxiomReport:
+        """Decide the law shape(*tables) over every triple and report its first violation.
+
+        The proof its shape allows runs first. When that does not prove the
+        law, one scan over the orbit representatives decides it; width
+        (default n^2) is the cells per row that size its chunks.
+        """
+        n = len(self.carrier)
+        if not self.proved(shape, tables):
+            if self.reps is None:
+                self.reps = _orbit_reps(self.carrier, self.tables)
+            found = _first_failure(shape(*tables), self.reps, width or n * n, self.jobs)
+            if found is not None:
+                return failing(axiom, self.carrier, found, n**3, reason)
+        return passing(axiom, n**3)
+
+
+def _stages(name: str, stages) -> AxiomReport:
+    """Run (label, report) stages in order and stop at the first failing one.
+
+    stages is lazy, a generator: a stage's report is made only when every
+    stage before it passed, so nothing runs after the first failure.
     `checked` sums the stages that ran. The failing stage is reported as
     `label`, or as `label: reason` when its own report carries a reason.
     """
     checked = 0
-    for label, run in stages:
-        report = run()
+    for label, report in stages:
         checked += report.checked
         if not report.passed:
             reason = label if report.reason is None else f"{label}: {report.reason}"
@@ -372,14 +365,14 @@ def _stages(name: str, stages) -> AxiomReport:
 def check_associativity(op: OpTable, jobs: int = 1) -> AxiomReport:
     """(a*b)*c = a*(b*c) over all triples."""
     t = op.table
-    return _bracket_law("assoc", op.carrier, (t, t, t, t), jobs)
+    return _Laws(op.carrier, jobs, t).decide("assoc", _bracket, t, t, t, t)
 
 
 def check_interchange(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> AxiomReport:
     """(a *_i b) *_j c = a *_i (b *_j c) over all triples."""
     carrier = shared_carrier(op_i, op_j)
     ti, tj = op_i.table, op_j.table
-    return _bracket_law("interchange", carrier, (tj, ti, ti, tj), jobs)
+    return _Laws(carrier, jobs, ti, tj).decide("interchange", _bracket, tj, ti, ti, tj)
 
 
 def check_idempotency(op: OpTable) -> AxiomReport:
@@ -433,8 +426,8 @@ def check_self_distributivity(op: OpTable, side: str, jobs: int = 1) -> AxiomRep
     """Right: (x*y)*z = (x*z)*(y*z). Left: x*(y*z) = (x*y)*(x*z)."""
     _side(side)
     t = op.table
-    sides = _mixed_distrib(t, t) if side == RIGHT else _left_distrib(t)
-    return _law(f"distrib_{side}", op.carrier, sides, _orbits(op.carrier, t), jobs)
+    shape, tables = (_mixed_distrib, (t, t)) if side == RIGHT else (_left_distrib, (t,))
+    return _Laws(op.carrier, jobs, t).decide(f"distrib_{side}", shape, *tables)
 
 
 def find_units(op: OpTable) -> list:
@@ -465,17 +458,14 @@ def find_inverses(op: OpTable, unit) -> tuple:
 
 def check_group(op: OpTable, jobs: int = 1) -> AxiomReport:
     """Associativity, a two-sided unit, and an inverse for every element."""
-    units = []
+    def stages():
+        yield "assoc", check_associativity(op, jobs=jobs)
+        units = find_units(op)
+        n = len(op)
+        yield "no-unit", passing("unit", n) if units else failing("unit", op.carrier, (), n)
+        yield "inverses", find_inverses(op, units[0])[0]
 
-    def unit():
-        units.extend(find_units(op))
-        return passing("unit", len(op)) if units else failing("unit", op.carrier, (), len(op))
-
-    return _stages("group", [
-        ("assoc", lambda: check_associativity(op, jobs=jobs)),
-        ("no-unit", unit),
-        ("inverses", lambda: find_inverses(op, units[0])[0]),
-    ])
+    return _stages("group", stages())
 
 
 def check_rack_quandle(
@@ -489,12 +479,14 @@ def check_rack_quandle(
     """
     _side(side)
     name = ("quandle_" if require_idempotent else "rack_") + side
-    stages = []
-    if require_idempotent:
-        stages.append(("idempotent", lambda: check_idempotency(op)))
-    stages.append((f"divisibility_{side}", lambda: check_divisibility(op, side, unique=True)))
-    stages.append((f"distrib_{side}", lambda: check_self_distributivity(op, side, jobs=jobs)))
-    return _stages(name, stages)
+
+    def stages():
+        if require_idempotent:
+            yield "idempotent", check_idempotency(op)
+        yield f"divisibility_{side}", check_divisibility(op, side, unique=True)
+        yield f"distrib_{side}", check_self_distributivity(op, side, jobs=jobs)
+
+    return _stages(name, stages())
 
 
 def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport:
@@ -510,15 +502,13 @@ def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport
     """
     carrier = shared_carrier(dashv, vdash)
     d, v = dashv.table, vdash.table
-    laws = ((d, d, d, d), (d, d, d, v), (d, v, v, d), (v, d, v, v), (v, v, v, v))
-    orbits = _orbits(carrier, d, v)
-    # axioms 3 and 5 both rest on the associativity of |-: prove it once
-    associative = _associativity(len(carrier) ** 3 // 8)
-    return _stages("dimonoid", [
-        (f"axiom-{k}", lambda law=law: _bracket_law("dimonoid", carrier, law, jobs, orbits,
-                                                    associative))
-        for k, law in enumerate(laws, 1)
-    ])
+    # axioms 3 and 5 both rest on the associativity of |-: one _Laws proves it once
+    laws = _Laws(carrier, jobs, d, v)
+    brackets = ((d, d, d, d), (d, d, d, v), (d, v, v, d), (v, d, v, v), (v, v, v, v))
+    return _stages("dimonoid", (
+        (f"axiom-{k}", laws.decide("dimonoid", _bracket, *tables))
+        for k, tables in enumerate(brackets, 1)
+    ))
 
 
 def find_bar_units(dashv: OpTable, vdash: OpTable) -> list:
@@ -540,8 +530,8 @@ def check_skew_brace(dot: OpTable, circ: OpTable, jobs: int = 1) -> AxiomReport:
             raise NotAGroupError(which, group_report)
     # an automorphism of dot commutes with its inverse, so (d, c) are all the law reads
     d, c = dot.table, circ.table
-    return _law("skew_brace", carrier, _brace_compatibility(d, c), _orbits(carrier, d, c), jobs,
-                reason="compatibility")
+    return _Laws(carrier, jobs, d, c).decide("skew_brace", _brace_compatibility, d, c,
+                                             reason="compatibility")
 
 
 def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> AxiomReport:
@@ -552,12 +542,11 @@ def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> Axio
     """
     carrier = shared_carrier(op_i, op_j)
     ti, tj = op_i.table, op_j.table
-    orbits = _orbits(carrier, ti, tj)
-    return _stages("multiquandle", [
-        (label, lambda ta=ta, tb=tb: _law("multiquandle", carrier, _mixed_distrib(ta, tb),
-                                          orbits, jobs))
+    laws = _Laws(carrier, jobs, ti, tj)
+    return _stages("multiquandle", (
+        (label, laws.decide("multiquandle", _mixed_distrib, ta, tb))
         for label, ta, tb in (("mixed-distrib-ij", ti, tj), ("mixed-distrib-ji", tj, ti))
-    ])
+    ))
 
 
 def op_product(op_i: OpTable, op_j: OpTable, label: str | None = None) -> OpTable:
@@ -596,6 +585,5 @@ def check_nvalued_associativity(ops, jobs: int = 1) -> AxiomReport:
     """
     stack = _op_stack(ops)
     m, n = stack.shape[0], stack.shape[1]
-    orbits = _orbits(ops[0].carrier, *(op.table for op in ops))
-    return _law("nvalued_assoc", ops[0].carrier, _nvalued(stack), orbits, jobs,
-                cells_per_row=n * n * m * m)
+    laws = _Laws(ops[0].carrier, jobs, *(op.table for op in ops))
+    return laws.decide("nvalued_assoc", _nvalued, stack, width=n * n * m * m)

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from multigroup import axioms, carriers, optables
 from multigroup.carriers import cyclic_group, direct_product, group_carrier, symmetric_group
+from multigroup.cli import main
 from multigroup.dsl import SpecSource, compile_spec, parse_spec, run_check
 from multigroup.optables import table_from_array
 
@@ -405,13 +406,79 @@ def test_dimonoid_scans_only_axioms_2_and_4(monkeypatch):
     ]                                              # axiom 5: the verdict above
 
 
+def _recording_decisions(monkeypatch):
+    """Record, in order, each call of the proofs, the scan and find_inverses in axioms."""
+    calls = []
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_associative", "_interchanges", "scan_chunks", "find_inverses"):
+        monkeypatch.setattr(axioms, name, record(name, getattr(axioms, name)))
+    return calls
+
+
+def test_a_failed_stage_runs_nothing_after_it(monkeypatch):
+    # stages are made one at a time: building them all first gives the same
+    # reports, but proves and scans the laws after the failing one
+    calls = _recording_decisions(monkeypatch)
+    s3 = symmetric_group(3)
+    mul = table_from_array(s3, s3.cayley, "mul")
+    opp = table_from_array(s3, s3.cayley.T.copy(), "opp")
+    report = axioms.check_dimonoid(opp, mul)
+    assert (report.passed, report.reason, report.checked) == (False, "axiom-2", 2 * 6**3)
+    # Light's test gives up at its cap of 6^3/8 cells, so axioms 1 and 2 are both scanned
+    assert calls == ["_associative", "scan_chunks", "scan_chunks"]
+
+    calls.clear()
+    z3 = cyclic_group(3)
+    constant = table_from_array(z3, np.zeros((3, 3), dtype=np.int64), "zero")
+    report = axioms.check_rack_quandle(constant, axioms.RIGHT, require_idempotent=False)
+    assert not report.passed and report.reason.startswith("divisibility_right")
+    assert calls == []
+
+    calls.clear()
+    left_zero = table_from_array(z3, np.repeat(np.arange(3)[:, None], 3, axis=1), "left-zero")
+    report = axioms.check_group(left_zero)
+    assert (report.passed, report.reason, report.checked) == (False, "no-unit", 27 + 3)
+    assert calls == ["_associative", "scan_chunks"]      # the assoc stage, and no inverses
+
+
+def _every_row(carrier, tables):
+    return np.arange(len(carrier))
+
+
+def _no_proof(self, shape, tables):
+    return False
+
+
+@pytest.mark.parametrize("cut", ["none", "proof", "orbit", "both"])
+@pytest.mark.parametrize("spec", sorted(p.stem for p in GOLDEN.glob("*.mg")))
+def test_cutting_the_ladder_keeps_the_pinned_reports(spec, cut, capsys, monkeypatch):
+    # every rung is held to the plain scan: with the proofs cut (no shape has
+    # one), the orbit step cut (every element is its own orbit) or both, each
+    # golden spec gives its pinned bytes at one and two threads
+    if cut in ("proof", "both"):
+        monkeypatch.setattr(axioms._Laws, "proved", _no_proof)
+    if cut in ("orbit", "both"):
+        monkeypatch.setattr(axioms, "_orbit_reps", _every_row)
+    monkeypatch.chdir(GOLDEN)
+    want = (GOLDEN / f"{spec}.json").read_text(encoding="utf-8")
+    for jobs in ("1", "2"):
+        main(["verify", f"{spec}.mg", "--no-timing", "--format", "json", "--jobs", jobs])
+        assert capsys.readouterr().out == want
+
+
 # The orbit step. `axioms._orbit_reps` keeps the carrier's candidate
 # permutations that are automorphisms of every table a law reads and returns
 # the least element of each orbit of the group they generate (every element
-# when none survives); `axioms._law` scans the law on those rows only, in
-# ascending order, and reports the first hit as its witness. Both are held to
-# naive loops: automorphisms by the definition, orbits by closure, laws over
-# every triple.
+# when none survives); `axioms._Laws.decide` scans a law its shape's proof did
+# not decide on those rows only, in ascending order, and reports the first hit
+# as its witness. Both are held to naive loops: automorphisms by the
+# definition, orbits by closure, laws over every triple.
 
 
 def naive_automorphism(s, t):
@@ -528,22 +595,21 @@ def _naive_law(shape, tables, carrier):
 
 
 def _law_parts(shape, tables, carrier):
-    """(sides, tables read, cells per row) of the law shape in axioms."""
+    """(shape, its tables, tables read, cells per row) of the law shape in axioms."""
     ta, tb = tables
     n = len(carrier)
     if shape == "bracket":
-        return axioms._bracket(ta, tb, tb, ta), (ta, tb), None
+        return axioms._bracket, (ta, tb, tb, ta), (ta, tb), None
     if shape == "bracket-mixed":
-        return axioms._bracket(ta, ta, ta, tb), (ta, tb), None
+        return axioms._bracket, (ta, ta, ta, tb), (ta, tb), None
     if shape == "mixed":
-        return axioms._mixed_distrib(ta, tb), (ta, tb), None
+        return axioms._mixed_distrib, (ta, tb), (ta, tb), None
     if shape == "left":
-        return axioms._left_distrib(ta), (ta,), None
+        return axioms._left_distrib, (ta,), (ta,), None
     if shape == "brace":
         d = carrier.cayley
-        return axioms._brace_compatibility(d, ta), (d, ta), None
-    stack = np.stack(tables)
-    return axioms._nvalued(stack), tables, 4 * n * n
+        return axioms._brace_compatibility, (d, ta), (d, ta), None
+    return axioms._nvalued, (np.stack(tables),), tables, 4 * n * n
 
 
 SHAPES = ["bracket", "bracket-mixed", "mixed", "left", "brace", "nvalued"]
@@ -558,7 +624,8 @@ def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
     carrier, ta, tb = drawn
     cells, jobs = chunks
     n = len(carrier)
-    sides, read, width = _law_parts(shape, (ta, tb), carrier)
+    law, law_tables, read, width = _law_parts(shape, (ta, tb), carrier)
+    sides = law(*law_tables)
     holds = _naive_law(shape, (ta, tb), carrier)
     failures = (w for w in np.ndindex(n, n, n) if not holds(*w))
     first = next(failures, None)
@@ -570,8 +637,7 @@ def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
             patch.setattr(axioms, "PROOF_CELLS", 1)
             patch.setattr(optables, "PROOF_CELLS", 1)
         reps = axioms._orbit_reps(carrier, read)
-        report = axioms._law("law", carrier, sides, axioms._orbits(carrier, *read), jobs,
-                             cells_per_row=width)
+        report = axioms._Laws(carrier, jobs, *read).decide("law", law, *law_tables, width=width)
         on_reps = axioms._first_failure(sides, reps, width or n * n, jobs)
     assert reps.tolist() == naive_orbit_reps([s.tolist() for s in perms], n)
     assert on_reps == first
