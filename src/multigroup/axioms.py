@@ -20,7 +20,10 @@ most two steps:
   ascending order, and its first hit is the witness. Carriers with no
   surviving candidate have one orbit per element, so every row is scanned.
   A failing scan stops after the chunk that holds its first hit (plus at
-  most jobs - 1 chunks already in flight).
+  most jobs - 1 chunks already in flight). A chunk gathers both sides of
+  the law by take on intp indices made in blocks within PROOF_CELLS (see
+  the law shapes), so besides its two sides and their mask it holds one
+  block of indices.
 `checked` is the tuple-space size of every stage the check ran, not the
 number of comparisons made: n^3 per triple law, n^2 per pair law and n per
 element law, on pass and on fail alike, proved or scanned. A composite check
@@ -49,7 +52,6 @@ from .optables import (
     shared_carrier,
     table_from_array,
     unit_indices,
-    _endomorphism_failure,
     _generators,
     _step,
 )
@@ -151,6 +153,8 @@ def _associative(t: np.ndarray, cap: int) -> bool:
     else:
         narrow = t[:, cols]
     limit = cap // (len(rows) * len(cols))
+    if limit == 0:  # not one generator fits, and a non-empty magma needs one
+        return False
     if len(rows) * len(cols) <= n <= limit:
         gens = np.arange(n)
     else:
@@ -207,7 +211,9 @@ def _interchanges(ti: np.ndarray, tj: np.ndarray, cap: int) -> bool:
 # witness, in |reps| * n^2 cells instead of n^3. Candidates come from the
 # carrier alone (Carrier.automorphism_candidates), and each is kept only when
 # optables._endomorphism_failure finds no pair it breaks on any table; the
-# candidates are permutations, so a kept one is an automorphism.
+# candidates are permutations, so a kept one is an automorphism. The carrier
+# keeps each verdict per write-protected table object (Carrier._preserved_by),
+# so checks that read one table verify each candidate on it once.
 
 
 def _orbit_reps(carrier, tables):
@@ -219,8 +225,8 @@ def _orbit_reps(carrier, tables):
     until nothing moves.
     """
     tables = list({id(t): t for t in tables}.values())
-    kept = [s for s in carrier.automorphism_candidates
-            if all(_endomorphism_failure(s, t) is None for t in tables)]
+    kept = [s for i, s in enumerate(carrier.automorphism_candidates)
+            if all(carrier._preserved_by(i, t) for t in tables)]
     every = np.arange(len(carrier))
     labels = every
     while True:
@@ -237,12 +243,67 @@ def _orbit_reps(carrier, tables):
 # the (left, right) values of the law for the first coordinates in rows, an
 # ascending intp array; their leading axes are (a, b, c), a counted along rows,
 # and any further axes are compared too.
+#
+# Every gather is an ndarray.take on intp indices. Mixed slice-and-array
+# indexing such as C[rows][:, D] runs element by element when a chunk holds
+# one or two rows, as it does from n = 210 on, where take is 2-5 times faster.
+# take turns an index of another dtype into a whole intp copy first, 8 bytes a
+# cell, so an index of n^2 cells (a whole table, or the flat positions
+# x n + y of a pair gather t[x, y]) is converted or built one row block at a
+# time, within the bytes of PROOF_CELLS int16 cells, inside each chunk.
+# PROOF_CELLS is read when the chunk runs. No intp copy of a table outlives
+# its block: beside a chunk's two sides and its mask, each thread holds one
+# block.
+
+
+def _take(values, index, axis):
+    """values.take(index, axis=axis), with index converted to intp one row block at a time.
+
+    The result has the shape values.shape[:axis] + index.shape +
+    values.shape[axis + 1:]. Rows are those of index with every axis but its
+    last merged; an index of one block is taken whole. Indices come from
+    closed tables and are in range, so mode="clip" changes no value; it lets
+    take write straight into a contiguous out block, where the default mode
+    first copies out, and it skips the bounds check.
+    """
+    rows = index.reshape(-1, index.shape[-1])
+    step = _step(4 * rows.shape[1])
+    if len(rows) <= step:
+        return values.take(index, axis=axis, mode="clip")
+    lead, tail = values.shape[:axis], values.shape[axis + 1:]
+    out = np.empty(lead + rows.shape + tail, dtype=values.dtype)
+    before = (slice(None),) * axis
+    for r0 in range(0, len(rows), step):
+        block = before + (slice(r0, r0 + step),)
+        values.take(rows[r0:r0 + step], axis=axis, out=out[block], mode="clip")
+    return out.reshape(lead + index.shape + tail)
+
+
+def _take_pairs(t, first, second):
+    """t[first, second] for index arrays that broadcast to (k, n, n), gathered by take.
+
+    The flat positions first * n + second are built in intp, whole when they
+    fit one block and one block of axis 1 at a time otherwise; first is
+    scaled once, at its own size.
+    """
+    first = np.multiply(first, len(t), dtype=np.intp)
+    flat = t.reshape(-1)
+    k, m, n = shape = np.broadcast(first, second).shape
+    step = _step(4 * k * n)
+    if m <= step:
+        return flat.take(first + second, mode="clip")
+    first, second = np.broadcast_to(first, shape), np.broadcast_to(second, shape)
+    out = np.empty(shape, dtype=t.dtype)
+    for b0 in range(0, m, step):
+        b = np.s_[:, b0:b0 + step]
+        flat.take(first[b] + second[b], out=out[b], mode="clip")
+    return out
 
 
 def _bracket(A, B, C, D):
     """(x B y) A z = x C (y D z)."""
     def sides(rows):
-        return A[B[rows], :], C[rows][:, D]
+        return _take(A, B[rows], 0), _take(C[rows], D, 1)
 
     return sides
 
@@ -250,7 +311,7 @@ def _bracket(A, B, C, D):
 def _mixed_distrib(ta, tb):
     """(x a y) b z = (x b z) a (y b z)."""
     def sides(rows):
-        return tb[ta[rows], :], ta[tb[rows][:, None, :], tb[None, :, :]]
+        return _take(tb, ta[rows], 0), _take_pairs(ta, tb[rows][:, None, :], tb[None])
 
     return sides
 
@@ -259,7 +320,7 @@ def _left_distrib(t):
     """x t (y t z) = (x t y) t (x t z)."""
     def sides(rows):
         sub = t[rows]
-        return sub[:, t], t[sub[:, :, None], sub[:, None, :]]
+        return _take(sub, t, 1), _take_pairs(t, sub[:, :, None], sub[:, None, :])
 
     return sides
 
@@ -271,7 +332,7 @@ def _brace_compatibility(d, c):
     def sides(rows):
         csub = c[rows]
         partial = d[csub, inv[rows][:, None]]        # (g1 o g2) . g1^-1
-        return csub[:, d], d[partial[:, :, None], csub[:, None, :]]
+        return _take(csub, d, 1), _take_pairs(d, partial[:, :, None], csub[:, None, :])
 
     return sides
 
@@ -283,9 +344,9 @@ def _nvalued(stack):
     def sides(rows):
         sub = stack[:, rows, :]                      # (m, k, n): a *_i b
         k = sub.shape[1]
-        left = stack[:, sub, :]                      # (j, i, a, b, c)
+        left = _take(stack, sub, 1)                  # (j, i, a, b, c)
         left = np.sort(left.reshape(m * m, k, n, n), axis=0)
-        right = sub[:, :, stack]                     # (j, a, i, b, c)
+        right = _take(sub, stack, 2)                 # (i, a, j, b, c)
         right = np.sort(right.transpose(0, 2, 1, 3, 4).reshape(m * m, k, n, n), axis=0)
         return np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -1)
 

@@ -13,15 +13,19 @@ precomputed gather per column; a dense rank index turns the rank into an
 index when the rank space has at most |Q|^2 cells, a binary search over the
 sorted ranks otherwise. The |Q| x |Q| Cayley table `cayley` is built from the
 product on first use, once per carrier object, and is write-protected;
-`mul`, `inv` and `identity` read the same structure on encodings without
-building the table. Inverses are powers: every x in a group of order n has
-x^n = e, so x^-1 = x^(n-1) by binary powering, and powers are reduced mod n.
+`inv` and `identity` read the same structure on encodings without building
+the table. `mul` multiplies two encodings in the carrier's own arithmetic
+and finds the product by bisection over the elements, whose canonical order
+is the order of their encodings, so one product builds no table at all.
+Inverses are powers: every x in a group of order n has x^n = e, so
+x^-1 = x^(n-1) by binary powering, and powers are reduced mod n.
 Element orders (read only by `element_order` and `group_exponent`) take one
 binary power per prime factor of n; GL_n keeps the matrices of nonzero determinant.
 Vector-group pairs carry an action table `action[A, v]` instead. Cyclic,
 symmetric and matrix groups also offer `automorphism_candidates`, index
 permutations that the axiom checks verify on each table before reducing a
-law to orbits. `make_automorphism` and that verification share one row-block
+law to orbits; each candidate is verified once per write-protected table
+object. `make_automorphism` and that verification share one row-block
 endomorphism test from the table layer (`optables`), which also gives the
 generating set that the conjugation candidates use.
 
@@ -30,9 +34,11 @@ integer windows, tuples for permutations and vectors, tuples of row tuples for
 matrices, and 2-tuples for products and vector-group pairs.
 """
 
+import bisect
 import itertools
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -49,7 +55,7 @@ from .errors import (
     UnsupportedCarrierError,
 )
 from .field import PrimeField
-from .matrix import Matrix, mat_inv
+from .matrix import Matrix, mat_inv, mat_mul
 from .optables import _endomorphism_failure, _generators, first_true, index_dtype
 
 DEFAULT_GUARD = 10**6
@@ -339,6 +345,32 @@ class Carrier:
         return tuple(_frozen(s.astype(np.intp)) for s in maps if (s != every).any())
 
     @cached_property
+    def _verdicts(self) -> dict:
+        """id(table) -> (weak reference to the table, verdict or None per candidate)."""
+        return {}
+
+    def _preserved_by(self, i: int, table: np.ndarray) -> bool:
+        """Whether automorphism candidate i is an automorphism of table, verified once per table.
+
+        Verdicts are kept for write-protected tables, whose entries cannot
+        change, under the table's id beside a weak reference to it. The entry
+        goes when the table is freed, before its id can be reused, and a
+        lookup also asks the reference for the table itself, so a verdict is
+        never read for another table at the same address.
+        """
+        verdicts, key = self._verdicts, id(table)
+        entry = verdicts.get(key)
+        if entry is None or entry[0]() is not table:
+            entry = (weakref.ref(table, lambda _: verdicts.pop(key, None)),
+                     [None] * len(self.automorphism_candidates))
+            if not table.flags.writeable:
+                verdicts[key] = entry
+        kept = entry[1]
+        if kept[i] is None:
+            kept[i] = _endomorphism_failure(self.automorphism_candidates[i], table) is None
+        return kept[i]
+
+    @cached_property
     def action(self) -> np.ndarray:
         """action[A, v]: index of the vector A v on vector-group pairs; vectors in base-p order."""
         if self.kind != "vector-group-pairs":
@@ -348,9 +380,35 @@ class Carrier:
         images = vectors @ self.group.array.transpose(0, 2, 1) % p  # [A, v] -> (A v)^T
         return _frozen(images @ p ** np.arange(d - 1, -1, -1, dtype=np.int64))
 
+    def _position(self, element) -> int:
+        """The index of element by bisection; KeyError when it is not an element."""
+        i = bisect.bisect_left(self.elements, element)
+        if i == len(self) or self.elements[i] != element:
+            raise KeyError(element)
+        return i
+
     def mul(self, a, b):
-        """a * b on encodings: one product, without building the Cayley table."""
-        return self.elements[int(self.product(self.index[a], self.index[b]))]
+        """a * b on encodings: one product in the carrier's own arithmetic.
+
+        Cyclic groups add mod n, permutations compose, matrices multiply mod
+        p and direct products multiply factor-wise. The factors and the
+        product are looked up by bisection (KeyError for a non-element), so
+        neither the Cayley table nor the column tables of `product` are built.
+        """
+        for x in (a, b):
+            self._position(x)
+        if self.kind == "cyclic-group":
+            c = (a + b) % len(self)
+        elif self.kind == "symmetric-group":
+            c = tuple(a[i] for i in b)
+        elif self.kind in ("matrix-set", "matrix-group"):
+            c = mat_mul(Matrix(self.field, a), Matrix(self.field, b)).rows
+        elif self.kind == "direct-product":
+            left, right = self.factors
+            c = (left.mul(a[0], b[0]), right.mul(a[1], b[1]))
+        else:
+            raise UnsupportedCarrierError(f"{self.label} has no product")
+        return self.elements[self._position(c)]
 
     def inv(self, a):
         return self.elements[int(self.inverse[self.index[a]])]

@@ -30,17 +30,20 @@ if TYPE_CHECKING:
 
 # Rows per scan chunk are chosen so one chunk holds about this many cells,
 # independent of thread count; witnesses and counts never depend on chunking.
-# At 2^18 cells a chunk's int16 gathers and bool mask (about 1.3 MB) stay in
+# At 2^17 cells a chunk's int16 gathers and bool mask (about 0.6 MB) stay in
 # cache and are reused from the heap; at 1.5 M cells every chunk mapped and
 # faulted in fresh pages, which made a passing assoc scan on 625 elements
-# about 40 % slower.
-CHUNK_CELLS = 262_144
+# about 40 % slower. From 2^18 to 2^17 cells, one row per chunk on 360
+# elements instead of two, the failing scans of cyclic(360) kept their speed
+# and their process peaked 1.2 MB lower.
+CHUNK_CELLS = 131_072
 
-# Proofs and the table helpers below keep their temporaries within an eighth
-# of a scan chunk: with a full chunk, a failing assoc check on a 360-element
-# carrier (proof, then scan) peaked about 1.2 MB above the scan alone; with an
-# eighth, 0.2-0.3 MB above.
-PROOF_CELLS = CHUNK_CELLS // 8
+# Proofs, the table helpers below and the gathers of the law shapes keep
+# their temporaries within the bytes of 2^15 int16 cells (64 KB), a quarter of
+# a scan chunk's gather: with the budget of a full 2^18-cell chunk, a failing
+# assoc check on a 360-element carrier (proof, then scan) peaked about 1.2 MB
+# above the scan alone; with 2^15 cells, 0.2-0.3 MB above.
+PROOF_CELLS = 32_768
 
 
 def index_dtype(n: int):

@@ -308,6 +308,23 @@ def test_whole_carrier_is_tested_when_that_is_cheaper(monkeypatch):
     assert searches == [624]
 
 
+def test_light_test_stops_when_no_generator_fits(monkeypatch):
+    # on symmetric(3) rows and columns are all distinct, so the cap 6^3 // 8
+    # leaves room for 27 // 36 = 0 generators: the proof gives up before any
+    # search, and the scan alone decides each law as naive loops do
+    compiled = compile_spec(parse_spec(SpecSource(
+        "carrier symmetric(3);\nop c = conj_quandle(m=1);\nop k = core_quandle();\n", "s3.mg")))
+    carrier = compiled.carrier
+    ops = [table_from_array(carrier, carrier.cayley, "cayley"), compiled.ops["c"],
+           compiled.ops["k"]]
+    searches = []
+    monkeypatch.setattr(axioms, "_generators", lambda t, limit: searches.append(limit))
+    for op in ops:
+        assert not axioms._associative(op.table, len(carrier) ** 3 // 8)
+        assert axioms.check_associativity(op).passed == naive_assoc(op.table.tolist())
+    assert searches == []
+
+
 def test_group_tables_are_not_hashed(monkeypatch):
     # sandwich groups on gl(2,5): every column is injective, so the class
     # representatives of rows and columns are every element
@@ -671,6 +688,56 @@ def test_candidates_drop_identity_maps_and_other_carriers():
     assert len(candidates) == 2 and all((s != every).any() for s in candidates)
     assert direct_product(cyclic_group(2), cyclic_group(3)).automorphism_candidates == ()
     assert group_carrier("vectors(2,2) x gl(2,2)").automorphism_candidates == ()
+
+
+def _recording_verifications(monkeypatch):
+    """Record the id of the table of every candidate verification the carriers make."""
+    calls = []
+    real = carriers._endomorphism_failure
+
+    def verify(s, t):
+        calls.append(id(t))
+        return real(s, t)
+
+    monkeypatch.setattr(carriers, "_endomorphism_failure", verify)
+    return calls
+
+
+def test_candidates_are_verified_once_per_table(monkeypatch):
+    compiled = _compiled("orbit_cyclic")
+    carrier, q = compiled.carrier, compiled.ops["q"]
+    calls = _recording_verifications(monkeypatch)
+    candidates = len(carrier.automorphism_candidates)
+    first = axioms.check_self_distributivity(q, axioms.LEFT)
+    assert 0 < len(calls) <= candidates and set(calls) == {id(q.table)}
+    calls.clear()
+    # a second check, and a second law of another check, on the same table
+    assert axioms.check_self_distributivity(q, axioms.LEFT) == first
+    axioms.check_self_distributivity(q, axioms.RIGHT)
+    assert calls == []
+    # an equal table that is another object is verified afresh
+    twin = table_from_array(carrier, q.table.copy(), "twin")
+    assert axioms.check_self_distributivity(twin, axioms.LEFT) == first
+    assert len(calls) > 0 and set(calls) == {id(twin.table)}
+
+
+def test_verdicts_go_with_their_table(monkeypatch):
+    # a freed table takes its verdicts along, so a table built later at the
+    # same address is verified; a writable table keeps no verdict at all
+    calls = _recording_verifications(monkeypatch)
+    carrier = cyclic_group(24)
+    x, y = np.ogrid[:24, :24]
+    op = table_from_array(carrier, (x + y) % 24, "plus")
+    assert len(axioms._orbit_reps(carrier, [op.table])) == 8
+    assert list(carrier._verdicts) == [id(op.table)]
+    del op
+    assert carrier._verdicts == {}
+    loose = ((x + y + 1) % 24).astype(np.int16)
+    calls.clear()
+    for _ in range(2):
+        assert len(axioms._orbit_reps(carrier, [loose])) == 24
+    assert len(calls) == 2 * len(carrier.automorphism_candidates)
+    assert carrier._verdicts == {}
 
 
 def _recording_scans(monkeypatch):

@@ -137,6 +137,8 @@ def test_cayley_table_and_unit(spec):
     g = Plain(carrier)
     oracle = build_op_table(carrier, g.mul)
     assert np.array_equal(carrier.cayley, oracle.table)
+    assert [[carrier.mul(a, b) for b in carrier] for a in carrier] == \
+        [[carrier[k] for k in row] for row in oracle.table.tolist()]
     assert carrier.identity == g.e
     if carrier.is_group:
         assert [carrier.inv(a) for a in carrier] == [g.inv(a) for a in carrier]
@@ -500,6 +502,18 @@ def test_single_products_do_not_build_the_table():
     assert carrier.mul(a, b) == mat_mul_mod(3)(a, b)
     assert mat_mul_mod(3)(a, carrier.inv(a)) == carrier.identity
     assert "cayley" not in vars(carrier)
+
+
+def test_one_product_builds_no_column_tables():
+    # the column tables of gl(2,13) take 197.5 MB at their peak; one product
+    # of two encodings needs a matrix product and a bisection
+    carrier = gl_group(2, 13)
+    a, b = carrier.elements[5], carrier.elements[20_000]
+    assert traced_peak(lambda: carrier.mul(a, b)) < 2**20
+    assert carrier.mul(a, b) == mat_mul_mod(13)(a, b)
+    assert not {"_columns", "cayley", "index", "array"} & set(vars(carrier))
+    with pytest.raises(KeyError):
+        carrier.mul(a, ((0, 0), (0, 0)))
 
 
 def traced_peak(build):
