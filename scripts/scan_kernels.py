@@ -35,7 +35,7 @@ def laws(n, rng):
         ("mixed_distrib", axioms._mixed_distrib, (a, b), n * n),
         ("left_distrib", axioms._left_distrib, (a,), n * n),
         ("brace_compatibility", axioms._brace_compatibility, (carrier.cayley, a), n * n),
-        ("nvalued", axioms._nvalued, (np.stack([a, b]),), 4 * n * n),
+        ("nvalued", axioms._nvalued, (a, b), 4 * n * n),
     ]
 
 

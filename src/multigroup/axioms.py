@@ -2,20 +2,23 @@
 
 Every check decides its whole tuple space and reports the lexicographically
 first violation, in carrier order, as its witness. A triple law is a shape
-and its tables, and one ladder (_Laws.decide) decides every triple law in at
-most two steps:
-- The proof the law's shape allows, chosen in one place (_Laws.proved).
+and its tables, and one ladder (_decide) decides every triple law in at most
+two steps:
+- The proof the law's shape allows, chosen in one place (_proved).
   Associativity (`assoc`, the assoc stage of `group`, the group checks of
   `skew_brace`, dimonoid axioms 1 and 5) by Light's test over a generating
   set, the whole carrier when testing every element costs no more cells
   than searching for generators, and the interchange law (`interchange`,
   dimonoid axiom 3) by Light's test on its inner table and a left-ideal
-  cover. Other shapes have no proof yet. Light's test runs once per table
-  within a check. Each proof gives up past n^3/8 compared cells.
+  cover. Other shapes have no proof yet. Light's test runs once per table:
+  its verdict is kept in the OpTable's memo, which every check on that
+  table, or on a relabelling of it, reads. Each proof gives up past n^3/8
+  compared cells.
 - One scan over the orbit representatives. Candidate permutations come from
   the carrier (x -> u x for units u on Z_n, conjugation by generators on
   symmetric and matrix groups), and those verified to be automorphisms of
-  every table the law reads split the carrier into orbits. The scan covers
+  every table the law reads split the carrier into orbits; each candidate's
+  verdict on a table is kept in that table's memo too. The scan covers
   the triples whose first coordinate is an orbit's least element, in
   ascending order, and its first hit is the witness. Carriers with no
   surviving candidate have one orbit per element, so every row is scanned.
@@ -37,7 +40,6 @@ import numpy as np
 
 from .errors import NotAGroupError, NotAUnitError
 from .optables import (
-    PROOF_CELLS,
     AxiomReport,
     Multiset,
     OpTable,
@@ -52,6 +54,7 @@ from .optables import (
     shared_carrier,
     table_from_array,
     unit_indices,
+    _endomorphism_failure,
     _generators,
     _step,
 )
@@ -148,7 +151,7 @@ def _associative(t: np.ndarray, cap: int) -> bool:
     """
     n = len(t)
     rows, cols = _class_reps(t), _class_reps(t.T)
-    if len(cols) == n or n * len(cols) > PROOF_CELLS:
+    if len(cols) == n or _step(len(cols)) < n:  # n rows of len(cols) cells do not fit
         cols, narrow = np.arange(n), t
     else:
         narrow = t[:, cols]
@@ -211,22 +214,33 @@ def _interchanges(ti: np.ndarray, tj: np.ndarray, cap: int) -> bool:
 # witness, in |reps| * n^2 cells instead of n^3. Candidates come from the
 # carrier alone (Carrier.automorphism_candidates), and each is kept only when
 # optables._endomorphism_failure finds no pair it breaks on any table; the
-# candidates are permutations, so a kept one is an automorphism. The carrier
-# keeps each verdict per write-protected table object (Carrier._preserved_by),
-# so checks that read one table verify each candidate on it once.
+# candidates are permutations, so a kept one is an automorphism. A verdict
+# depends on the table alone and is kept in its OpTable's memo, so the laws
+# and checks that read one table verify each candidate on it once.
 
 
-def _orbit_reps(carrier, tables):
-    """The least element of every orbit of the candidates that are automorphisms of all tables.
+def _known(op: OpTable, key, learn) -> bool:
+    """learn(op.table) once per table, kept in op's memo under key: "light" or a candidate's index."""
+    if key not in op._memo:
+        op._memo[key] = learn(op.table)
+    return op._memo[key]
+
+
+def _light(op: OpTable) -> bool:
+    """Light's verdict on op within the cap of n^3/8 cells."""
+    return _known(op, "light", lambda t: _associative(t, len(t) ** 3 // 8))
+
+
+def _orbit_reps(carrier, ops):
+    """The least element of every orbit of the candidates that are automorphisms of all ops.
 
     An ascending intp array; every element when no candidate survives. Orbits
     come from min-label propagation: each element's label falls to the least
     label it reaches through a kept permutation or through its own label,
     until nothing moves.
     """
-    tables = list({id(t): t for t in tables}.values())
     kept = [s for i, s in enumerate(carrier.automorphism_candidates)
-            if all(carrier._preserved_by(i, t) for t in tables)]
+            if all(_known(op, i, lambda t: _endomorphism_failure(s, t) is None) for op in ops)]
     every = np.arange(len(carrier))
     labels = every
     while True:
@@ -337,8 +351,9 @@ def _brace_compatibility(d, c):
     return sides
 
 
-def _nvalued(stack):
-    """(x * y) * z = x * (y * z) as multisets over every pair of the stacked tables."""
+def _nvalued(*tables):
+    """(x * y) * z = x * (y * z) as multisets over every pair of the tables."""
+    stack = np.stack(tables)
     m, n = stack.shape[0], stack.shape[1]
 
     def sides(rows):
@@ -353,57 +368,40 @@ def _nvalued(stack):
     return sides
 
 
-class _Laws:
-    """The decision ladder for the triple laws of one check, and what those laws share.
+def _proved(shape, ops) -> bool:
+    """Whether the proof the law's shape allows shows that it holds on every triple.
 
-    tables are every table the laws read: a permutation that is an
-    automorphism of all of them is one of each table of each law, so the orbit
-    representatives are computed once, on the first scan. Light's test runs
-    once per table, so laws that rest on the associativity of one table share
-    its verdict.
+    _bracket(A, B, C, D) with one table throughout is associativity. With
+    A and D one table j and B and C one table i it is the interchange law
+    (x i y) j z = x i (y j z), proved by the associativity of i and the
+    left-ideal cover. Tables are the same when their grids are one array. No
+    other shape has a proof yet.
     """
+    if shape is not _bracket:
+        return False
+    A, B, C, D = ops
+    if A.table is B.table is C.table is D.table:
+        return _light(A)
+    return (A.table is D.table and B.table is C.table and _light(B)
+            and _interchanges(B.table, A.table, len(A) ** 3 // 8))
 
-    def __init__(self, carrier, jobs, *tables):
-        self.carrier, self.jobs, self.tables = carrier, jobs, tables
-        self.cap = len(carrier) ** 3 // 8
-        self.reps = None
-        self.light = {}
 
-    def associative(self, t) -> bool:
-        if id(t) not in self.light:
-            self.light[id(t)] = _associative(t, self.cap)
-        return self.light[id(t)]
+def _decide(axiom, shape, *ops, jobs, reason=None, width=None) -> AxiomReport:
+    """Decide the law shape(*grids of ops) over every triple and report its first violation.
 
-    def proved(self, shape, tables) -> bool:
-        """Whether the proof the law's shape allows shows that it holds on every triple.
-
-        _bracket(A, B, C, D) with one table throughout is associativity. With
-        A and D one table j and B and C one table i it is the interchange law
-        (x i y) j z = x i (y j z), proved by the associativity of i and the
-        left-ideal cover. No other shape has a proof yet.
-        """
-        if shape is not _bracket:
-            return False
-        A, B, C, D = tables
-        if A is B is C is D:
-            return self.associative(A)
-        return A is D and B is C and self.associative(B) and _interchanges(B, A, self.cap)
-
-    def decide(self, axiom, shape, *tables, reason=None, width=None) -> AxiomReport:
-        """Decide the law shape(*tables) over every triple and report its first violation.
-
-        The proof its shape allows runs first. When that does not prove the
-        law, one scan over the orbit representatives decides it; width
-        (default n^2) is the cells per row that size its chunks.
-        """
-        n = len(self.carrier)
-        if not self.proved(shape, tables):
-            if self.reps is None:
-                self.reps = _orbit_reps(self.carrier, self.tables)
-            found = _first_failure(shape(*tables), self.reps, width or n * n, self.jobs)
-            if found is not None:
-                return failing(axiom, self.carrier, found, n**3, reason)
-        return passing(axiom, n**3)
+    The proof its shape allows runs first. When that does not prove the
+    law, one scan over the orbit representatives of ops, the tables the law
+    reads, decides it; width (default n^2) is the cells per row that size
+    its chunks.
+    """
+    carrier = ops[0].carrier
+    n = len(carrier)
+    if not _proved(shape, ops):
+        sides = shape(*(op.table for op in ops))
+        found = _first_failure(sides, _orbit_reps(carrier, ops), width or n * n, jobs)
+        if found is not None:
+            return failing(axiom, carrier, found, n**3, reason)
+    return passing(axiom, n**3)
 
 
 def _stages(name: str, stages) -> AxiomReport:
@@ -425,15 +423,13 @@ def _stages(name: str, stages) -> AxiomReport:
 
 def check_associativity(op: OpTable, jobs: int = 1) -> AxiomReport:
     """(a*b)*c = a*(b*c) over all triples."""
-    t = op.table
-    return _Laws(op.carrier, jobs, t).decide("assoc", _bracket, t, t, t, t)
+    return _decide("assoc", _bracket, op, op, op, op, jobs=jobs)
 
 
 def check_interchange(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> AxiomReport:
     """(a *_i b) *_j c = a *_i (b *_j c) over all triples."""
-    carrier = shared_carrier(op_i, op_j)
-    ti, tj = op_i.table, op_j.table
-    return _Laws(carrier, jobs, ti, tj).decide("interchange", _bracket, tj, ti, ti, tj)
+    shared_carrier(op_i, op_j)
+    return _decide("interchange", _bracket, op_j, op_i, op_i, op_j, jobs=jobs)
 
 
 def check_idempotency(op: OpTable) -> AxiomReport:
@@ -486,9 +482,8 @@ def check_divisibility(op: OpTable, side: str, unique: bool = True) -> AxiomRepo
 def check_self_distributivity(op: OpTable, side: str, jobs: int = 1) -> AxiomReport:
     """Right: (x*y)*z = (x*z)*(y*z). Left: x*(y*z) = (x*y)*(x*z)."""
     _side(side)
-    t = op.table
-    shape, tables = (_mixed_distrib, (t, t)) if side == RIGHT else (_left_distrib, (t,))
-    return _Laws(op.carrier, jobs, t).decide(f"distrib_{side}", shape, *tables)
+    shape, ops = (_mixed_distrib, (op, op)) if side == RIGHT else (_left_distrib, (op,))
+    return _decide(f"distrib_{side}", shape, *ops, jobs=jobs)
 
 
 def find_units(op: OpTable) -> list:
@@ -561,14 +556,13 @@ def check_dimonoid(dashv: OpTable, vdash: OpTable, jobs: int = 1) -> AxiomReport
       5: (x |- y) |- z = x |- (y |- z)
     The first violated axiom number is reported as the reason.
     """
-    carrier = shared_carrier(dashv, vdash)
-    d, v = dashv.table, vdash.table
-    # axioms 3 and 5 both rest on the associativity of |-: one _Laws proves it once
-    laws = _Laws(carrier, jobs, d, v)
+    shared_carrier(dashv, vdash)
+    d, v = dashv, vdash
+    # axioms 3 and 5 both rest on the associativity of |-, proved once for vdash
     brackets = ((d, d, d, d), (d, d, d, v), (d, v, v, d), (v, d, v, v), (v, v, v, v))
     return _stages("dimonoid", (
-        (f"axiom-{k}", laws.decide("dimonoid", _bracket, *tables))
-        for k, tables in enumerate(brackets, 1)
+        (f"axiom-{k}", _decide("dimonoid", _bracket, *ops, jobs=jobs))
+        for k, ops in enumerate(brackets, 1)
     ))
 
 
@@ -584,15 +578,14 @@ def check_skew_brace(dot: OpTable, circ: OpTable, jobs: int = 1) -> AxiomReport:
     Both tables must be groups (NotAGroupError otherwise); the inverse in the
     compatibility identity is taken in the dot group.
     """
-    carrier = shared_carrier(dot, circ)
+    shared_carrier(dot, circ)
     for which, op in (("dot", dot), ("circ", circ)):
         group_report = check_group(op, jobs=jobs)
         if not group_report.passed:
             raise NotAGroupError(which, group_report)
-    # an automorphism of dot commutes with its inverse, so (d, c) are all the law reads
-    d, c = dot.table, circ.table
-    return _Laws(carrier, jobs, d, c).decide("skew_brace", _brace_compatibility, d, c,
-                                             reason="compatibility")
+    # an automorphism of dot commutes with its inverse, so dot and circ are all the law reads
+    return _decide("skew_brace", _brace_compatibility, dot, circ, jobs=jobs,
+                   reason="compatibility")
 
 
 def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> AxiomReport:
@@ -601,12 +594,10 @@ def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> Axio
     First (x *_i y) *_j z = (x *_j z) *_i (y *_j z) over all triples, then the
     same with i and j exchanged; the reason names which identity broke.
     """
-    carrier = shared_carrier(op_i, op_j)
-    ti, tj = op_i.table, op_j.table
-    laws = _Laws(carrier, jobs, ti, tj)
+    shared_carrier(op_i, op_j)
     return _stages("multiquandle", (
-        (label, laws.decide("multiquandle", _mixed_distrib, ta, tb))
-        for label, ta, tb in (("mixed-distrib-ij", ti, tj), ("mixed-distrib-ji", tj, ti))
+        (label, _decide("multiquandle", _mixed_distrib, a, b, jobs=jobs))
+        for label, a, b in (("mixed-distrib-ij", op_i, op_j), ("mixed-distrib-ji", op_j, op_i))
     ))
 
 
@@ -618,11 +609,10 @@ def op_product(op_i: OpTable, op_j: OpTable, label: str | None = None) -> OpTabl
     return table_from_array(carrier, grid, label or f"product({op_i.label},{op_j.label})")
 
 
-def _op_stack(ops) -> np.ndarray:
+def _ops_carrier(ops):
     if not ops:
         raise ValueError("need at least one operation")
-    shared_carrier(*ops)
-    return np.stack([op.table for op in ops])
+    return shared_carrier(*ops)
 
 
 def nvalued_product(ops) -> list:
@@ -630,7 +620,8 @@ def nvalued_product(ops) -> list:
 
     Returns a 2D list indexed by carrier position, holding Multiset values.
     """
-    stack = _op_stack(ops)
+    _ops_carrier(ops)
+    stack = np.stack([op.table for op in ops])
     n = stack.shape[1]
     return [
         [Multiset.from_indices(stack[:, a, b]) for b in range(n)] for a in range(n)
@@ -644,7 +635,5 @@ def check_nvalued_associativity(ops, jobs: int = 1) -> AxiomReport:
     *c and merges; equality with a*(b*c) is multiset equality of the m^2
     results, checked for every triple.
     """
-    stack = _op_stack(ops)
-    m, n = stack.shape[0], stack.shape[1]
-    laws = _Laws(ops[0].carrier, jobs, *(op.table for op in ops))
-    return laws.decide("nvalued_assoc", _nvalued, stack, width=n * n * m * m)
+    m, n = len(ops), len(_ops_carrier(ops))
+    return _decide("nvalued_assoc", _nvalued, *ops, jobs=jobs, width=n * n * m * m)

@@ -12,22 +12,23 @@ depends only on column c of y, so the product's rank is a sum of one
 precomputed gather per column; a dense rank index turns the rank into an
 index when the rank space has at most |Q|^2 cells, a binary search over the
 sorted ranks otherwise. The |Q| x |Q| Cayley table `cayley` is built from the
-product on first use, once per carrier object, and is write-protected;
-`inv` and `identity` read the same structure on encodings without building
-the table. `mul` multiplies two encodings in the carrier's own arithmetic
-and finds the product by bisection over the elements, whose canonical order
-is the order of their encodings, so one product builds no table at all.
-Inverses are powers: every x in a group of order n has x^n = e, so
-x^-1 = x^(n-1) by binary powering, and powers are reduced mod n.
-Element orders (read only by `element_order` and `group_exponent`) take one
-binary power per prime factor of n; GL_n keeps the matrices of nonzero determinant.
+product on first use, once per carrier object, and is write-protected.
+`mul` multiplies two encodings in the carrier's own arithmetic and finds the
+product by bisection over the elements, whose canonical order is the order
+of their encodings, so one product builds no table at all, and `inv`,
+`group_power` and `element_order` on one element are binary powers of
+encodings through `mul`. Inverses are powers: every x in a group of order n
+has x^n = e, so x^-1 = x^(n-1) by binary powering, and powers are reduced
+mod n. Element orders (`element_order`, and `orders` for `group_exponent`)
+take one binary power per prime factor of n; GL_n keeps the matrices of
+nonzero determinant.
 Vector-group pairs carry an action table `action[A, v]` instead. Cyclic,
 symmetric and matrix groups also offer `automorphism_candidates`, index
 permutations that the axiom checks verify on each table before reducing a
-law to orbits; each candidate is verified once per write-protected table
-object. `make_automorphism` and that verification share one row-block
-endomorphism test from the table layer (`optables`), which also gives the
-generating set that the conjugation candidates use.
+law to orbits, each once per OpTable. `make_automorphism` and that
+verification share one row-block endomorphism test from the table layer
+(`optables`), which also gives the generating set that the conjugation
+candidates use.
 
 Element encodings are plain hashable Python values: ints for cyclic groups and
 integer windows, tuples for permutations and vectors, tuples of row tuples for
@@ -38,7 +39,6 @@ import bisect
 import itertools
 import math
 import os
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -155,7 +155,7 @@ class Carrier:
 
     @cached_property
     def identity_index(self) -> int:
-        return self.index[self.identity]
+        return self._position(self.identity)
 
     def same_as(self, other: "Carrier") -> bool:
         return self.kind == other.kind and self.elements == other.elements
@@ -345,32 +345,6 @@ class Carrier:
         return tuple(_frozen(s.astype(np.intp)) for s in maps if (s != every).any())
 
     @cached_property
-    def _verdicts(self) -> dict:
-        """id(table) -> (weak reference to the table, verdict or None per candidate)."""
-        return {}
-
-    def _preserved_by(self, i: int, table: np.ndarray) -> bool:
-        """Whether automorphism candidate i is an automorphism of table, verified once per table.
-
-        Verdicts are kept for write-protected tables, whose entries cannot
-        change, under the table's id beside a weak reference to it. The entry
-        goes when the table is freed, before its id can be reused, and a
-        lookup also asks the reference for the table itself, so a verdict is
-        never read for another table at the same address.
-        """
-        verdicts, key = self._verdicts, id(table)
-        entry = verdicts.get(key)
-        if entry is None or entry[0]() is not table:
-            entry = (weakref.ref(table, lambda _: verdicts.pop(key, None)),
-                     [None] * len(self.automorphism_candidates))
-            if not table.flags.writeable:
-                verdicts[key] = entry
-        kept = entry[1]
-        if kept[i] is None:
-            kept[i] = _endomorphism_failure(self.automorphism_candidates[i], table) is None
-        return kept[i]
-
-    @cached_property
     def action(self) -> np.ndarray:
         """action[A, v]: index of the vector A v on vector-group pairs; vectors in base-p order."""
         if self.kind != "vector-group-pairs":
@@ -381,8 +355,12 @@ class Carrier:
         return _frozen(images @ p ** np.arange(d - 1, -1, -1, dtype=np.int64))
 
     def _position(self, element) -> int:
-        """The index of element by bisection; KeyError when it is not an element."""
-        i = bisect.bisect_left(self.elements, element)
+        """The index of element by bisection; KeyError for a non-element, as from `index`."""
+        hash(element)  # and TypeError for an unhashable one
+        try:
+            i = bisect.bisect_left(self.elements, element)
+        except TypeError:
+            i = len(self)
         if i == len(self) or self.elements[i] != element:
             raise KeyError(element)
         return i
@@ -410,8 +388,21 @@ class Carrier:
             raise UnsupportedCarrierError(f"{self.label} has no product")
         return self.elements[self._position(c)]
 
+    def _power(self, a, k: int):
+        """a^k for k >= 0 by binary powering on encodings through `mul`, so no table is built."""
+        self._position(a)
+        acc = self.elements[self.identity_index]
+        while k:
+            if k & 1:
+                acc = self.mul(acc, a)
+            a, k = self.mul(a, a), k >> 1
+        return acc
+
     def inv(self, a):
-        return self.elements[int(self.inverse[self.index[a]])]
+        """a^-1 as a^(n - 1), through `mul`."""
+        if not self.is_group:
+            raise UnsupportedCarrierError("element orders need a group carrier")
+        return self._power(a, len(self) - 1)
 
 
 def _unit_generators(n: int) -> list:
@@ -656,7 +647,15 @@ def group_carrier(spec: str) -> Carrier:
 
 
 def element_order(carrier: Carrier, element) -> int:
-    return int(carrier.orders[carrier.index_of(element)])
+    """The order of element, as `orders` finds it, by one `Carrier._power` per prime factor of n."""
+    if not carrier.is_group:
+        raise UnsupportedCarrierError("element orders need a group carrier")
+    carrier._position(element)
+    order = len(carrier)
+    for q in _prime_factors(order):
+        if carrier._power(element, order // q) == carrier.identity:
+            order //= q
+    return order
 
 
 def group_exponent(carrier: Carrier) -> int:
@@ -666,10 +665,10 @@ def group_exponent(carrier: Carrier) -> int:
 
 def group_power(carrier: Carrier, element, k: int):
     """element^k in the carrier's group, with negative exponents via inverses."""
-    i = carrier.index_of(element)
     if k < 0:
-        i, k = carrier.inverse[i], -k
-    return carrier.elements[int(power_index(carrier, i, k))]
+        carrier._position(element)
+        element, k = carrier.inv(element), -k
+    return carrier._power(element, k)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,8 @@ Closure is structural: a table cannot be built with results outside the
 carrier. The helpers below work on such grids alone: units and inverses and,
 in row blocks within the proof budget PROOF_CELLS, the first pair an index
 map fails to preserve and a generating set of a magma. Carriers use them for
-their automorphisms and orbit candidates, and the checks for their proofs.
+their automorphisms and orbit candidates, and the checks for their proofs and
+to verify those candidates.
 AxiomReports serialize to the stable JSON shape
 {axiom, verdict, witness, checked, reason, exhaustive}; the witness is always
 the lexicographically first violating tuple in carrier order, so reports are
@@ -17,7 +18,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -184,11 +185,17 @@ def encode_element(element):
 
 @dataclass(frozen=True, eq=False)
 class OpTable:
-    """A binary operation on a carrier, stored as an index grid."""
+    """A binary operation on a carrier, stored as an index grid.
+
+    _memo keeps what the checks learn about the grid alone (see axioms). The
+    grid is write-protected, so nothing kept there goes stale, and `relabel`,
+    which keeps the grid, keeps the memo too.
+    """
 
     carrier: Carrier
     table: np.ndarray
     label: str = "op"
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.carrier)
@@ -209,7 +216,9 @@ class OpTable:
         return self.carrier.elements[self.table[idx[x], idx[y]]]
 
     def relabel(self, label: str) -> "OpTable":
-        return OpTable(self.carrier, self.table, label)
+        op = OpTable(self.carrier, self.table, label)
+        object.__setattr__(op, "_memo", self._memo)
+        return op
 
 
 def table_from_array(carrier: Carrier, array, label: str = "op") -> OpTable:

@@ -118,6 +118,25 @@ def test_symmetric_composition_convention():
     assert s3.identity == (0, 1, 2)
 
 
+def test_single_powers_refuse_what_they_cannot_take():
+    # a non-element is refused first, then a carrier without inverses or a unit
+    z4, monoid, window = cyclic_group(4), matrix_set(2, 2), integer_window(0, 3)
+    for refuse in (lambda: z4.inv(7), lambda: group_power(z4, "x", 2),
+                   lambda: group_power(monoid, (1, 2), -1), lambda: element_order(z4, 4)):
+        with pytest.raises(KeyError):
+            refuse()
+    for refuse in (lambda: monoid.inv(monoid.identity), lambda: element_order(monoid, monoid.identity),
+                   lambda: group_power(monoid, monoid.identity, -1)):
+        with pytest.raises(UnsupportedCarrierError):
+            refuse()
+    with pytest.raises(KeyError):
+        group_power(window, 1, 0)  # no unit
+    with pytest.raises(TypeError):
+        z4.inv([1])
+    assert group_power(monoid, ((1, 1), (0, 1)), 3) == ((1, 1), (0, 1))
+    assert [group_power(z4, 1, k) for k in (-5, 0, 10**30)] == [3, 0, 0]
+
+
 def test_symmetric_bounds():
     with pytest.raises(UnsupportedCarrierError):
         symmetric_group(6)

@@ -136,7 +136,6 @@ def _patch(patch, keys, chunk):
     if keys is not None:
         patch.setattr(axioms, "_row_keys", keys)
     if chunk is not None:
-        patch.setattr(axioms, "PROOF_CELLS", chunk)
         patch.setattr(optables, "PROOF_CELLS", chunk)
 
 
@@ -438,6 +437,24 @@ def _recording_decisions(monkeypatch):
     return calls
 
 
+def test_light_verdict_goes_with_the_table_and_its_relabellings(monkeypatch):
+    # Light's verdict is kept on the OpTable, which a relabelling shares, so a
+    # second check on either runs no second test; the memo is not in the repr
+    calls = _recording_decisions(monkeypatch)
+    carrier = cyclic_group(24)
+    op = table_from_array(carrier, carrier.cayley, "plus")
+    first = axioms.check_group(op)
+    assert first.passed and calls.count("_associative") == 1
+    assert axioms.check_group(op.relabel("again")) == first
+    assert calls.count("_associative") == 1 and "scan_chunks" not in calls
+    # a proof is chosen by grid identity: the interchange law of a table with
+    # its relabelling is associativity, whose verdict is known already
+    calls.clear()
+    assert axioms.check_interchange(op, op.relabel("j")).passed and calls == []
+    assert repr(op.relabel("again")) == repr(op).replace("'plus'", "'again'")
+    assert "_memo" not in repr(op)
+
+
 def test_a_failed_stage_runs_nothing_after_it(monkeypatch):
     # stages are made one at a time: building them all first gives the same
     # reports, but proves and scans the laws after the failing one
@@ -464,11 +481,11 @@ def test_a_failed_stage_runs_nothing_after_it(monkeypatch):
     assert calls == ["_associative", "scan_chunks"]      # the assoc stage, and no inverses
 
 
-def _every_row(carrier, tables):
+def _every_row(carrier, ops):
     return np.arange(len(carrier))
 
 
-def _no_proof(self, shape, tables):
+def _no_proof(shape, ops):
     return False
 
 
@@ -479,7 +496,7 @@ def test_cutting_the_ladder_keeps_the_pinned_reports(spec, cut, capsys, monkeypa
     # one), the orbit step cut (every element is its own orbit) or both, each
     # golden spec gives its pinned bytes at one and two threads
     if cut in ("proof", "both"):
-        monkeypatch.setattr(axioms._Laws, "proved", _no_proof)
+        monkeypatch.setattr(axioms, "_proved", _no_proof)
     if cut in ("orbit", "both"):
         monkeypatch.setattr(axioms, "_orbit_reps", _every_row)
     monkeypatch.chdir(GOLDEN)
@@ -492,7 +509,7 @@ def test_cutting_the_ladder_keeps_the_pinned_reports(spec, cut, capsys, monkeypa
 # The orbit step. `axioms._orbit_reps` keeps the carrier's candidate
 # permutations that are automorphisms of every table a law reads and returns
 # the least element of each orbit of the group they generate (every element
-# when none survives); `axioms._Laws.decide` scans a law its shape's proof did
+# when none survives); `axioms._decide` scans a law its shape's proof did
 # not decide on those rows only, in ascending order, and reports the first hit
 # as its witness. Both are held to naive loops: automorphisms by the
 # definition, orbits by closure, laws over every triple.
@@ -580,7 +597,7 @@ def carrier_tables(draw):
 
     first = one()
     second = first.copy() if draw(st.booleans()) else one()
-    return carrier, *(table_from_array(carrier, t, "t").table for t in (first, second))
+    return carrier, *(table_from_array(carrier, t, "t") for t in (first, second))
 
 
 def _naive_law(shape, tables, carrier):
@@ -611,22 +628,21 @@ def _naive_law(shape, tables, carrier):
     raise AssertionError(shape)
 
 
-def _law_parts(shape, tables, carrier):
-    """(shape, its tables, tables read, cells per row) of the law shape in axioms."""
-    ta, tb = tables
+def _law_parts(shape, ops, carrier):
+    """(shape, the OpTables it reads, cells per row) of the law shape in axioms."""
+    ta, tb = ops
     n = len(carrier)
     if shape == "bracket":
-        return axioms._bracket, (ta, tb, tb, ta), (ta, tb), None
+        return axioms._bracket, (ta, tb, tb, ta), None
     if shape == "bracket-mixed":
-        return axioms._bracket, (ta, ta, ta, tb), (ta, tb), None
+        return axioms._bracket, (ta, ta, ta, tb), None
     if shape == "mixed":
-        return axioms._mixed_distrib, (ta, tb), (ta, tb), None
+        return axioms._mixed_distrib, (ta, tb), None
     if shape == "left":
-        return axioms._left_distrib, (ta,), (ta,), None
+        return axioms._left_distrib, (ta,), None
     if shape == "brace":
-        d = carrier.cayley
-        return axioms._brace_compatibility, (d, ta), (d, ta), None
-    return axioms._nvalued, (np.stack(tables),), tables, 4 * n * n
+        return axioms._brace_compatibility, (table_from_array(carrier, carrier.cayley, "d"), ta), None
+    return axioms._nvalued, (ta, tb), 4 * n * n
 
 
 SHAPES = ["bracket", "bracket-mixed", "mixed", "left", "brace", "nvalued"]
@@ -641,20 +657,19 @@ def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
     carrier, ta, tb = drawn
     cells, jobs = chunks
     n = len(carrier)
-    law, law_tables, read, width = _law_parts(shape, (ta, tb), carrier)
-    sides = law(*law_tables)
-    holds = _naive_law(shape, (ta, tb), carrier)
+    law, read, width = _law_parts(shape, (ta, tb), carrier)
+    sides = law(*(op.table for op in read))
+    holds = _naive_law(shape, (ta.table, tb.table), carrier)
     failures = (w for w in np.ndindex(n, n, n) if not holds(*w))
     first = next(failures, None)
     perms = [s for s in carrier.automorphism_candidates
-             if all(naive_automorphism(s.tolist(), t.tolist()) for t in read)]
+             if all(naive_automorphism(s.tolist(), op.table.tolist()) for op in read)]
     with pytest.MonkeyPatch.context() as patch:
         if cells is not None:
             patch.setattr(optables, "CHUNK_CELLS", cells)
-            patch.setattr(axioms, "PROOF_CELLS", 1)
             patch.setattr(optables, "PROOF_CELLS", 1)
         reps = axioms._orbit_reps(carrier, read)
-        report = axioms._Laws(carrier, jobs, *read).decide("law", law, *law_tables, width=width)
+        report = axioms._decide("law", law, *read, jobs=jobs, width=width)
         on_reps = axioms._first_failure(sides, reps, width or n * n, jobs)
     assert reps.tolist() == naive_orbit_reps([s.tolist() for s in perms], n)
     assert on_reps == first
@@ -672,7 +687,7 @@ def test_unit_candidates_generate_the_units():
     assert {int(np.prod(c)) % 360 for c in itertools.product(
         *[[u**k % 360 for k in range(12)] for u in (7, 11, 13, 17)])} == units
     carrier = cyclic_group(360)
-    reps = axioms._orbit_reps(carrier, [carrier.cayley])
+    reps = axioms._orbit_reps(carrier, [table_from_array(carrier, carrier.cayley, "plus")])
     assert reps.tolist() == [0] + [d for d in range(1, 360) if 360 % d == 0]
     for n in (1, 2):
         assert cyclic_group(n).automorphism_candidates == ()
@@ -691,15 +706,15 @@ def test_candidates_drop_identity_maps_and_other_carriers():
 
 
 def _recording_verifications(monkeypatch):
-    """Record the id of the table of every candidate verification the carriers make."""
+    """Record the id of the table of every candidate verification the checks make."""
     calls = []
-    real = carriers._endomorphism_failure
+    real = axioms._endomorphism_failure
 
     def verify(s, t):
         calls.append(id(t))
         return real(s, t)
 
-    monkeypatch.setattr(carriers, "_endomorphism_failure", verify)
+    monkeypatch.setattr(axioms, "_endomorphism_failure", verify)
     return calls
 
 
@@ -715,29 +730,13 @@ def test_candidates_are_verified_once_per_table(monkeypatch):
     assert axioms.check_self_distributivity(q, axioms.LEFT) == first
     axioms.check_self_distributivity(q, axioms.RIGHT)
     assert calls == []
+    # a relabelling keeps the grid, and with it the verdicts
+    assert axioms.check_self_distributivity(q.relabel("again"), axioms.LEFT) == first
+    assert calls == []
     # an equal table that is another object is verified afresh
     twin = table_from_array(carrier, q.table.copy(), "twin")
     assert axioms.check_self_distributivity(twin, axioms.LEFT) == first
     assert len(calls) > 0 and set(calls) == {id(twin.table)}
-
-
-def test_verdicts_go_with_their_table(monkeypatch):
-    # a freed table takes its verdicts along, so a table built later at the
-    # same address is verified; a writable table keeps no verdict at all
-    calls = _recording_verifications(monkeypatch)
-    carrier = cyclic_group(24)
-    x, y = np.ogrid[:24, :24]
-    op = table_from_array(carrier, (x + y) % 24, "plus")
-    assert len(axioms._orbit_reps(carrier, [op.table])) == 8
-    assert list(carrier._verdicts) == [id(op.table)]
-    del op
-    assert carrier._verdicts == {}
-    loose = ((x + y + 1) % 24).astype(np.int16)
-    calls.clear()
-    for _ in range(2):
-        assert len(axioms._orbit_reps(carrier, [loose])) == 24
-    assert len(calls) == 2 * len(carrier.automorphism_candidates)
-    assert carrier._verdicts == {}
 
 
 def _recording_scans(monkeypatch):
@@ -783,7 +782,7 @@ def test_no_scan_is_added_where_the_orbit_step_cannot_apply(monkeypatch):
     # x + y + 1 on Z_12: no x -> u x with u != 1 preserves it
     x, y = np.ogrid[:12, :12]
     op = table_from_array(cyclic_group(12), (x + y + 1) % 12, "t")
-    assert axioms._orbit_reps(op.carrier, [op.table]).tolist() == list(range(12))
+    assert axioms._orbit_reps(op.carrier, [op]).tolist() == list(range(12))
     assert not axioms.check_self_distributivity(op, axioms.RIGHT).passed
     assert [(n, width) for n, width, _ in calls] == [(len(pairs), len(pairs)**2), (12, 144)]
 
@@ -812,7 +811,7 @@ def test_witness_is_the_representative_not_its_position(case, witness, monkeypat
     op = _row_law_table(case)
     t = op.table.tolist()
     assert all(naive_automorphism(s.tolist(), t) for s in op.carrier.automorphism_candidates)
-    reps = axioms._orbit_reps(op.carrier, [op.table]).tolist()
+    reps = axioms._orbit_reps(op.carrier, [op]).tolist()
     assert reps == [0, 1, 2, 3, 4, 6, 8, 12]
     first = next((x, y, z) for x, y, z in np.ndindex(24, 24, 24)
                  if t[t[x][y]][z] != t[x][t[y][z]])
@@ -829,10 +828,11 @@ def test_pinned_alexander_quandle_drops_a_conjugation(spec):
     # orbit_*.mg pin a law decided after a candidate was dropped: conjugation
     # by some generator is not an automorphism of the inner(1) quandle
     compiled = _compiled(spec)
-    carrier, alex = compiled.carrier, compiled.ops["alex"].table
+    carrier, op = compiled.carrier, compiled.ops["alex"]
+    alex = op.table
     candidates = carrier.automorphism_candidates
     kept = [s for s in candidates if optables._endomorphism_failure(s, alex) is None]
     assert 0 < len(kept) < len(candidates)
     assert all(naive_automorphism(s.tolist(), alex.tolist()) for s in kept)
-    assert axioms._orbit_reps(carrier, [alex]).tolist() == naive_orbit_reps(
+    assert axioms._orbit_reps(carrier, [op]).tolist() == naive_orbit_reps(
         [s.tolist() for s in kept], len(carrier))

@@ -516,6 +516,25 @@ def test_one_product_builds_no_column_tables():
         carrier.mul(a, ((0, 0), (0, 0)))
 
 
+def test_one_inverse_power_or_order_builds_no_table():
+    # a single inverse, power or order is a binary power of encodings through
+    # mul, where the column tables alone would take 197.5 MB
+    carrier = gl_group(2, 13)
+    a = carrier.elements[20_000]
+    for one in (lambda: carrier.inv(a), lambda: group_power(carrier, a, -12_345),
+                lambda: element_order(carrier, a)):
+        assert traced_peak(one) < 2**20
+    assert mat_mul_mod(13)(a, carrier.inv(a)) == carrier.identity
+    order = element_order(carrier, a)
+    assert group_power(carrier, a, order) == carrier.identity
+    assert all(group_power(carrier, a, order // q) != carrier.identity
+               for q in (2, 3, 5, 7, 13) if order % q == 0)
+    assert group_power(carrier, a, -1) == carrier.inv(a)
+    assert not {"_columns", "cayley", "array", "index", "inverse", "orders"} & set(vars(carrier))
+    with pytest.raises(KeyError):
+        carrier.inv(((0, 0), (0, 0)))
+
+
 def traced_peak(build):
     """Peak bytes that tracemalloc sees while build() runs."""
     tracemalloc.start()

@@ -58,7 +58,7 @@ def _sides(shape, carrier, a, b):
         return axioms._left_distrib(a)
     if shape == "brace":
         return axioms._brace_compatibility(carrier.cayley, a)
-    return axioms._nvalued(np.stack([a, b]))
+    return axioms._nvalued(a, b)
 
 
 SHAPES = ["bracket", "mixed", "left", "brace", "nvalued"]

@@ -82,6 +82,19 @@ def test_probe_matches_golden_in_a_fresh_process(script):
     assert out == (GOLDEN / f"{script}.txt").read_text(encoding="utf-8")
 
 
+def test_scan_kernel_script_runs_every_shape_in_a_fresh_process():
+    # the script calls each law shape with its own tables, so a change to a
+    # shape's signature fails here rather than in the next timing run
+    out = _run("import runpy, sys\n"
+               "sys.argv = ['scan_kernels.py', '--repeat', '1']\n"
+               f"runpy.run_path({str(SCRIPTS / 'scan_kernels.py')!r}, run_name='__main__')")
+    header, *lines = out.splitlines()
+    assert header.split() == ["shape", "n", "rows", "best", "ms", "peak", "KB"]
+    shapes = ["bracket", "mixed_distrib", "left_distrib", "brace_compatibility", "nvalued"]
+    assert [line.split()[:2] for line in lines] == [
+        [shape, str(n)] for n in (24, 81, 360, 625) for shape in shapes]
+
+
 PASSING = "carrier symmetric(3);\nop q = conj_quandle(m=1);\ncheck quandle_right q;\n"
 
 # what the child prints after its CLI call: its thread count (-1 when the
