@@ -10,7 +10,13 @@ CHUNK_CELLS // (cells per row), and at least one. Each line gives the best
 wall time of `--repeat` runs and the `tracemalloc` peak of one more run;
 neither counts the shape's construction, which a scan makes once per law.
 
-    PYTHONPATH=src python3 scripts/scan_kernels.py --repeat 30
+With `--threads N`, each line also gives the best wall time of a scan of
+4 N such chunks (or of all n rows, when fewer) through
+`optables.scan_chunks`, once at one job and once at N jobs. Its worker finds
+no hit, so every chunk runs; scan_chunks caps the jobs at the CPUs this
+process may use.
+
+    PYTHONPATH=src python3 scripts/scan_kernels.py --repeat 30 --threads 2
 """
 
 import argparse
@@ -44,26 +50,48 @@ def chunk(sides, rows):
     return optables.first_true(left != right)
 
 
+def best_ms(run, repeat):
+    """The least wall time of `repeat` calls of run(), in milliseconds."""
+    best = float("inf")
+    for _ in range(max(1, repeat)):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def scan_ms(sides, n_rows, width, jobs, repeat):
+    """best_ms of a scan over n_rows in which every chunk runs."""
+    def worker(a0, a1):
+        chunk(sides, np.arange(a0, a1))
+
+    return best_ms(lambda: optables.scan_chunks(worker, n_rows, width, jobs), repeat)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=30, help="timed runs per line (best is kept)")
+    parser.add_argument("--threads", type=int, default=0,
+                        help="also time a scan of 4 x THREADS chunks at 1 and at THREADS jobs")
     args = parser.parse_args(argv)
     rng = np.random.default_rng(0)
-    print(f"{'shape':20} {'n':>5} {'rows':>5} {'best ms':>9} {'peak KB':>9}")
+    threads = f" {'1-job ms':>9} {f'{args.threads}-job ms':>9}" if args.threads else ""
+    print(f"{'shape':20} {'n':>5} {'rows':>5} {'best ms':>9} {'peak KB':>9}{threads}")
     for n in SIZES:
         for name, shape, tables, width in laws(n, rng):
             rows = np.arange(min(n, max(1, optables.CHUNK_CELLS // width)))
             sides = shape(*tables)
-            best = float("inf")
-            for _ in range(max(1, args.repeat)):
-                start = time.perf_counter()
-                chunk(sides, rows)
-                best = min(best, time.perf_counter() - start)
+            best = best_ms(lambda: chunk(sides, rows), args.repeat)
             tracemalloc.start()
             chunk(sides, rows)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            print(f"{name:20} {n:5} {len(rows):5} {best * 1e3:9.3f} {peak / 1024:9.1f}")
+            line = f"{name:20} {n:5} {len(rows):5} {best:9.3f} {peak / 1024:9.1f}"
+            if args.threads:
+                n_rows = min(n, 4 * args.threads * len(rows))
+                line += "".join(f" {scan_ms(sides, n_rows, width, jobs, args.repeat):9.3f}"
+                                for jobs in (1, args.threads))
+            print(line)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,11 @@ two steps:
   the triples whose first coordinate is an orbit's least element, in
   ascending order, and its first hit is the witness. Carriers with no
   surviving candidate have one orbit per element, so every row is scanned.
-  A failing scan stops after the chunk that holds its first hit (plus at
-  most jobs - 1 chunks already in flight). A chunk gathers both sides of
-  the law by take on intp indices made in blocks within PROOF_CELLS (see
+  So is every row of a law whose n rows fit in one scan chunk, where the
+  orbit step is skipped: verifying candidates costs more than the rows it
+  saves. Once a failing scan finds its first hit, it starts no chunk past
+  the one that holds it (optables.scan_chunks). A chunk gathers both sides
+  of the law by take on intp indices made in blocks within PROOF_CELLS (see
   the law shapes), so besides its two sides and their mask it holds one
   block of indices.
 `checked` is the tuple-space size of every stage the check ran, not the
@@ -38,6 +40,7 @@ across repeated runs and across thread counts.
 
 import numpy as np
 
+from . import optables
 from .errors import NotAGroupError, NotAUnitError
 from .optables import (
     AxiomReport,
@@ -392,13 +395,16 @@ def _decide(axiom, shape, *ops, jobs, reason=None, width=None) -> AxiomReport:
     The proof its shape allows runs first. When that does not prove the
     law, one scan over the orbit representatives of ops, the tables the law
     reads, decides it; width (default n^2) is the cells per row that size
-    its chunks.
+    its chunks. When every row fits in one chunk, every row is scanned and
+    the orbit step is skipped: verifying candidates would cost more than
+    the rows it saves.
     """
     carrier = ops[0].carrier
     n = len(carrier)
     if not _proved(shape, ops):
-        sides = shape(*(op.table for op in ops))
-        found = _first_failure(sides, _orbit_reps(carrier, ops), width or n * n, jobs)
+        width = width or n * n
+        rows = np.arange(n) if n * width <= optables.CHUNK_CELLS else _orbit_reps(carrier, ops)
+        found = _first_failure(shape(*(op.table for op in ops)), rows, width, jobs)
         if found is not None:
             return failing(axiom, carrier, found, n**3, reason)
     return passing(axiom, n**3)

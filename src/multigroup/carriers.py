@@ -39,7 +39,6 @@ import bisect
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -56,7 +55,7 @@ from .errors import (
 )
 from .field import PrimeField
 from .matrix import Matrix, mat_inv, mat_mul
-from .optables import _endomorphism_failure, _generators, first_true, index_dtype
+from .optables import _endomorphism_failure, _Frozen, _generators, first_true, index_dtype
 
 DEFAULT_GUARD = 10**6
 
@@ -115,23 +114,26 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
-class Carrier:
-    """An ordered finite element set, optionally with a monoid or group product."""
+class Carrier(_Frozen):
+    """An ordered finite element set, optionally with a monoid or group product.
 
-    kind: str
-    elements: tuple
-    label: str
-    identity: object = None     # the unit's encoding on monoid and group carriers
-    is_group: bool = False
-    field: PrimeField | None = None
-    dim: int | None = None      # matrix size, vector length or permutation degree
-    factors: tuple | None = None      # (left, right) carriers for direct products
-    group: "Carrier | None" = None    # matrix-group factor of vector-group pairs
+    identity is the unit's encoding on monoid and group carriers; dim is the
+    matrix size, vector length or permutation degree; factors holds the
+    (left, right) carriers of a direct product; group is the matrix-group
+    factor of vector-group pairs.
+    """
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise UnsupportedCarrierError(f"unknown carrier kind {self.kind!r}")
+    def __init__(self, kind: str, elements: tuple, label: str, identity=None,
+                 is_group: bool = False, field: PrimeField | None = None,
+                 dim: int | None = None, factors: tuple | None = None,
+                 group: "Carrier | None" = None):
+        if kind not in KINDS:
+            raise UnsupportedCarrierError(f"unknown carrier kind {kind!r}")
+        vars(self).update(kind=kind, elements=elements, label=label, identity=identity,
+                          is_group=is_group, field=field, dim=dim, factors=factors, group=group)
+
+    def __repr__(self):
+        return f"<Carrier {self.label}>"
 
     def __len__(self):
         return len(self.elements)
@@ -671,13 +673,12 @@ def group_power(carrier: Carrier, element, k: int):
     return carrier._power(element, k)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupAutomorphism:
+class GroupAutomorphism(_Frozen):
     """A verified automorphism of a group carrier, stored as an index permutation."""
 
-    carrier: Carrier
-    images: tuple          # images[i] = index of the image of elements[i]
-    label: str = "phi"
+    def __init__(self, carrier: Carrier, images: tuple, label: str = "phi"):
+        # images[i] = index of the image of elements[i]
+        vars(self).update(carrier=carrier, images=images, label=label)
 
     def apply_index(self, i: int) -> int:
         return self.images[i]

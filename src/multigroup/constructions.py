@@ -9,7 +9,7 @@ gives a construction's name, the carrier it needs, its arguments and the
 function here that builds it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,23 +34,25 @@ from .matrix import Matrix, mat_add_scaled, mat_det
 from .optables import OpTable, first_true, scan_chunks, table_from_array, unit_indices
 
 
-@dataclass(frozen=True)
-class MatrixOpParams:
-    """Scalars and mixing matrices for the two-parameter matrix product."""
-
+class _MatrixOpFields(NamedTuple):
     s: int
     t: int
     m1: Matrix
     m2: Matrix
 
-    def __post_init__(self):
-        if self.m1.field.p != self.m2.field.p:
+
+class MatrixOpParams(_MatrixOpFields):
+    """Scalars and mixing matrices for the two-parameter matrix product."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: int, t: int, m1: Matrix, m2: Matrix):
+        if m1.field.p != m2.field.p:
             raise ModulusMismatchError("mixing matrices live over different fields")
-        if self.m1.n != self.m2.n:
+        if m1.n != m2.n:
             raise DimensionMismatchError("mixing matrices have different sizes")
-        p = self.m1.field.p
-        object.__setattr__(self, "s", self.s % p)
-        object.__setattr__(self, "t", self.t % p)
+        p = m1.field.p
+        return super().__new__(cls, s % p, t % p, m1, m2)
 
 
 def _require_matrix_carrier(carrier: Carrier, n: int, p: int) -> None:
@@ -278,8 +280,12 @@ def parity_circ(a: int, b: int) -> int:
     return a + b if a % 2 == 0 else a - b
 
 
-@dataclass(frozen=True)
-class ZParityWindow:
+class _WindowFields(NamedTuple):
+    lo: int
+    hi: int
+
+
+class ZParityWindow(_WindowFields):
     """Exact-integer evaluator for the parity operations on a window.
 
     There are no tables here: the operations are not closed on a finite
@@ -287,12 +293,12 @@ class ZParityWindow:
     [lo, hi]; results are exact integers and may leave the window.
     """
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty window ({self.lo}, {self.hi})")
+    def __new__(cls, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty window ({lo}, {hi})")
+        return super().__new__(cls, lo, hi)
 
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi

@@ -24,13 +24,13 @@ carriers.py only, and the op checks read the built Carrier. parse_carrier_expr
 parses a carrierExpr alone, for `multigroup enumerate` and group_carrier.
 """
 
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
 from . import axioms
 from .axioms import LEFT, RIGHT
 from .carriers import Carrier, build_carrier, make_automorphism
 from .errors import NotAGroupError, SpecError, WorkbenchError, error_message
+from .optables import _Frozen
 from .matrix import Matrix, mat_det
 from .constructions import (
     MatrixOpParams,
@@ -52,14 +52,12 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class SpecSource:
+class SpecSource(NamedTuple):
     text: str
     origin: str = "<string>"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     severity: str
     line: int
     column: int
@@ -69,8 +67,7 @@ class ParseDiagnostic:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | punct | eof
     text: str
     line: int
@@ -126,15 +123,13 @@ def tokenize(text: str):
     return tokens, diagnostics
 
 
-@dataclass(frozen=True)
-class CarrierAtom:
+class CarrierAtom(NamedTuple):
     name: str
     args: tuple
     token: Token
 
 
-@dataclass(frozen=True)
-class ValueNode:
+class ValueNode(NamedTuple):
     kind: str  # int | matrix | ident
     value: object
     token: Token
@@ -145,8 +140,7 @@ class ValueNode:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class OpDecl:
+class OpDecl(NamedTuple):
     name: str
     token: Token
     ctor: str
@@ -154,8 +148,7 @@ class OpDecl:
     args: tuple  # of (name, ValueNode, name_token)
 
 
-@dataclass(frozen=True)
-class CheckDecl:
+class CheckDecl(NamedTuple):
     name: str
     token: Token
     operands: tuple  # of (name, token)
@@ -168,14 +161,18 @@ class CheckDecl:
         return f"check {self.name} {' '.join(self.operand_names)};"
 
 
-@dataclass
 class SpecDraft:
-    source: SpecSource
-    # ("carrier"|"op"|"check", node), or ("op-name", name token) for an op that failed to parse
-    statements: list = dc_field(default_factory=list)
-    diagnostics: list = dc_field(default_factory=list)
-    values: dict = dc_field(default_factory=dict)  # op name -> argument values resolved by validation
-    carrier: Carrier | None = None  # built by validation from a valid carrier declaration
+    """A parsed spec, filled in by the parser and then by validation."""
+
+    def __init__(self, source: SpecSource, statements: list | None = None,
+                 diagnostics: list | None = None, values: dict | None = None,
+                 carrier: Carrier | None = None):
+        self.source = source
+        # ("carrier"|"op"|"check", node), or ("op-name", name token) for an op that failed to parse
+        self.statements = [] if statements is None else statements
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.values = {} if values is None else values  # op name -> argument values resolved by validation
+        self.carrier = carrier  # built by validation from a valid carrier declaration
 
     @property
     def carrier_atoms(self):
@@ -378,8 +375,9 @@ class _Parser:
 # Validation, compilation and run_check read these two tables. Runners and
 # builders name the public axioms/constructions function inside a lambda, so
 # it is looked up at call time and a wrapper put on that name sees every call.
-# The entry types are NamedTuples: a dataclass takes about a millisecond to
-# define, which every `multigroup` start would pay.
+# The entry types are NamedTuples, as are the package's other value records:
+# defining a dataclass execs generated source, which every `multigroup` start
+# would pay.
 
 
 class CheckSpec(NamedTuple):
@@ -764,12 +762,11 @@ def format_spec(draft: SpecDraft) -> str:
 # --- compilation --------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledSpec:
-    source: SpecSource
-    carrier: object
-    ops: dict
-    checks: tuple
+class CompiledSpec(_Frozen):
+    """A spec's carrier, its op tables by name, and its checks in order."""
+
+    def __init__(self, source: SpecSource, carrier: object, ops: dict, checks: tuple):
+        vars(self).update(source=source, carrier=carrier, ops=ops, checks=checks)
 
 
 def compile_spec(draft: SpecDraft) -> CompiledSpec:

@@ -4,7 +4,7 @@ Elements are plain ints in [0, p); the field object carries the modulus so
 element values stay cheap to store in bulk.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ModulusMismatchError, NotPrimeError, ZeroInverseError
 
@@ -24,15 +24,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p. Primality is checked once at creation."""
-
+class _PrimeFieldFields(NamedTuple):
     p: int
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrimeError(f"modulus {self.p} is not prime")
+
+class PrimeField(_PrimeFieldFields):
+    """The field F_p. Primality is checked once at creation."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise NotPrimeError(f"modulus {p} is not prime")
+        return super().__new__(cls, p)
 
     def element(self, value: int) -> int:
         return value % self.p

@@ -1,26 +1,27 @@
 """Square matrices over a prime field, with exact modular arithmetic only."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError, SingularMatrixError
 from .field import PrimeField, same_field
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """An n x n matrix over F_p; rows is a tuple of row tuples of ints in [0, p)."""
-
+class _MatrixFields(NamedTuple):
     field: PrimeField
     rows: tuple
 
-    def __post_init__(self):
-        n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows):
+
+class Matrix(_MatrixFields):
+    """An n x n matrix over F_p; rows is a tuple of row tuples of ints in [0, p)."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: PrimeField, rows: tuple):
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatchError("matrix must be square and non-empty")
-        p = self.field.p
-        object.__setattr__(
-            self, "rows", tuple(tuple(v % p for v in row) for row in self.rows)
-        )
+        p = field.p
+        return super().__new__(cls, field, tuple(tuple(v % p for v in row) for row in rows))
 
     @classmethod
     def from_rows(cls, rows, field: PrimeField) -> "Matrix":

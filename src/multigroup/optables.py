@@ -16,11 +16,8 @@ byte-reproducible regardless of how the scan was parallelized.
 from __future__ import annotations
 
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable
+import threading
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -183,8 +180,24 @@ def encode_element(element):
     return element
 
 
-@dataclass(frozen=True, eq=False)
-class OpTable:
+class _Frozen:
+    """Base of the records compared by identity: __init__ sets every attribute once.
+
+    Assigning or deleting an attribute afterwards raises AttributeError. The
+    memo and the cached tables rely on it: an OpTable's grid and a Carrier's
+    elements never change. cached_property still fills the instance dict.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class OpTable(_Frozen):
     """A binary operation on a carrier, stored as an index grid.
 
     _memo keeps what the checks learn about the grid alone (see axioms). The
@@ -192,18 +205,17 @@ class OpTable:
     which keeps the grid, keeps the memo too.
     """
 
-    carrier: Carrier
-    table: np.ndarray
-    label: str = "op"
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.carrier)
-        if self.table.shape != (n, n):
+    def __init__(self, carrier: Carrier, table: np.ndarray, label: str = "op"):
+        n = len(carrier)
+        if table.shape != (n, n):
             raise CarrierMismatchError(
-                f"table shape {self.table.shape} does not match carrier of size {n}"
+                f"table shape {table.shape} does not match carrier of size {n}"
             )
-        self.table.setflags(write=False)
+        table.setflags(write=False)
+        vars(self).update(carrier=carrier, table=table, label=label, _memo={})
+
+    def __repr__(self):
+        return f"<OpTable {self.label!r} on {self.carrier.label}>"
 
     def __len__(self):
         return len(self.carrier)
@@ -217,7 +229,7 @@ class OpTable:
 
     def relabel(self, label: str) -> "OpTable":
         op = OpTable(self.carrier, self.table, label)
-        object.__setattr__(op, "_memo", self._memo)
+        vars(op)["_memo"] = self._memo
         return op
 
 
@@ -271,8 +283,7 @@ def shared_carrier(*ops: OpTable) -> Carrier:
     return first
 
 
-@dataclass(frozen=True)
-class Multiset:
+class Multiset(NamedTuple):
     """A multiset of carrier indices, stored as sorted (index, multiplicity) pairs."""
 
     entries: tuple
@@ -312,8 +323,7 @@ REASON_NO_SOLUTION = "no-solution"
 REASON_NOT_UNIQUE = "exists-not-unique"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of one axiom check over a whole table."""
 
     axiom: str
@@ -365,34 +375,66 @@ def scan_chunks(worker: Callable, n_rows: int, cells_per_row: int, jobs: int = 1
     worker returns the lexicographically first violation in its chunk as an
     index tuple (with absolute first coordinate), or None. The result is the
     first non-None in chunk order, which is the global lexicographic minimum
-    because chunks partition the first axis in order. The scan stops at the
-    chunk that holds it: with jobs > 1 at most `jobs` chunks are in flight,
-    submitted in chunk order and collected oldest first, so at most jobs - 1
-    chunks past the witness chunk run and their results are discarded. The
-    result never depends on `jobs`, so jobs is capped at the CPUs this
-    process may run on: each chunk in flight holds its temporaries, and more
+    because chunks partition the first axis in order.
+
+    The caller scans chunk 0 alone, so a law that fails there starts no
+    thread. Past it, the caller and jobs - 1 helper threads take chunk
+    indices in order from one shared cursor. A hit, or an exception, at
+    chunk k lowers a shared bound to k, and no thread starts a chunk at or
+    past the bound. Every chunk before k was taken already and runs to its
+    end, so the outcome of the least chunk that has one wins: its hit is
+    returned, or its exception, MemoryError included, is raised here, just
+    as a scan on one thread would. Chunks past it that other threads began
+    before the bound fell run to their end, and their outcomes are
+    discarded. Every helper is joined before the scan returns.
+
+    The result never depends on `jobs`, so jobs is capped at the CPUs this
+    process may run on: each thread holds one chunk's temporaries, and more
     threads than CPUs only add memory and switching.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1)
     rows = max(1, CHUNK_CELLS // max(1, cells_per_row))
     ranges = chunk_ranges(n_rows, rows)
-    if jobs <= 1 or len(ranges) <= 1:
-        for a0, a1 in ranges:
-            found = worker(a0, a1)
-            if found is not None:
-                return found
+    found = worker(*ranges[0]) if ranges else None
+    if found is not None or len(ranges) <= 1:
+        return found
+    lock = threading.Lock()
+    cursor, bound = 1, len(ranges)
+    outcomes = {}  # chunk index -> (hit, exception), one of them None
+
+    def pull():
+        nonlocal cursor, bound
+        while True:
+            with lock:
+                k = cursor
+                if k >= bound:
+                    return
+                cursor = k + 1
+            try:
+                found, error = worker(*ranges[k]), None
+            except Exception as exc:
+                found, error = None, exc
+            if found is not None or error is not None:
+                with lock:
+                    outcomes[k] = found, error
+                    bound = min(bound, k)
+
+    helpers = []
+    try:
+        for _ in range(jobs - 1):
+            helper = threading.Thread(target=pull, name="multigroup-scan")
+            helper.start()
+            helpers.append(helper)
+        pull()
+    finally:
+        with lock:
+            bound = 0  # should the caller be interrupted, helpers start nothing more
+        for helper in helpers:
+            helper.join()
+    if not outcomes:
         return None
-    pending = iter(ranges)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        window = deque(pool.submit(worker, *r) for r in islice(pending, jobs))
-        while window:
-            found = window.popleft().result()
-            if found is not None:
-                for future in window:
-                    future.cancel()
-                return found
-            nxt = next(pending, None)
-            if nxt is not None:
-                window.append(pool.submit(worker, *nxt))
-    return None
+    found, error = outcomes[min(outcomes)]
+    if error is not None:
+        raise error
+    return found

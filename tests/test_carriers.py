@@ -82,13 +82,13 @@ def test_gl_has_the_order_of_gl_n_fp(n, p):
 def test_matrix_enumeration_builds_no_matrix_objects(monkeypatch):
     # the candidates are one integer stack, not one Matrix per candidate
     built = []
-    post_init = Matrix.__post_init__
+    new = Matrix.__new__
 
-    def counted(self):
-        built.append(self.rows)
-        post_init(self)
+    def counted(cls, field, rows):
+        built.append(rows)
+        return new(cls, field, rows)
 
-    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    monkeypatch.setattr(Matrix, "__new__", counted)
     gl_group(2, 5)
     matrix_set(2, 5)
     assert built == []

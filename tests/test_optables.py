@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -196,8 +197,9 @@ def test_table_from_array_validates_before_narrowing():
 def _recording_worker(hit_chunk, jobs):
     """A one-row-per-chunk worker: chunk k hits, every later chunk hits too.
 
-    Chunk k waits until chunk k + 1 has returned its own hit (when chunk k + 1
-    runs at all), so a later hit finishes first whenever the window allows it.
+    Chunk k waits until chunk k + 1 has returned its own hit, so a later hit
+    finishes first whenever the threads allow it. Chunk 0 runs alone, before
+    any helper starts, so it never waits.
     """
     ran = []
     lock = threading.Lock()
@@ -206,7 +208,7 @@ def _recording_worker(hit_chunk, jobs):
     def worker(a0, a1):
         with lock:
             ran.append(a0)
-        if a0 == hit_chunk and jobs > 1:
+        if a0 == hit_chunk > 0 and jobs > 1:
             later_done.wait(timeout=5)
         if a0 == hit_chunk + 1:
             later_done.set()
@@ -249,20 +251,12 @@ def test_scan_chunks_propagates_worker_errors(monkeypatch):
 
 
 def test_scan_chunks_runs_at_most_one_thread_per_cpu(monkeypatch):
-    # every chunk in flight holds its temporaries, so jobs past the CPU count
+    # every thread holds one chunk's temporaries, so jobs past the CPU count
     # cost memory and buy nothing; reports never depend on jobs
     monkeypatch.setattr(optables, "CHUNK_CELLS", 1)
     monkeypatch.setattr(optables.os, "sched_getaffinity", lambda pid: {0, 1})
-    pools = []
-
-    class Pool(optables.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(optables, "ThreadPoolExecutor", Pool)
     lock = threading.Lock()
-    running, peak, ran = 0, 0, []
+    running, peak, ran, threads = 0, 0, [], set()
 
     def worker(a0, a1):
         nonlocal running, peak
@@ -270,15 +264,69 @@ def test_scan_chunks_runs_at_most_one_thread_per_cpu(monkeypatch):
             running += 1
             peak = max(peak, running)
             ran.append(a0)
+            threads.add(threading.get_ident())
         time.sleep(0.002)
         with lock:
             running -= 1
         return None
 
     assert scan_chunks(worker, 40, 1, 32) is None
-    assert pools == [2]
+    assert 1 <= len(threads) <= 2
     assert 1 <= peak <= 2
     assert sorted(ran) == list(range(40))
+
+
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_scan_chunks_reraises_a_helper_error_and_joins_every_helper(error, jobs, monkeypatch):
+    # chunks past 0 that the caller takes wait until a helper is about to
+    # raise, so the error always comes from a helper thread; it raises a
+    # moment later, so the caller sees it only by joining that helper
+    monkeypatch.setattr(optables, "CHUNK_CELLS", 1)
+    monkeypatch.setattr(optables.os, "sched_getaffinity", lambda pid: set(range(jobs)))
+    raised = threading.Event()
+
+    def worker(a0, a1):
+        if a0 == 0:
+            return None
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(timeout=5)
+            return None
+        raised.set()
+        time.sleep(0.02)
+        raise error(f"chunk {a0} broke")
+
+    before = threading.active_count()
+    with pytest.raises(error, match="chunk [1-9][0-9]* broke"):
+        scan_chunks(worker, 12, 1, jobs)
+    assert raised.is_set()
+    assert threading.active_count() == before
+
+
+def test_scan_chunks_threads_agree_with_one_thread_under_fast_switching(monkeypatch):
+    # more threads than cores, switching every microsecond: a lost update of
+    # the cursor or the bound would run a chunk twice, skip one, or return a
+    # later hit than the first
+    monkeypatch.setattr(optables, "CHUNK_CELLS", 1)
+    monkeypatch.setattr(optables.os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for hits in ([], [37], [5, 6, 90], [150, 199], list(range(120, 200, 3))):
+            lock = threading.Lock()
+            ran = []
+
+            def worker(a0, a1):
+                with lock:
+                    ran.append(a0)
+                return (a0, "hit") if a0 in hits else None
+
+            first = min(hits, default=None)
+            assert scan_chunks(worker, 200, 1, 8) == (None if first is None else (first, "hit"))
+            assert len(ran) == len(set(ran))
+            assert set(range(200 if first is None else first + 1)) <= set(ran)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # The endomorphism test that make_automorphism and the orbit step share:

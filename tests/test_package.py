@@ -1,7 +1,8 @@
-"""The package surface: lazy exports, and the thread pool the command line asks for.
+"""The package surface: lazy exports, the modules a call imports, and its threads.
 
 `import multigroup` loads no submodule: each exported name imports its
-submodule on first use (PEP 562). The command line sets
+submodule on first use (PEP 562). A command-line call imports neither
+`dataclasses` nor `concurrent.futures`. The command line sets
 OPENBLAS_NUM_THREADS=1 before numpy loads, unless the variable is set, so a
 call runs on one thread; a library import sets nothing.
 """
@@ -12,9 +13,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import multigroup
+from multigroup.carriers import Carrier, GroupAutomorphism, cyclic_group
+from multigroup.constructions import MatrixOpParams, ZParityWindow
+from multigroup.dsl import (
+    CarrierAtom, CheckDecl, CompiledSpec, OpDecl, ParseDiagnostic, SpecDraft, SpecSource, Token,
+    ValueNode,
+)
+from multigroup.errors import CarrierMismatchError, NotPrimeError, UnsupportedCarrierError
+from multigroup.field import PrimeField
+from multigroup.matrix import Matrix
+from multigroup.optables import AxiomReport, Multiset, OpTable
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -83,16 +95,129 @@ def test_probe_matches_golden_in_a_fresh_process(script):
 
 
 def test_scan_kernel_script_runs_every_shape_in_a_fresh_process():
-    # the script calls each law shape with its own tables, so a change to a
-    # shape's signature fails here rather than in the next timing run
+    # the script calls each law shape with its own tables, and scans through
+    # scan_chunks at one and two jobs, so a change to a shape's signature or
+    # to the scan's fails here rather than in the next timing run
     out = _run("import runpy, sys\n"
-               "sys.argv = ['scan_kernels.py', '--repeat', '1']\n"
+               "sys.argv = ['scan_kernels.py', '--repeat', '1', '--threads', '2']\n"
                f"runpy.run_path({str(SCRIPTS / 'scan_kernels.py')!r}, run_name='__main__')")
     header, *lines = out.splitlines()
-    assert header.split() == ["shape", "n", "rows", "best", "ms", "peak", "KB"]
+    assert header.split() == ["shape", "n", "rows", "best", "ms", "peak", "KB",
+                              "1-job", "ms", "2-job", "ms"]
     shapes = ["bracket", "mixed_distrib", "left_distrib", "brace_compatibility", "nvalued"]
     assert [line.split()[:2] for line in lines] == [
         [shape, str(n)] for n in (24, 81, 360, 625) for shape in shapes]
+    assert all(len(line.split()) == 7 for line in lines)
+
+
+def test_cli_calls_import_neither_dataclasses_nor_the_executor():
+    # defining a dataclass execs generated source, and concurrent.futures
+    # pulls in logging and queue: start-up that every call would pay. The
+    # late spec's scan spans five chunks, so at --jobs 2 helper threads run
+    late = str(GOLDEN / "decided_late.mg")
+    out = _run(
+        "import contextlib, io, json, sys\n"
+        "import multigroup.cli as cli\n"
+        "GUARDED = ('dataclasses', 'concurrent.futures')\n"
+        "seen = [['import', None, [m for m in GUARDED if m in sys.modules]]]\n"
+        f"for argv in (['verify', {late!r}, '--jobs', '1'], ['verify', {late!r}, '--jobs', '2'],\n"
+        "             ['demo']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv + ['--no-timing'])\n"
+        "    seen.append([' '.join(argv[:1] + argv[2:]), code, [m for m in GUARDED if m in sys.modules]])\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert json.loads(out) == [["import", None, []], ["verify --jobs 1", 1, []],
+                               ["verify --jobs 2", 1, []], ["demo", 0, []]]
+
+
+def _records():
+    """(type, field names, positional arguments, the fields they give) for every record type.
+
+    The fields differ from the arguments where the type normalises them:
+    Matrix reduces its rows and MatrixOpParams its s and t mod p.
+    """
+    f5, z3 = PrimeField(5), cyclic_group(3)
+    tok = Token("ident", "q", 1, 2)
+    src = SpecSource("carrier cyclic(3);", "x.mg")
+    m = Matrix(f5, ((1, 2), (0, 1)))
+    op = OpTable(z3, z3.cayley, "plus")
+    same = None  # the fields are the arguments
+    return [
+        (SpecSource, ("text", "origin"), ("carrier cyclic(3);", "x.mg"), same),
+        (ParseDiagnostic, ("severity", "line", "column", "message"), ("error", 1, 2, "bad"), same),
+        (Token, ("kind", "text", "line", "column"), ("ident", "q", 1, 2), same),
+        (CarrierAtom, ("name", "args", "token"), ("cyclic", (3,), tok), same),
+        (ValueNode, ("kind", "value", "token"), ("int", 3, tok), same),
+        (OpDecl, ("name", "token", "ctor", "ctor_token", "args"), ("q", tok, "core_quandle", tok, ()),
+         same),
+        (CheckDecl, ("name", "token", "operands"), ("assoc", tok, (("q", tok),)), same),
+        (Multiset, ("entries",), (((0, 2), (1, 1)),), same),
+        (AxiomReport, ("axiom", "verdict", "witness", "checked", "reason"),
+         ("assoc", "fail", (0, 1, 2), 27, "why"), same),
+        (PrimeField, ("p",), (5,), same),
+        (Matrix, ("field", "rows"), (f5, ((6, -3), (0, 11))), (f5, ((1, 2), (0, 1)))),
+        (MatrixOpParams, ("s", "t", "m1", "m2"), (7, -1, m, m), (2, 4, m, m)),
+        (ZParityWindow, ("lo", "hi"), (-2, 3), same),
+        (Carrier, ("kind", "elements", "label", "identity", "is_group", "field", "dim", "factors",
+                   "group"), ("cyclic-group", (0, 1, 2), "c3", 0, True, None, None, None, None), same),
+        (OpTable, ("carrier", "table", "label"), (z3, z3.cayley, "plus"), same),
+        (GroupAutomorphism, ("carrier", "images", "label"), (z3, (0, 2, 1), "neg"), same),
+        (CompiledSpec, ("source", "carrier", "ops", "checks"), (src, z3, {"q": op}, ()), same),
+        (SpecDraft, ("source", "statements", "diagnostics", "values", "carrier"),
+         (src, [("op-name", tok)], [], {"q": {}}, z3), same),
+    ]
+
+
+BY_IDENTITY = {Carrier, OpTable, GroupAutomorphism, CompiledSpec}
+
+
+def test_records_keep_their_construction_equality_and_immutability():
+    # the memo and the cached tables rely on an OpTable's grid and a
+    # Carrier's elements never changing, so every record but the draft,
+    # which the parser and validation fill in, refuses assignment
+    records = _records()
+    assert len(records) == 18
+    for cls, names, args, fields in records:
+        made = [cls(*args), cls(**dict(zip(names, args)))]
+        for record in made:
+            assert tuple(getattr(record, name) for name in names) == (fields or args), cls
+        first, second = made
+        if cls is SpecDraft:
+            first.carrier = None
+            assert first.carrier is None and SpecDraft(args[0]).statements == []
+            assert SpecDraft(args[0]).values is not SpecDraft(args[0]).values
+            continue
+        if cls in BY_IDENTITY:
+            assert first != second and first == first and len({first, second}) == 2, cls
+        else:
+            assert first == second and hash(first) == hash(fields or args), cls
+        for name in (names[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(first, name, getattr(first, names[0]))
+        with pytest.raises(AttributeError):
+            delattr(first, names[0])
+        assert getattr(first, names[0]) == getattr(second, names[0]), cls
+
+
+def test_records_refuse_what_they_refused_and_keep_their_defaults():
+    z3 = cyclic_group(3)
+    with pytest.raises(NotPrimeError, match="modulus 4 is not prime"):
+        PrimeField(4)
+    with pytest.raises(ValueError, match=r"empty window \(2, 1\)"):
+        ZParityWindow(2, 1)
+    with pytest.raises(UnsupportedCarrierError, match="unknown carrier kind 'ring'"):
+        Carrier("ring", (0, 1), "r")
+    with pytest.raises(CarrierMismatchError, match=r"table shape \(3, 2\)"):
+        OpTable(z3, np.zeros((3, 2), dtype=np.int16))
+    # and their defaults are those they had
+    report = AxiomReport("assoc", "pass", None, 27)
+    assert report.reason is None and report.exhaustive is True
+    c1 = Carrier("cyclic-group", (0,), "c1")
+    assert (c1.identity, c1.is_group, c1.field, c1.dim, c1.factors, c1.group) == (
+        None, False, None, None, None, None)
+    assert SpecSource("x").origin == "<string>"
+    assert OpTable(z3, z3.cayley).label == "op" and GroupAutomorphism(z3, (0, 1, 2)).label == "phi"
 
 
 PASSING = "carrier symmetric(3);\nop q = conj_quandle(m=1);\ncheck quandle_right q;\n"
