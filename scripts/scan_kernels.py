@@ -9,6 +9,8 @@ the first hit. The chunk holds the rows a scan puts in one chunk,
 CHUNK_CELLS // (cells per row), and at least one. Each line gives the best
 wall time of `--repeat` runs and the `tracemalloc` peak of one more run;
 neither counts the shape's construction, which a scan makes once per law.
+The first line names the budgets the figures were taken with: the cells of a
+chunk and the intp indices of one gather block.
 
 With `--threads N`, each line also gives the best wall time of a scan of
 4 N such chunks (or of all n rows, when fewer) through
@@ -76,6 +78,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     rng = np.random.default_rng(0)
     threads = f" {'1-job ms':>9} {f'{args.threads}-job ms':>9}" if args.threads else ""
+    print(f"CHUNK_CELLS {optables.CHUNK_CELLS} GATHER_CELLS {optables.GATHER_CELLS}")
     print(f"{'shape':20} {'n':>5} {'rows':>5} {'best ms':>9} {'peak KB':>9}{threads}")
     for n in SIZES:
         for name, shape, tables, width in laws(n, rng):

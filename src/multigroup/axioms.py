@@ -26,9 +26,9 @@ two steps:
   orbit step is skipped: verifying candidates costs more than the rows it
   saves. Once a failing scan finds its first hit, it starts no chunk past
   the one that holds it (optables.scan_chunks). A chunk gathers both sides
-  of the law by take on intp indices made in blocks within PROOF_CELLS (see
-  the law shapes), so besides its two sides and their mask it holds one
-  block of indices.
+  of the law by take on intp indices made in blocks of at most
+  optables.GATHER_CELLS (see the law shapes), so besides its two sides and
+  their mask it holds one block of indices.
 `checked` is the tuple-space size of every stage the check ran, not the
 number of comparisons made: n^3 per triple law, n^2 per pair law and n per
 element law, on pass and on fail alike, proved or scanned. A composite check
@@ -267,10 +267,15 @@ def _orbit_reps(carrier, ops):
 # take turns an index of another dtype into a whole intp copy first, 8 bytes a
 # cell, so an index of n^2 cells (a whole table, or the flat positions
 # x n + y of a pair gather t[x, y]) is converted or built one row block at a
-# time, within the bytes of PROOF_CELLS int16 cells, inside each chunk.
-# PROOF_CELLS is read when the chunk runs. No intp copy of a table outlives
-# its block: beside a chunk's two sides and its mask, each thread holds one
-# block.
+# time, at most optables.GATHER_CELLS indices, inside each chunk. That is the
+# scan's own budget, not the proofs' PROOF_CELLS, and it is read when the
+# chunk runs. No intp copy of a table outlives its block: beside a chunk's two
+# sides and its mask, each thread holds one block.
+
+
+def _gather_rows(width: int) -> int:
+    """Rows of `width` intp indices that fit in one gather block of optables.GATHER_CELLS."""
+    return max(1, optables.GATHER_CELLS // max(1, width))
 
 
 def _take(values, index, axis):
@@ -278,13 +283,14 @@ def _take(values, index, axis):
 
     The result has the shape values.shape[:axis] + index.shape +
     values.shape[axis + 1:]. Rows are those of index with every axis but its
-    last merged; an index of one block is taken whole. Indices come from
-    closed tables and are in range, so mode="clip" changes no value; it lets
-    take write straight into a contiguous out block, where the default mode
-    first copies out, and it skips the bounds check.
+    last merged, and a block holds as many as fit in GATHER_CELLS indices; an
+    index of one block is taken whole. Indices come from closed tables and
+    are in range, so mode="clip" changes no value; it lets take write
+    straight into a contiguous out block, where the default mode first
+    copies out, and it skips the bounds check.
     """
     rows = index.reshape(-1, index.shape[-1])
-    step = _step(4 * rows.shape[1])
+    step = _gather_rows(rows.shape[1])
     if len(rows) <= step:
         return values.take(index, axis=axis, mode="clip")
     lead, tail = values.shape[:axis], values.shape[axis + 1:]
@@ -300,13 +306,13 @@ def _take_pairs(t, first, second):
     """t[first, second] for index arrays that broadcast to (k, n, n), gathered by take.
 
     The flat positions first * n + second are built in intp, whole when they
-    fit one block and one block of axis 1 at a time otherwise; first is
-    scaled once, at its own size.
+    fit one block of GATHER_CELLS indices and one block of axis 1 at a time
+    otherwise; first is scaled once, at its own size.
     """
     first = np.multiply(first, len(t), dtype=np.intp)
     flat = t.reshape(-1)
     k, m, n = shape = np.broadcast(first, second).shape
-    step = _step(4 * k * n)
+    step = _gather_rows(k * n)
     if m <= step:
         return flat.take(first + second, mode="clip")
     first, second = np.broadcast_to(first, shape), np.broadcast_to(second, shape)

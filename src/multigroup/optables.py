@@ -36,12 +36,22 @@ if TYPE_CHECKING:
 # and their process peaked 1.2 MB lower.
 CHUNK_CELLS = 131_072
 
-# Proofs, the table helpers below and the gathers of the law shapes keep
-# their temporaries within the bytes of 2^15 int16 cells (64 KB), a quarter of
-# a scan chunk's gather: with the budget of a full 2^18-cell chunk, a failing
-# assoc check on a 360-element carrier (proof, then scan) peaked about 1.2 MB
-# above the scan alone; with 2^15 cells, 0.2-0.3 MB above.
+# The proofs in axioms and the table helpers below keep their temporaries
+# within the bytes of 2^15 int16 cells (64 KB), a quarter of a scan chunk's
+# gather: with the budget of a full 2^18-cell chunk, a failing assoc check on
+# a 360-element carrier (proof, then scan) peaked about 1.2 MB above the scan
+# alone; with 2^15 cells, 0.2-0.3 MB above.
 PROOF_CELLS = 32_768
+
+# The gathers of the law shapes (axioms._take and _take_pairs) build their
+# intp indices in blocks of at most this many cells, 128 KB. numpy lets go of
+# the GIL inside each take, and the Python between blocks holds it, so a
+# second scan thread pays only when blocks are large. Against 8,192-index
+# blocks, 16,384 took the failing scans of cyclic(360) at --jobs 2 from 0.38
+# to 0.35 calibration units at the same process peak, and a full rack_right
+# scan on 1152 elements at --jobs 2 from 2.3 to 1.4 s; 24,576 and 32,768 were
+# no faster on the former and raised its peak by 0.12 and 0.38 MB.
+GATHER_CELLS = 16_384
 
 
 def index_dtype(n: int):

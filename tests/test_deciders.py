@@ -137,6 +137,7 @@ def _patch(patch, keys, chunk):
         patch.setattr(axioms, "_row_keys", keys)
     if chunk is not None:
         patch.setattr(optables, "PROOF_CELLS", chunk)
+        patch.setattr(optables, "GATHER_CELLS", chunk)
 
 
 @pytest.mark.parametrize("keys, chunk", VARIANTS)
@@ -652,8 +653,8 @@ SHAPES = ["bracket", "bracket-mixed", "mixed", "left", "brace", "nvalued"]
 @given(carrier_tables(), st.sampled_from([(None, 1), (2_000, 2)]))
 @settings(max_examples=40, deadline=None)
 def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
-    # chunks: real chunk sizes at one thread, or chunks of a few rows and
-    # proof steps of one row at two threads
+    # chunks: real chunk sizes at one thread, or chunks of a few rows, and
+    # proof steps and gather blocks of one row, at two threads
     carrier, ta, tb = drawn
     cells, jobs = chunks
     n = len(carrier)
@@ -668,6 +669,7 @@ def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
         if cells is not None:
             patch.setattr(optables, "CHUNK_CELLS", cells)
             patch.setattr(optables, "PROOF_CELLS", 1)
+            patch.setattr(optables, "GATHER_CELLS", 1)
         reps = axioms._orbit_reps(carrier, read)
         report = axioms._decide("law", law, *read, jobs=jobs, width=width)
         on_reps = axioms._first_failure(sides, reps, width or n * n, jobs)

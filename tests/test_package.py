@@ -26,7 +26,7 @@ from multigroup.dsl import (
 from multigroup.errors import CarrierMismatchError, NotPrimeError, UnsupportedCarrierError
 from multigroup.field import PrimeField
 from multigroup.matrix import Matrix
-from multigroup.optables import AxiomReport, Multiset, OpTable
+from multigroup.optables import CHUNK_CELLS, GATHER_CELLS, AxiomReport, Multiset, OpTable
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -97,11 +97,13 @@ def test_probe_matches_golden_in_a_fresh_process(script):
 def test_scan_kernel_script_runs_every_shape_in_a_fresh_process():
     # the script calls each law shape with its own tables, and scans through
     # scan_chunks at one and two jobs, so a change to a shape's signature or
-    # to the scan's fails here rather than in the next timing run
+    # to the scan's fails here rather than in the next timing run; the first
+    # line names the chunk and gather budgets the figures were taken with
     out = _run("import runpy, sys\n"
                "sys.argv = ['scan_kernels.py', '--repeat', '1', '--threads', '2']\n"
                f"runpy.run_path({str(SCRIPTS / 'scan_kernels.py')!r}, run_name='__main__')")
-    header, *lines = out.splitlines()
+    budgets, header, *lines = out.splitlines()
+    assert budgets.split() == ["CHUNK_CELLS", str(CHUNK_CELLS), "GATHER_CELLS", str(GATHER_CELLS)]
     assert header.split() == ["shape", "n", "rows", "best", "ms", "peak", "KB",
                               "1-job", "ms", "2-job", "ms"]
     shapes = ["bracket", "mixed_distrib", "left_distrib", "brace_compatibility", "nvalued"]
