@@ -104,6 +104,76 @@ CASES = [
         ],
     ),
     (
+        'carrier-args-trailing-comma',
+        'carrier cyclic(3,);\n',
+        [
+            "bad.mg:1:18: error: expected an integer, got ')'",
+        ],
+    ),
+    (
+        'carrier-args-empty',
+        'carrier cyclic();\n',
+        [
+            "bad.mg:1:16: error: expected an integer, got ')'",
+        ],
+    ),
+    (
+        'matrix-no-rows',
+        'carrier gl(2,3);\nop a = gl_group_op(m=[]);\ncheck group a;\n',
+        [
+            "bad.mg:2:23: error: expected '[', got ']'",
+        ],
+    ),
+    (
+        'matrix-rows-trailing-comma',
+        'carrier gl(2,3);\nop a = gl_group_op(m=[[1,0],]);\ncheck group a;\n',
+        [
+            "bad.mg:2:29: error: expected '[', got ']'",
+        ],
+    ),
+    (
+        'matrix-empty-row',
+        'carrier gl(2,3);\nop a = gl_group_op(m=[[]]);\ncheck group a;\n',
+        [
+            "bad.mg:2:24: error: expected an integer, got ']'",
+        ],
+    ),
+    (
+        'matrix-rows-without-comma',
+        'carrier gl(2,3);\nop a = gl_group_op(m=[[1,0] [0,1]]);\ncheck group a;\n',
+        [
+            "bad.mg:2:29: error: expected ']', got '['",
+        ],
+    ),
+    (
+        'matrix-open-at-end',
+        'carrier gl(2,3);\nop a = gl_group_op(m=[[1,0],[0,1]',
+        [
+            "bad.mg:2:34: error: expected ']' before end of input",
+        ],
+    ),
+    (
+        'op-args-lone-comma',
+        'carrier cyclic(3);\nop a = core_quandle(,);\ncheck assoc a;\n',
+        [
+            "bad.mg:2:21: error: expected an argument name, got ','",
+        ],
+    ),
+    (
+        'op-args-trailing-comma',
+        'carrier cyclic(3);\nop a = conj_quandle(m=1,);\ncheck assoc a;\n',
+        [
+            "bad.mg:2:25: error: expected an argument name, got ')'",
+        ],
+    ),
+    (
+        'op-args-without-comma',
+        'carrier cyclic(3);\nop a = conj_quandle(m=1 m=2);\ncheck assoc a;\n',
+        [
+            "bad.mg:2:25: error: expected ')', got 'm'",
+        ],
+    ),
+    (
         'expected-statement',
         'carrier cyclic(3);\nfoo;\n',
         [

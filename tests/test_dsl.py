@@ -77,6 +77,31 @@ def test_tokenizer_flags_unexpected_characters():
     assert "@" in diags[0].message
 
 
+_TOKEN_PIECES = st.one_of(
+    st.text(alphabet="abx_éλЖ", min_size=1, max_size=4),  # identifiers, ASCII and not
+    st.builds(
+        str.__add__, st.sampled_from(("", "-")),
+        st.text(alphabet="0123456789٠١٢٣٤٥٦٧٨٩", min_size=1, max_size=3),  # ASCII and Arabic-Indic digits
+    ),
+    st.sampled_from(tuple(";=(),[]") + (" ", "\t", "\r\n", "\n", "# x; (\t\n", "#")),
+    st.sampled_from(("@", "!", "$", "-", "²", "\u00a0")),  # stray characters
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pieces=st.lists(_TOKEN_PIECES, max_size=30))
+def test_tokens_and_stray_characters_sit_at_their_positions(pieces):
+    """Each token's text, and each unexpected character, is at its (line, column) in the source."""
+    text = "".join(pieces)
+    lines = text.split("\n")
+    tokens, diags = tokenize(text)
+    assert tokens[-1].kind == "eof"
+    for tok in tokens[:-1]:
+        assert lines[tok.line - 1][tok.column - 1:].startswith(tok.text), tok
+    for diag in diags:
+        assert diag.message == f"unexpected character {lines[diag.line - 1][diag.column - 1]!r}", diag
+
+
 def test_parse_good_spec_has_no_diagnostics():
     draft = parse_spec(GOOD)
     assert draft.ok
