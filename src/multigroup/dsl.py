@@ -84,41 +84,27 @@ def tokenize(text: str):
             col = 1
             i += 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
+        if ch == "#":  # a comment moves no column: the eof token of a last line sits at its '#'
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        start_line, start_col = line, col
+        j, kind = i + 1, None  # text[i:j] is the token, or the one character skipped
         if ch.isalpha() or ch == "_":
-            j = i
+            kind = "ident"
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
+        elif ch.isdigit() or (ch == "-" and j < n and text[j].isdigit()):
+            kind = "int"
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in ";=(),[]":
-            tokens.append(Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        diagnostics.append(
-            ParseDiagnostic(ERROR, start_line, start_col, f"unexpected character {ch!r}")
-        )
-        i += 1
-        col += 1
+        elif ch in ";=(),[]":
+            kind = "punct"
+        elif ch not in " \t\r":
+            diagnostics.append(ParseDiagnostic(ERROR, line, col, f"unexpected character {ch!r}"))
+        if kind is not None:
+            tokens.append(Token(kind, text[i:j], line, col))
+        col += j - i
+        i = j
     tokens.append(Token("eof", "", line, col))
     return tokens, diagnostics
 
@@ -204,10 +190,9 @@ class _ParseFailure(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens, diagnostics):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.diagnostics = diagnostics
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -249,26 +234,26 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "punct" and tok.text == ch
 
-    def sync_to_semicolon(self):
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
+    def items(self, item: Callable, close: str, empty: bool = False) -> tuple:
+        """item(), again after each comma, then the punctuation close; with empty, a bare close gives ()."""
+        found = [] if empty and self.at_punct(close) else [item()]
+        while self.at_punct(","):
             self.advance()
-            if tok.kind == "punct" and tok.text == ";":
-                return
+            found.append(item())
+        self.expect_punct(close)
+        return tuple(found)
+
+    def sync_to_semicolon(self):
+        while not (self.at_punct(";") or self.peek().kind == "eof"):
+            self.advance()
+        self.advance()  # past the ';'; at eof it stays put
 
     # --- statement parsers -------------------------------------------------
 
     def parse_carrier_atom(self) -> CarrierAtom:
         name_tok = self.expect_ident("a carrier name")
         self.expect_punct("(")
-        args = [self.expect_int()]
-        while self.at_punct(","):
-            self.advance()
-            args.append(self.expect_int())
-        self.expect_punct(")")
-        return CarrierAtom(name_tok.text, tuple(args), name_tok)
+        return CarrierAtom(name_tok.text, self.items(self.expect_int, ")"), name_tok)
 
     def parse_carrier_expr(self):
         atoms = [self.parse_carrier_atom()]
@@ -277,23 +262,13 @@ class _Parser:
             atoms.append(self.parse_carrier_atom())
         return tuple(atoms)
 
+    def parse_row(self) -> tuple:
+        self.expect_punct("[")
+        return self.items(self.expect_int, "]")
+
     def parse_matrix_literal(self) -> ValueNode:
         open_tok = self.expect_punct("[")
-        rows = []
-        while True:
-            self.expect_punct("[")
-            row = [self.expect_int()]
-            while self.at_punct(","):
-                self.advance()
-                row.append(self.expect_int())
-            self.expect_punct("]")
-            rows.append(tuple(row))
-            if self.at_punct(","):
-                self.advance()
-                continue
-            break
-        self.expect_punct("]")
-        return ValueNode("matrix", tuple(rows), open_tok)
+        return ValueNode("matrix", self.items(self.parse_row, "]"), open_tok)
 
     def parse_value(self) -> ValueNode:
         tok = self.peek()
@@ -307,24 +282,19 @@ class _Parser:
             return self.parse_matrix_literal()
         self.fail(tok, "expected an integer, a matrix literal, or an identifier")
 
+    def parse_arg(self) -> tuple:
+        key_tok = self.expect_ident("an argument name")
+        self.expect_punct("=")
+        return key_tok.text, self.parse_value(), key_tok
+
     def parse_op_decl(self) -> OpDecl:
         name_tok = self.expect_ident("an operation name")
         self.expect_punct("=")
         ctor_tok = self.expect_ident("a construction name")
         self.expect_punct("(")
-        args = []
-        if not self.at_punct(")"):
-            while True:
-                key_tok = self.expect_ident("an argument name")
-                self.expect_punct("=")
-                args.append((key_tok.text, self.parse_value(), key_tok))
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_punct(")")
+        args = self.items(self.parse_arg, ")", empty=True)
         self.expect_punct(";")
-        return OpDecl(name_tok.text, name_tok, ctor_tok.text, ctor_tok, tuple(args))
+        return OpDecl(name_tok.text, name_tok, ctor_tok.text, ctor_tok, args)
 
     def parse_check_decl(self) -> CheckDecl:
         name_tok = self.expect_ident("a check name")
@@ -566,26 +536,28 @@ class _OpValidator:
 
     # --- one method per argument kind; each returns the value or None --------
 
-    def missing(self, op, arg, what):
-        self.error(op.ctor_token, f"{op.ctor} needs argument {arg.name}=<{what}>")
-
-    def int_arg(self, op, spec, nodes, arg):
+    def given(self, op, nodes, arg, kind, what, wrong):
+        """The node given for arg if it is of kind; else None, reported as a missing
+        name=<what> (unless arg has a default) or as `argument <name> <wrong>`."""
         node = nodes.get(arg.name)
         if node is None:
             if arg.default is None:
-                self.missing(op, arg, "int")
-            return arg.default
-        if node.kind != "int":
-            self.error(node.token, f"argument {arg.name} must be an integer")
-            return None
+                self.error(op.ctor_token, f"{op.ctor} needs argument {arg.name}=<{what}>")
+        elif node.kind != kind:
+            self.error(node.token, f"argument {arg.name} {wrong}")
+        else:
+            return node
+        return None
+
+    def int_arg(self, op, spec, nodes, arg):
+        node = self.given(op, nodes, arg, "int", "int", "must be an integer")
+        if node is None:  # missing, so its default, or reported
+            return arg.default if arg.name not in nodes else None
         return node.value
 
     def matrix_arg(self, op, spec, nodes, arg):
-        node = nodes.get(arg.name)
+        node = self.given(op, nodes, arg, "matrix", "matrix", "must be a matrix literal")
         if node is None:
-            return self.missing(op, arg, "matrix")
-        if node.kind != "matrix":
-            self.error(node.token, f"argument {arg.name} must be a matrix literal")
             return None
         rows = node.value
         if any(len(r) != len(rows[0]) for r in rows):
@@ -600,20 +572,18 @@ class _OpValidator:
         return Matrix.from_rows(rows, self.carrier.field)
 
     def choice_arg(self, op, spec, nodes, arg):
-        node = nodes.get(arg.name)
+        wrong = f"must be one of: {', '.join(spec.parts)}"
+        node = self.given(op, nodes, arg, "ident", "|".join(spec.parts), wrong)
         if node is None:
-            return self.missing(op, arg, "|".join(spec.parts))
-        if node.kind != "ident" or node.value not in spec.parts:
-            self.error(node.token, f"argument {arg.name} must be one of: {', '.join(spec.parts)}")
+            return None
+        if node.value not in spec.parts:
+            self.error(node.token, f"argument {arg.name} {wrong}")
             return None
         return node.value
 
     def op_arg(self, op, spec, nodes, arg):
-        node = nodes.get(arg.name)
+        node = self.given(op, nodes, arg, "ident", "declared op", "must name a declared operation")
         if node is None:
-            return self.missing(op, arg, "declared op")
-        if node.kind != "ident":
-            self.error(node.token, f"argument {arg.name} must name a declared operation")
             return None
         if node.value not in self.declared:
             self.error(node.token, f"unknown operation {node.value!r} (declare it first)")
@@ -721,7 +691,7 @@ def parse_spec(source) -> SpecDraft:
         source = SpecSource(text=source)
     tokens, diagnostics = tokenize(source.text)
     draft = SpecDraft(source=source, diagnostics=diagnostics)
-    _Parser(tokens, draft.diagnostics).parse(draft)
+    _Parser(tokens).parse(draft)
     _validate(draft)
     return draft
 
@@ -729,7 +699,7 @@ def parse_spec(source) -> SpecDraft:
 def parse_carrier_expr(text: str) -> tuple:
     """The atoms of text read as one carrierExpr; raises SpecError on a syntax error."""
     tokens, diagnostics = tokenize(text)
-    parser = _Parser(tokens, diagnostics)
+    parser = _Parser(tokens)
     try:
         atoms = parser.parse_carrier_expr()
         if parser.peek().kind != "eof":
