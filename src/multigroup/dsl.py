@@ -93,9 +93,9 @@ def tokenize(text: str):
             kind = "ident"
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-        elif ch.isdigit() or (ch == "-" and j < n and text[j].isdigit()):
+        elif ch.isdecimal() or (ch == "-" and j < n and text[j].isdecimal()):
             kind = "int"
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
         elif ch in ";=(),[]":
             kind = "punct"

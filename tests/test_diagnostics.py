@@ -19,6 +19,14 @@ CASES = [
         ],
     ),
     (
+        'non-decimal-digit',
+        'carrier cyclic(²);\n',
+        [
+            "bad.mg:1:16: error: unexpected character '²'",
+            "bad.mg:1:17: error: expected an integer, got ')'",
+        ],
+    ),
+    (
         'missing-semicolon-cascade',
         'carrier symmetric(3)\nop q = conj_quandle();\ncheck quandle_right q;\n',
         [

@@ -77,6 +77,16 @@ def test_tokenizer_flags_unexpected_characters():
     assert "@" in diags[0].message
 
 
+def test_integers_are_decimal_digits():
+    """Any Unicode decimal digit is an integer digit; other digit characters are unexpected."""
+    assert parse_spec("carrier cyclic(٣);").carrier_atoms[0].args == (3,)
+    tokens, diags = tokenize("3① -²")
+    assert [(t.kind, t.text) for t in tokens] == [("int", "3"), ("eof", "")]
+    assert [(d.column, d.message) for d in diags] == [
+        (2, "unexpected character '①'"), (4, "unexpected character '-'"), (5, "unexpected character '²'"),
+    ]
+
+
 _TOKEN_PIECES = st.one_of(
     st.text(alphabet="abx_éλЖ", min_size=1, max_size=4),  # identifiers, ASCII and not
     st.builds(
