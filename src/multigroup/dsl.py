@@ -13,10 +13,17 @@ Grammar (hand-rolled recursive descent, UTF-8 input, LF or CRLF line ends,
     value       := int | matrixLit | ident ;
     matrixLit   := "[" row ("," row)* "]" ;
     row         := "[" int ("," int)* "]" ;
+    intList     := int ("," int)* ;
+    identList   := ident* ;
+    ident       := (alpha | "_") (alnum | "_")* ;   alpha, alnum: as str.isalpha, str.isalnum
+    int         := "-"? decimal+ ;   decimal: as str.isdecimal, so 0-9 or another script's digits
 
-Identifiers are declared before use. parse_spec never raises for bad input;
-it returns a draft whose diagnostics carry 1-based line/column positions
-inside the offending token. Error diagnostics prevent compilation.
+name, ctorName and checkName are idents naming a key of carriers.CARRIER_ATOMS,
+CONSTRUCTIONS and CHECKS; `x` between carrier atoms is the cross keyword and
+an ident elsewhere. Identifiers are declared before use. parse_spec never
+raises for bad input; it returns a draft whose diagnostics carry 1-based
+line/column positions inside the offending token. Error diagnostics prevent
+compilation.
 
 Validation builds the declared carrier once, through carriers.build_carrier,
 and keeps it on the draft: the carrier rules and their messages live in
