@@ -82,7 +82,7 @@ def main(argv=None):
     print(f"{'shape':20} {'n':>5} {'rows':>5} {'best ms':>9} {'peak KB':>9}{threads}")
     for n in SIZES:
         for name, shape, tables, width in laws(n, rng):
-            rows = np.arange(min(n, max(1, optables.CHUNK_CELLS // width)))
+            rows = np.arange(*optables._row_blocks(n, width, optables.CHUNK_CELLS)[0])
             sides = shape(*tables)
             best = best_ms(lambda: chunk(sides, rows), args.repeat)
             tracemalloc.start()

@@ -28,7 +28,8 @@ two steps:
   the one that holds it (optables.scan_chunks). A chunk gathers both sides
   of the law by take on intp indices made in blocks of at most
   optables.GATHER_CELLS (see the law shapes), so besides its two sides and
-  their mask it holds one block of indices.
+  their mask it holds one block of indices. Chunks, index blocks and the
+  proofs' blocks all come from optables._row_blocks.
 `checked` is the tuple-space size of every stage the check ran, not the
 number of comparisons made: n^3 per triple law, n^2 per pair law and n per
 element law, on pass and on fail alike, proved or scanned. A composite check
@@ -59,7 +60,7 @@ from .optables import (
     unit_indices,
     _endomorphism_failure,
     _generators,
-    _step,
+    _row_blocks,
 )
 
 LEFT = "left"
@@ -96,9 +97,8 @@ def _row_keys(t: np.ndarray) -> np.ndarray:
     weights = np.arange(1, m + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     weights ^= weights >> np.uint64(29)
     keys = np.empty(len(t), dtype=np.uint64)
-    step = _step(4 * m)
-    for a0 in range(0, len(t), step):
-        keys[a0:a0 + step] = t[a0:a0 + step].astype(np.uint64) @ weights
+    for a0, a1 in _row_blocks(len(t), 4 * m, optables.PROOF_CELLS):
+        keys[a0:a1] = t[a0:a1].astype(np.uint64) @ weights
     return keys
 
 
@@ -111,9 +111,8 @@ def _has_right_unit(t: np.ndarray) -> bool:
     n = len(t)
     candidates = np.flatnonzero(t[n - 1] == n - 1)
     xs = np.arange(n)[:, None]
-    step = _step(n)
-    return any((t[:, candidates[c0:c0 + step]] == xs).all(axis=0).any()
-               for c0 in range(0, len(candidates), step))
+    return any((t[:, candidates[c0:c1]] == xs).all(axis=0).any()
+               for c0, c1 in _row_blocks(len(candidates), n, optables.PROOF_CELLS))
 
 
 def _class_reps(t: np.ndarray) -> np.ndarray:
@@ -131,10 +130,8 @@ def _class_reps(t: np.ndarray) -> np.ndarray:
         return np.arange(n)
     order = np.argsort(_row_keys(t), kind="stable")
     fresh = np.ones(n, dtype=bool)
-    step = _step(m)
-    for a0 in range(1, n, step):
-        a1 = min(a0 + step, n)
-        fresh[a0:a1] = (t[order[a0:a1]] != t[order[a0 - 1:a1 - 1]]).any(axis=1)
+    for a0, a1 in _row_blocks(n - 1, m, optables.PROOF_CELLS):  # rows 1..n-1 of the order
+        fresh[a0 + 1:a1 + 1] = (t[order[a0 + 1:a1 + 1]] != t[order[a0:a1]]).any(axis=1)
     return np.sort(order[fresh])
 
 
@@ -154,7 +151,7 @@ def _associative(t: np.ndarray, cap: int) -> bool:
     """
     n = len(t)
     rows, cols = _class_reps(t), _class_reps(t.T)
-    if len(cols) == n or _step(len(cols)) < n:  # n rows of len(cols) cells do not fit
+    if len(cols) == n or n * len(cols) > optables.PROOF_CELLS:  # t[:, cols] does not fit
         cols, narrow = np.arange(n), t
     else:
         narrow = t[:, cols]
@@ -168,12 +165,10 @@ def _associative(t: np.ndarray, cap: int) -> bool:
         if gens is None:
             return False
     # rows x and each (x, g, y) block take at most half of PROOF_CELLS each
-    step = _step(2 * n)
-    for a0 in range(0, len(rows), step):
-        tx = t[rows[a0:a0 + step]]
-        per_block = _step(2 * len(tx) * len(cols))
-        for g0 in range(0, len(gens), per_block):
-            g = gens[g0:g0 + per_block]
+    for a0, a1 in _row_blocks(len(rows), 2 * n, optables.PROOF_CELLS):
+        tx = t[rows[a0:a1]]
+        for g0, g1 in _row_blocks(len(gens), 2 * len(tx) * len(cols), optables.PROOF_CELLS):
+            g = gens[g0:g1]
             # (x g) y and x (g y), each of shape (x, g, y)
             if (narrow[tx[:, g]] != np.take(tx, narrow[g], axis=1)).any():
                 return False
@@ -194,12 +189,12 @@ def _interchanges(ti: np.ndarray, tj: np.ndarray, cap: int) -> bool:
     """
     n = len(ti)
     covered = np.zeros(n, dtype=bool)
-    step = _step(n)
+    blocks = _row_blocks(n, n, optables.PROOF_CELLS)
     for _ in range(cap // (n * n)):
         y = int(np.argmin(covered))
         column, yz = ti[:, y], tj[y]
-        for a0 in range(0, n, step):
-            if (tj[column[a0:a0 + step]] != ti[a0:a0 + step][:, yz]).any():
+        for a0, a1 in blocks:
+            if (tj[column[a0:a1]] != ti[a0:a1][:, yz]).any():
                 return False
         covered[y] = True
         covered[column] = True
@@ -273,11 +268,6 @@ def _orbit_reps(carrier, ops):
 # sides and its mask, each thread holds one block.
 
 
-def _gather_rows(width: int) -> int:
-    """Rows of `width` intp indices that fit in one gather block of optables.GATHER_CELLS."""
-    return max(1, optables.GATHER_CELLS // max(1, width))
-
-
 def _take(values, index, axis):
     """values.take(index, axis=axis), with index converted to intp one row block at a time.
 
@@ -290,15 +280,14 @@ def _take(values, index, axis):
     copies out, and it skips the bounds check.
     """
     rows = index.reshape(-1, index.shape[-1])
-    step = _gather_rows(rows.shape[1])
-    if len(rows) <= step:
+    blocks = _row_blocks(len(rows), rows.shape[1], optables.GATHER_CELLS)
+    if len(blocks) == 1:
         return values.take(index, axis=axis, mode="clip")
     lead, tail = values.shape[:axis], values.shape[axis + 1:]
     out = np.empty(lead + rows.shape + tail, dtype=values.dtype)
     before = (slice(None),) * axis
-    for r0 in range(0, len(rows), step):
-        block = before + (slice(r0, r0 + step),)
-        values.take(rows[r0:r0 + step], axis=axis, out=out[block], mode="clip")
+    for r0, r1 in blocks:
+        values.take(rows[r0:r1], axis=axis, out=out[before + (slice(r0, r1),)], mode="clip")
     return out.reshape(lead + index.shape + tail)
 
 
@@ -312,13 +301,13 @@ def _take_pairs(t, first, second):
     first = np.multiply(first, len(t), dtype=np.intp)
     flat = t.reshape(-1)
     k, m, n = shape = np.broadcast(first, second).shape
-    step = _gather_rows(k * n)
-    if m <= step:
+    blocks = _row_blocks(m, k * n, optables.GATHER_CELLS)
+    if len(blocks) == 1:
         return flat.take(first + second, mode="clip")
     first, second = np.broadcast_to(first, shape), np.broadcast_to(second, shape)
     out = np.empty(shape, dtype=t.dtype)
-    for b0 in range(0, m, step):
-        b = np.s_[:, b0:b0 + step]
+    for b0, b1 in blocks:
+        b = np.s_[:, b0:b1]
         flat.take(first[b] + second[b], out=out[b], mode="clip")
     return out
 
@@ -464,11 +453,10 @@ def _solution_counts(op: OpTable, side: str) -> np.ndarray:
     t = op.table if side == LEFT else op.table.T
     n = len(op)
     counts = np.empty((n, n), dtype=np.int32)
-    step = _step(4 * n)
-    for a0 in range(0, n, step):
-        block = t[a0:a0 + step]
+    for a0, a1 in _row_blocks(n, 4 * n, optables.PROOF_CELLS):
+        block = t[a0:a1]
         cells = np.arange(len(block))[:, None] * n + block
-        counts[a0:a0 + step] = np.bincount(cells.ravel(), minlength=block.size).reshape(block.shape)
+        counts[a0:a1] = np.bincount(cells.ravel(), minlength=block.size).reshape(block.shape)
     return counts if side == LEFT else counts.T
 
 
@@ -503,6 +491,12 @@ def find_units(op: OpTable) -> list:
     return [op.carrier.elements[e] for e in unit_indices(op.table).tolist()]
 
 
+def _inverses_report(op: OpTable, inverses: np.ndarray) -> AxiomReport:
+    """The report on inverse_indices, failing on the first element with no inverse (-1)."""
+    missing, n = first_true(inverses < 0), len(op)
+    return passing("inverses", n * n) if missing is None else failing("inverses", op.carrier, missing, n * n)
+
+
 def find_inverses(op: OpTable, unit) -> tuple:
     """Two-sided inverses relative to a verified unit.
 
@@ -517,21 +511,16 @@ def find_inverses(op: OpTable, unit) -> tuple:
     inverses = inverse_indices(op.table, e)
     mapping = dict(zip(carrier.elements, (carrier.elements[b] if b >= 0 else None
                                           for b in inverses.tolist())))
-    missing = first_true(inverses < 0)
-    n = len(op)
-    if missing is not None:
-        return failing("inverses", carrier, missing, n * n), mapping
-    return passing("inverses", n * n), mapping
+    return _inverses_report(op, inverses), mapping
 
 
 def check_group(op: OpTable, jobs: int = 1) -> AxiomReport:
-    """Associativity, a two-sided unit, and an inverse for every element."""
+    """Associativity, a two-sided unit, and an inverse for every element, decided on indices."""
     def stages():
         yield "assoc", check_associativity(op, jobs=jobs)
-        units = find_units(op)
-        n = len(op)
-        yield "no-unit", passing("unit", n) if units else failing("unit", op.carrier, (), n)
-        yield "inverses", find_inverses(op, units[0])[0]
+        units, n = unit_indices(op.table), len(op)
+        yield "no-unit", passing("unit", n) if len(units) else failing("unit", op.carrier, (), n)
+        yield "inverses", _inverses_report(op, inverse_indices(op.table, units[0]))
 
     return _stages("group", stages())
 

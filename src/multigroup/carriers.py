@@ -38,7 +38,9 @@ matrices, and 2-tuples for products and vector-group pairs.
 import bisect
 import itertools
 import math
+import numbers
 import os
+from collections.abc import Sequence
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -55,7 +57,7 @@ from .errors import (
 )
 from .field import PrimeField
 from .matrix import Matrix, mat_inv, mat_mul
-from .optables import _endomorphism_failure, _Frozen, _generators, first_true, index_dtype
+from .optables import _endomorphism_failure, _Frozen, _generators, _row_blocks, first_true, index_dtype
 
 DEFAULT_GUARD = 10**6
 
@@ -288,15 +290,14 @@ class Carrier(_Frozen):
             return _frozen(table)
         table = np.empty((n, n), dtype=index_dtype(n))
         rows = np.arange(n)[:, None]
-        step = max(1, CAYLEY_CHUNK_CELLS // n)
-        for a0 in range(0, n, step):
-            block = self.product(rows[a0:a0 + step], rows.T)
+        for a0, a1 in _row_blocks(n, n, CAYLEY_CHUNK_CELLS):
+            block = self.product(rows[a0:a1], rows.T)
             bad = first_true(block < 0)
             if bad is not None:
                 a, b = a0 + bad[0], bad[1]
                 escaped = self.array[a] @ self.array[b] % self.field.p
                 raise NotClosedError(self[a], self[b], tuple(map(tuple, escaped.tolist())))
-            table[a0:a0 + step] = block
+            table[a0:a1] = block
         return _frozen(table)
 
     @cached_property
@@ -690,8 +691,9 @@ class GroupAutomorphism(_Frozen):
 def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
     """Build and exhaustively validate an automorphism.
 
-    rule is one of: "identity", ("inner", g), ("power", k), or an explicit
-    sequence of image indices; a power is reduced mod |G|. Validation checks
+    rule is one of: "identity", ("inner", g), ("power", k) for an integer k,
+    or a sequence or array of integer image indices; a power is reduced mod
+    |G|, and any other rule raises UnsupportedCarrierError. Validation checks
     bijectivity and then the homomorphism law over all pairs, in row blocks,
     naming the first failing pair.
     """
@@ -699,25 +701,28 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
         raise UnsupportedCarrierError("automorphisms need a group carrier")
     n = len(group)
     every = np.arange(n)
-    if rule == "identity":
-        images = every
-        label = "identity"
+    if isinstance(rule, str):
+        if rule != "identity":
+            raise UnsupportedCarrierError(f"unknown automorphism rule {rule!r}")
+        images, label = every, "identity"
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "inner":
         g = rule[1]
-        if g not in group.index:
-            raise UnsupportedCarrierError(f"inner({g!r}): element not in {group.label}")
-        gi = group.index_of(g)
+        try:
+            gi = group.index_of(g)
+        except (KeyError, TypeError):  # not an element, or not hashable like one
+            raise UnsupportedCarrierError(f"inner({g!r}): element not in {group.label}") from None
         images = group.product(group.product(gi, every), group.inverse[gi])
         label = f"inner({gi})"
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "power":
-        images = power_index(group, every, rule[1] % n)
-        label = f"power({rule[1]})"
-    else:
-        images = [int(i) for i in rule]
-        if len(images) != n or not all(0 <= i < n for i in images):
+        if not isinstance(rule[1], numbers.Integral):
+            raise UnsupportedCarrierError(f"power({rule[1]!r}): the exponent must be an integer")
+        images, label = power_index(group, every, rule[1] % n), f"power({rule[1]})"
+    elif isinstance(rule, Sequence) or getattr(rule, "ndim", None) == 1:
+        if len(rule) != n or not all(isinstance(i, numbers.Integral) and 0 <= i < n for i in rule):
             raise NotBijectiveError(f"image list must be a permutation of 0..{n - 1}")
-        images = np.array(images, dtype=np.int64)
-        label = "explicit"
+        images, label = np.array(rule, dtype=np.int64), "explicit"
+    else:
+        raise UnsupportedCarrierError(f"unknown automorphism rule {rule!r}")
 
     if not np.array_equal(np.sort(images), every):
         raise NotBijectiveError(f"{label} is not a bijection on {group.label}")

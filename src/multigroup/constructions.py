@@ -222,33 +222,33 @@ def default_vector_action(pairs: Carrier):
 def action_dimonoid(pairs: Carrier, action=None) -> tuple:
     """Dimonoid tables on X x G for a verified group action of G on X.
 
-    (x,g) -| (y,h) = (x, gh) and (x,g) |- (y,h) = (g.y, gh). The action, the
-    carrier's own table unless a rule on encodings is given, is checked
-    exhaustively for identity and compatibility before any table is built.
+    (x,g) -| (y,h) = (x, gh) and (x,g) |- (y,h) = (g.y, gh). The action is
+    the carrier's own table, A.v, which is an action by construction, unless
+    a rule on encodings is given; a given rule is checked exhaustively for
+    identity and compatibility before any table is built.
     """
     group = _require_pairs(pairs, "action_dimonoid")
-    vectors = [v for v, _ in pairs.elements[::len(group)]]
-    act = pairs.action
+    act, c = pairs.action, group.cayley
     if action is not None:
+        vectors = [v for v, _ in pairs.elements[::len(group)]]
         position = {v: i for i, v in enumerate(vectors)}
         act = np.array([[position.get(action(g, v), -1) for v in vectors] for g in group.elements])
-    moved = first_true(act[group.identity_index] != np.arange(len(vectors)))
-    if moved is not None:
-        raise NotAnActionError(f"identity must act trivially, moves {vectors[moved[0]]!r}")
-    outside = first_true(act < 0)
-    if outside is not None:
-        g, v = group[outside[0]], vectors[outside[1]]
-        raise NotAnActionError(f"g={g!r} moves x={v!r} outside the vectors")
-    c = group.cayley
+        moved = first_true(act[group.identity_index] != np.arange(len(vectors)))
+        if moved is not None:
+            raise NotAnActionError(f"identity must act trivially, moves {vectors[moved[0]]!r}")
+        outside = first_true(act < 0)
+        if outside is not None:
+            g, v = group[outside[0]], vectors[outside[1]]
+            raise NotAnActionError(f"g={g!r} moves x={v!r} outside the vectors")
 
-    def compatibility(g0, g1):  # first (g, h, x) with (gh).x != g.(h.x)
-        hit = first_true(act[c[g0:g1]] != act[np.arange(g0, g1)[:, None, None], act[None]])
-        return None if hit is None else (g0 + hit[0],) + hit[1:]
+        def compatibility(g0, g1):  # first (g, h, x) with (gh).x != g.(h.x)
+            hit = first_true(act[c[g0:g1]] != act[np.arange(g0, g1)[:, None, None], act[None]])
+            return None if hit is None else (g0 + hit[0],) + hit[1:]
 
-    bad = scan_chunks(compatibility, len(group), len(group) * len(vectors))
-    if bad is not None:
-        g, h, v = group[bad[0]], group[bad[1]], vectors[bad[2]]
-        raise NotAnActionError(f"compatibility fails at g={g!r}, h={h!r}, x={v!r}")
+        bad = scan_chunks(compatibility, len(group), len(group) * len(vectors))
+        if bad is not None:
+            g, h, v = group[bad[0]], group[bad[1]], vectors[bad[2]]
+            raise NotAnActionError(f"compatibility fails at g={g!r}, h={h!r}, x={v!r}")
     (xv, xg), (yv, yg) = _pair_parts(pairs)
     gh = c[xg, yg]
     dashv = table_from_array(pairs, xv * len(group) + gh, "action_dashv")

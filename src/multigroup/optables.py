@@ -1,12 +1,13 @@
 """Operation tables, the index-array helpers on them, axiom reports, and multisets.
 
 An OpTable is a dense |Q| x |Q| grid of result indices over a fixed carrier.
-Closure is structural: a table cannot be built with results outside the
-carrier. The helpers below work on such grids alone: units and inverses and,
-in row blocks within the proof budget PROOF_CELLS, the first pair an index
-map fails to preserve and a generating set of a magma. Carriers use them for
-their automorphisms and orbit candidates, and the checks for their proofs and
-to verify those candidates.
+Closure is structural: a table cannot be built from a value that is not the
+index of a carrier element. The helpers below work on such grids alone: units
+and inverses and, in row blocks within the proof budget PROOF_CELLS, the first
+pair an index map fails to preserve and a generating set of a magma. Carriers
+use them for their automorphisms and orbit candidates, and the checks for
+their proofs and to verify those candidates. Every budgeted loop, here, in
+axioms and in carriers, takes its row blocks from _row_blocks.
 AxiomReports serialize to the stable JSON shape
 {axiom, verdict, witness, checked, reason, exhaustive}; the witness is always
 the lexicographically first violating tuple in carrier order, so reports are
@@ -15,6 +16,7 @@ byte-reproducible regardless of how the scan was parallelized.
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
@@ -89,14 +91,18 @@ def inverse_indices(table: np.ndarray, e: int) -> np.ndarray:
     return np.where(both.any(axis=1), both.argmax(axis=1), -1)
 
 
-def _step(width: int) -> int:
-    """Rows of `width` cells that fit in PROOF_CELLS.
+def _row_blocks(n: int, width: int, cells: int) -> list:
+    """Consecutive (a0, a1) blocks of n rows of `width` cells: cells // width rows, at least one.
 
-    Callers pass 4 * width where every cell becomes an 8-byte temporary (an
-    intp index or a uint64 key), which then takes the bytes of PROOF_CELLS
-    int16 cells.
+    Every budgeted loop takes its blocks here, passing its budget as it runs.
+    The proofs and table helpers pass 4 * width where each cell becomes an
+    8-byte temporary (an intp index or a uint64 key), which then takes the
+    bytes of PROOF_CELLS int16 cells.
     """
-    return max(1, PROOF_CELLS // max(1, width))
+    step = max(1, cells // max(1, width))
+    if step >= n:  # at most one block, the common case on small tables
+        return [(0, n)] if n else []
+    return list(zip(range(0, n, step), [*range(step, n, step), n]))
 
 
 def _endomorphism_failure(s: np.ndarray, t: np.ndarray):
@@ -107,10 +113,9 @@ def _endomorphism_failure(s: np.ndarray, t: np.ndarray):
     and an image gather.
     """
     images = s.astype(t.dtype)
-    step = _step(4 * len(t))
-    for a0 in range(0, len(t), step):
-        moved = t.take(s[a0:a0 + step], axis=0).take(s, axis=1)
-        hit = first_true(moved != images.take(t[a0:a0 + step]))
+    for a0, a1 in _row_blocks(len(t), 4 * len(t), PROOF_CELLS):
+        moved = t.take(s[a0:a1], axis=0).take(s, axis=1)
+        hit = first_true(moved != images.take(t[a0:a1]))
         if hit is not None:
             return a0 + hit[0], hit[1]
     return None
@@ -128,11 +133,10 @@ def _close_right(t: np.ndarray, reached: np.ndarray, gens: np.ndarray, seeds: np
     hit = np.zeros(len(t), dtype=bool)
     hit[seeds] = True
     new = np.flatnonzero(hit & ~reached)
-    step = _step(4 * len(gens))
     while len(new):
         reached[new] = True
-        for a0 in range(0, len(new), step):
-            hit[t[new[a0:a0 + step, None], gens]] = True
+        for a0, a1 in _row_blocks(len(new), 4 * len(gens), PROOF_CELLS):
+            hit[t[new[a0:a1, None], gens]] = True
         new = np.flatnonzero(hit & ~reached)
 
 
@@ -140,10 +144,9 @@ def _image_sizes(t: np.ndarray) -> np.ndarray:
     """|x Q| for every x: the number of distinct entries in each row of t."""
     n = len(t)
     sizes = np.empty(n, dtype=np.intp)
-    step = _step(2 * n)
-    for a0 in range(0, n, step):
-        block = np.sort(t[a0:a0 + step], axis=1)
-        sizes[a0:a0 + step] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
+    for a0, a1 in _row_blocks(n, 2 * n, PROOF_CELLS):
+        block = np.sort(t[a0:a1], axis=1)
+        sizes[a0:a1] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
     return sizes
 
 
@@ -162,9 +165,8 @@ def _generators(t: np.ndarray, limit: int):
     """
     n = len(t)
     image = np.zeros(n, dtype=bool)
-    step = _step(4 * n)
-    for a0 in range(0, n, step):
-        image[t[a0:a0 + step]] = True
+    for a0, a1 in _row_blocks(n, 4 * n, PROOF_CELLS):
+        image[t[a0:a1]] = True
     gens = np.flatnonzero(~image)
     if len(gens) > limit:
         return None
@@ -244,22 +246,32 @@ class OpTable(_Frozen):
 
 
 def table_from_array(carrier: Carrier, array, label: str = "op") -> OpTable:
-    """Wrap a precomputed index grid; values are validated to be in range.
+    """Wrap a precomputed index grid of integral values in 0..n-1, of any numeric or bool dtype.
 
-    Validation runs on the integer values as given, before the cast to
-    index_dtype, so an out-of-range value is reported and never wrapped into
-    range. A grid already contiguous at index_dtype is wrapped without a copy.
+    Validation runs on the values as given, before the cast to index_dtype:
+    the first cell in row-major order out of range, not integral (0.9) or not
+    a number ('1'; an object grid may hold integers) raises NotClosedError and
+    is never wrapped or truncated into range. A grid already contiguous at
+    index_dtype is wrapped without a copy.
     """
     arr = np.asarray(array)
-    if arr.dtype.kind not in "iu":
-        arr = arr.astype(np.int64)
     n = len(carrier)
     if arr.shape != (n, n):
         raise CarrierMismatchError(f"array shape {arr.shape} vs carrier size {n}")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        x, y = first_true((arr < 0) | (arr >= n))
-        raise NotClosedError(carrier.elements[x], carrier.elements[y], int(arr[x, y]))
-    table = np.ascontiguousarray(arr, dtype=index_dtype(n))
+    kind = arr.dtype.kind
+    if kind not in "biu" or arr.size and (arr.min() < 0 or arr.max() >= n):
+        if kind in "biufc":
+            real = arr.real
+            bad = (real < 0) | (real >= n) | (real != np.floor(real)) | (arr.imag != 0)
+        elif kind == "O":
+            index = np.frompyfunc(lambda v: isinstance(v, numbers.Integral) and 0 <= v < n, 1, 1)
+            bad = ~index(arr).astype(bool)
+        else:
+            bad = np.ones(arr.shape, dtype=bool)
+        hit = first_true(bad)
+        if hit is not None:
+            raise NotClosedError(*(carrier.elements[i] for i in hit), arr.item(*hit))
+    table = np.ascontiguousarray(arr.real if kind == "c" else arr, dtype=index_dtype(n))
     return OpTable(carrier=carrier, table=table, label=label)
 
 
@@ -373,12 +385,6 @@ def failing(
     return AxiomReport(axiom, VERDICT_FAIL, witness, checked, reason)
 
 
-def chunk_ranges(n: int, width: int):
-    """Fixed-width row chunks; width never depends on the thread count."""
-    step = max(1, width)
-    return [(a, min(a + step, n)) for a in range(0, n, step)]
-
-
 def scan_chunks(worker: Callable, n_rows: int, cells_per_row: int, jobs: int = 1):
     """Run worker(a0, a1) over fixed chunks in order and return the first hit.
 
@@ -404,8 +410,7 @@ def scan_chunks(worker: Callable, n_rows: int, cells_per_row: int, jobs: int = 1
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1)
-    rows = max(1, CHUNK_CELLS // max(1, cells_per_row))
-    ranges = chunk_ranges(n_rows, rows)
+    ranges = _row_blocks(n_rows, cells_per_row, CHUNK_CELLS)
     found = worker(*ranges[0]) if ranges else None
     if found is not None or len(ranges) <= 1:
         return found

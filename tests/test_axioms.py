@@ -741,3 +741,18 @@ def test_unit_and_inverse_searches_match_naive_loops(tables):
     assert report.passed == (not missing)
     assert report.witness == (tuple(missing[:1]) if missing else None)
     assert report.checked == n * n
+
+
+def test_group_check_decides_units_and_inverses_on_indices():
+    # multiplication mod 6 is an associative monoid with unit 1 in which 0
+    # has no inverse; the unit and inverse stages read the table's indices
+    # and build no element index on the carrier
+    z6 = cyclic_group(6)
+    x = np.arange(6)
+    times = table_from_array(z6, x[:, None] * x % 6, "times")
+    report = check_group(times)
+    assert (report.passed, report.witness, report.reason) == (False, (0,), "inverses")
+    assert report.checked == 6**3 + 6 + 6**2
+    assert check_group(table_from_array(z6, z6.cayley, "plus")).passed
+    assert "index" not in vars(z6)
+    assert find_inverses(times, 1)[0].witness == report.witness

@@ -274,6 +274,31 @@ def test_explicit_automorphism_rules():
         make_automorphism(z3, ("inner", 7))
 
 
+def test_explicit_images_that_are_not_integers_are_refused():
+    # int() once truncated these to (0, 1, 2) and accepted the identity
+    with pytest.raises(NotBijectiveError):
+        make_automorphism(cyclic_group(3), [0.2, 1.9, 2.5])
+    with pytest.raises(NotBijectiveError):
+        make_automorphism(cyclic_group(3), np.array([0.0, 1.0, 2.0]))
+
+
+def test_explicit_images_may_be_an_integer_array():
+    # comparing an array with "identity" once raised a bare ValueError
+    z3 = cyclic_group(3)
+    for images in (np.array([0, 2, 1]), np.array([0, 2, 1], dtype=np.uint8), list(np.array([0, 2, 1]))):
+        phi = make_automorphism(z3, images)
+        assert (phi.images, phi.label) == ((0, 2, 1), "explicit")
+
+
+def test_rules_it_cannot_read_are_refused():
+    # a non-integer power once raised a bare numpy TypeError
+    z3 = cyclic_group(3)
+    for rule in (("power", 2.5), ("power", "2"), ("inner", [1]), "inverse", None, 5):
+        with pytest.raises(UnsupportedCarrierError):
+            make_automorphism(z3, rule)
+    assert make_automorphism(z3, ("power", np.int64(2))).images == (0, 2, 1)
+
+
 def test_matrix_subgroup():
     sub = matrix_subgroup([IDENT2, SWAP2], 2, 2)
     assert len(sub) == 2

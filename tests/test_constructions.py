@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from multigroup import constructions
 from multigroup.axioms import (
     LEFT,
     RIGHT,
@@ -247,6 +248,20 @@ def test_action_dimonoid_default_action():
     assert dashv.apply(a, b) == ((0, 1), prod)
     assert vdash.apply(a, b) == (Matrix(F2, a[1]).apply(b[0]), prod)
     assert check_dimonoid(dashv, vdash).passed
+
+
+def test_action_dimonoid_default_action_is_not_scanned(monkeypatch):
+    # the carrier's own action A.v is an action by construction; only a given
+    # rule is verified, by a compatibility scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(constructions, "scan_chunks", no_scan)
+    pairs = pair_carrier(2, 3, gl_group(2, 3))
+    dashv, vdash = action_dimonoid(pairs)
+    assert check_dimonoid(dashv, vdash).passed
+    with pytest.raises(AssertionError, match="scanned"):
+        action_dimonoid(pairs, action=lambda g, x: Matrix(pairs.field, g).apply(x))
 
 
 def test_action_dimonoid_rejects_non_actions():

@@ -82,13 +82,14 @@ def test_sides_equal_naive_lookups_on_large_carriers(shape, k):
 
 def _recording_steps(monkeypatch):
     steps = []
-    real = axioms._gather_rows
+    real = axioms._row_blocks
 
-    def step(width):
-        steps.append(real(width))
-        return steps[-1]
+    def blocks(n, width, cells):
+        got = real(n, width, cells)
+        steps.extend(a1 - a0 for a0, a1 in got)
+        return got
 
-    monkeypatch.setattr(axioms, "_gather_rows", step)
+    monkeypatch.setattr(axioms, "_row_blocks", blocks)
     return steps
 
 

@@ -18,13 +18,13 @@ from multigroup.optables import (
     Multiset,
     OpTable,
     build_op_table,
-    chunk_ranges,
     encode_element,
     first_true,
     index_dtype,
     scan_chunks,
     shared_carrier,
     table_from_array,
+    _row_blocks,
 )
 
 
@@ -65,6 +65,37 @@ def test_table_from_array_validates_range():
         table_from_array(z3, grid, "bad")
     with pytest.raises(CarrierMismatchError):
         table_from_array(z3, np.zeros((3, 2), dtype=np.int64), "bad-shape")
+
+
+@pytest.mark.parametrize("grid, cell, value", [
+    ([[0.9, 1.7], [1.2, 0.4]], (0, 0), 0.9),          # truncated to [[0, 1], [1, 0]] once
+    ([[0, 1], [1, 0.5]], (1, 1), 0.5),
+    ([["0", "1"], ["1", "0"]], (0, 0), "0"),          # cast to [[0, 1], [1, 0]] once
+    ([[0, 1], [float("inf"), 2]], (1, 0), float("inf")),
+    ([[0, 1j], [1, 0]], (0, 1), 1j),
+    ([[0, 1], [1, 2**70]], (1, 1), 2**70),             # an object grid of Python ints
+    (np.array([[0, None], [1, 0]], dtype=object), (0, 1), None),
+], ids=["floats", "half", "strings", "inf", "complex", "huge", "object"])
+def test_table_from_array_refuses_values_that_are_not_indices(grid, cell, value):
+    # the first cell in row-major order that is not an integral value in
+    # range is named, before any cast could make it one
+    with pytest.raises(NotClosedError) as info:
+        table_from_array(cyclic_group(2), grid)
+    assert (info.value.x, info.value.y, info.value.result) == (*cell, value)
+
+
+@pytest.mark.parametrize("grid", [
+    [[0, 1], [1, 0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0 + 0j, 1 + 0j], [1 + 0j, 0 + 0j]],
+    [[False, True], [True, False]],
+    np.array([[0, 1], [1, 0]], dtype=np.uint8),
+    np.array([[0, 1], [1, 0]], dtype=np.float16),
+    np.array([[0, 1], [1, 0]], dtype=object),
+])
+def test_table_from_array_accepts_integral_values_of_any_numeric_dtype(grid):
+    table = table_from_array(cyclic_group(2), grid).table
+    assert table.dtype == np.int16 and table.tolist() == [[0, 1], [1, 0]]
 
 
 def test_shared_carrier_rejects_mismatch():
@@ -111,14 +142,16 @@ def test_multiset():
     assert u.entries == ((1, 2), (2, 2))
 
 
-def test_chunk_ranges_fixed_width():
-    n = 100
-    cells_per_row = CHUNK_CELLS // 10
-    ranges = chunk_ranges(n, max(1, CHUNK_CELLS // cells_per_row))
-    assert ranges[0][0] == 0
-    assert ranges[-1][1] == n
-    for (a0, a1), (b0, b1) in zip(ranges, ranges[1:]):
-        assert a1 == b0
+def test_row_blocks_fixed_width():
+    # consecutive blocks of cells // width rows that cover every row once, the
+    # last one short; a row wider than the budget is a block on its own
+    assert _row_blocks(100, CHUNK_CELLS // 10, CHUNK_CELLS) == [(a, a + 10) for a in range(0, 100, 10)]
+    assert _row_blocks(7, 3, 10) == [(0, 3), (3, 6), (6, 7)]
+    assert _row_blocks(9, 3, 9) == [(0, 3), (3, 6), (6, 9)]
+    assert _row_blocks(5, 2, 10) == [(0, 5)]
+    assert _row_blocks(3, 11, 10) == [(0, 1), (1, 2), (2, 3)]
+    assert _row_blocks(3, 0, 10) == [(0, 3)]
+    assert _row_blocks(0, 5, 10) == []
 
 
 def test_scan_chunks_same_ranges_any_jobs():
