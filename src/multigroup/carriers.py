@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import (
     ActionMismatchError,
+    DimensionMismatchError,
     NotBijectiveError,
     NotClosedError,
     NotHomomorphismError,
@@ -163,6 +164,10 @@ class Carrier(_Frozen):
 
     def same_as(self, other: "Carrier") -> bool:
         return self.kind == other.kind and self.elements == other.elements
+
+    def _require_group(self) -> None:
+        if not self.is_group:
+            raise UnsupportedCarrierError("element orders need a group carrier")
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -303,8 +308,7 @@ class Carrier(_Frozen):
     @cached_property
     def orders(self) -> np.ndarray:
         """The order of every element of a group, by one binary power per prime factor of n."""
-        if not self.is_group:
-            raise UnsupportedCarrierError("element orders need a group carrier")
+        self._require_group()
         n = len(self)
         orders = np.full(n, n, dtype=np.int64)
         for q in _prime_factors(n):  # o becomes o/q wherever x^(o/q) = e
@@ -320,8 +324,7 @@ class Carrier(_Frozen):
         Every x in a group of order n has x^n = e (Lagrange), so one binary
         power takes 2 log2(n) products, whatever the element orders.
         """
-        if not self.is_group:
-            raise UnsupportedCarrierError("element orders need a group carrier")
+        self._require_group()
         n = len(self)
         return _frozen(power_index(self, np.arange(n), n - 1))
 
@@ -403,8 +406,7 @@ class Carrier(_Frozen):
 
     def inv(self, a):
         """a^-1 as a^(n - 1), through `mul`."""
-        if not self.is_group:
-            raise UnsupportedCarrierError("element orders need a group carrier")
+        self._require_group()
         return self._power(a, len(self) - 1)
 
 
@@ -440,6 +442,13 @@ def power_index(carrier: Carrier, i, k) -> np.ndarray:
         base = carrier.product(base, base)
         k = k >> 1
     return acc
+
+
+def _powers(group: Carrier, k) -> np.ndarray:
+    """Index of g^k for every g; k must be an integer, and is reduced mod |G| (g^|G| = e)."""
+    if not isinstance(k, numbers.Integral):
+        raise UnsupportedCarrierError(f"power({k!r}): the exponent must be an integer")
+    return power_index(group, np.arange(len(group)), k % len(group))
 
 
 def cyclic_group(n: int) -> Carrier:
@@ -503,13 +512,16 @@ def matrix_set(n: int, p: int) -> Carrier:
 def matrix_subgroup(rows_list, n: int, p: int, label: str | None = None) -> Carrier:
     """A matrix group carrier from explicit elements, verified to be a group.
 
-    Elements are given as row tuples, deduplicated and sorted row-major. The
-    identity is checked first, then inverses, then products: NotClosedError
-    names the first inverse, else the first product in row-major order,
-    outside the set.
+    Elements are given as row tuples, deduplicated and sorted row-major.
+    Their size is checked first (DimensionMismatchError), then the identity,
+    inverses and products: NotClosedError names the first inverse, else the
+    first product in row-major order, outside the set.
     """
     fld = PrimeField(p)
     elements = tuple(sorted({Matrix.from_rows(r, fld).rows for r in rows_list}))
+    wrong = next((a for a in elements if len(a) != n), None)
+    if wrong is not None:
+        raise DimensionMismatchError(f"matrix subgroup element {wrong} is not {n}x{n}")
     if _identity_rows(n) not in elements:
         raise NoUnitError(f"matrix subgroup mod {p} must contain the identity")
     member = set(elements)
@@ -651,8 +663,7 @@ def group_carrier(spec: str) -> Carrier:
 
 def element_order(carrier: Carrier, element) -> int:
     """The order of element, as `orders` finds it, by one `Carrier._power` per prime factor of n."""
-    if not carrier.is_group:
-        raise UnsupportedCarrierError("element orders need a group carrier")
+    carrier._require_group()
     carrier._position(element)
     order = len(carrier)
     for q in _prime_factors(order):
@@ -714,9 +725,7 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
         images = group.product(group.product(gi, every), group.inverse[gi])
         label = f"inner({gi})"
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "power":
-        if not isinstance(rule[1], numbers.Integral):
-            raise UnsupportedCarrierError(f"power({rule[1]!r}): the exponent must be an integer")
-        images, label = power_index(group, every, rule[1] % n), f"power({rule[1]})"
+        images, label = _powers(group, rule[1]), f"power({rule[1]})"
     elif isinstance(rule, Sequence) or getattr(rule, "ndim", None) == 1:
         if len(rule) != n or not all(isinstance(i, numbers.Integral) and 0 <= i < n for i in rule):
             raise NotBijectiveError(f"image list must be a permutation of 0..{n - 1}")

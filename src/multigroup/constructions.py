@@ -4,20 +4,20 @@ Each construction is a gather over its carrier's index arrays: the Cayley
 table, the inverse and power indices and, on vector-group pairs, the action
 table. No construction evaluates a rule per element pair.
 
-The spec language names them in one table, `dsl.CONSTRUCTIONS`: each entry
-gives a construction's name, the carrier it needs, its arguments and the
-function here that builds it.
+Each builder checks its carrier through one of the five needs below, which
+hold the text that refuses any other carrier; the spec language's table,
+`dsl.CONSTRUCTIONS`, names the same needs, so a spec refuses with that text.
 """
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .carriers import (
     Carrier,
     GroupAutomorphism,
+    _powers,
     direct_product,
-    power_index,
 )
 from .errors import (
     CarrierMismatchError,
@@ -55,9 +55,33 @@ class MatrixOpParams(_MatrixOpFields):
         return super().__new__(cls, s % p, t % p, m1, m2)
 
 
-def _require_matrix_carrier(carrier: Carrier, n: int, p: int) -> None:
-    if carrier.kind not in ("matrix-set", "matrix-group"):
-        raise UnsupportedCarrierError(f"need a matrix carrier, got {carrier.kind}")
+class CarrierNeed(NamedTuple):
+    """The carrier a construction needs, and the text that refuses any other."""
+
+    holds: Callable  # Carrier -> bool
+    message: str  # formatted with ctor= and kind= (the carrier's kind)
+    error: type = UnsupportedCarrierError
+
+    def require(self, carrier: Carrier, ctor: str) -> None:
+        """Raise the need's error, naming the construction ctor, unless carrier meets the need."""
+        if not self.holds(carrier):
+            raise self.error(self.message.format(ctor=ctor, kind=carrier.kind))
+
+
+MATRIX_CARRIER = CarrierNeed(lambda carrier: carrier.kind in ("matrix-set", "matrix-group"),
+                             "{ctor} needs a matrix carrier, carrier is {kind}")
+PAIR_CARRIER = CarrierNeed(lambda carrier: carrier.kind == "vector-group-pairs",
+                           "{ctor} needs a vectors(n,p) x gl(n,p) carrier, carrier is {kind}")
+GROUP_CARRIER = CarrierNeed(lambda carrier: carrier.is_group, "{ctor} needs a group carrier")
+MONOID_SQUARE = CarrierNeed(lambda carrier: carrier.factors is not None and carrier.factors[0].is_monoid
+                            and carrier.factors[0].same_as(carrier.factors[1]),
+                            "{ctor} needs a carrier M x M with M a monoid")
+EVEN_CYCLIC = CarrierNeed(lambda carrier: carrier.kind == "cyclic-group" and len(carrier) % 2 == 0,
+                          "{ctor} needs a cyclic carrier of even order", OddModulusError)
+
+
+def _require_matrix_carrier(carrier: Carrier, ctor: str, n: int, p: int) -> None:
+    MATRIX_CARRIER.require(carrier, ctor)
     if carrier.dim != n:
         raise DimensionMismatchError(f"carrier holds {carrier.dim}x{carrier.dim} matrices, params are {n}x{n}")
     if carrier.field.p != p:
@@ -90,32 +114,22 @@ def _sandwich_table(carrier: Carrier, m: Matrix, label: str) -> OpTable:
 
 def matrix_op(params: MatrixOpParams, carrier: Carrier, label: str | None = None) -> OpTable:
     """The two-parameter product A*B = s A M1 B + t A M2 B = A (s M1 + t M2) B."""
-    _require_matrix_carrier(carrier, params.m1.n, params.m1.field.p)
+    _require_matrix_carrier(carrier, "matrix_op", params.m1.n, params.m1.field.p)
     name = label or f"matrix_op(s={params.s},t={params.t})"
     return _sandwich_table(carrier, mat_add_scaled(params.s, params.m1, params.t, params.m2), name)
 
 
 def gl_group_op(m: Matrix, carrier: Carrier, label: str | None = None) -> OpTable:
     """The sandwich product A*B = A M B; M must be invertible."""
-    _require_matrix_carrier(carrier, m.n, m.field.p)
+    _require_matrix_carrier(carrier, "gl_group_op", m.n, m.field.p)
     if mat_det(m) == 0:
         raise SingularMatrixError(f"sandwich matrix {m.rows} is singular mod {m.field.p}")
     return _sandwich_table(carrier, m, label or "gl_group_op")
 
 
-def _require_group(carrier: Carrier, who: str) -> None:
-    if not carrier.is_group:
-        raise UnsupportedCarrierError(f"{who} needs a group carrier, got {carrier.kind}")
-
-
-def _powers(group: Carrier, k: int) -> np.ndarray:
-    """Index of g^k for every g, the exponent reduced mod the group order (g^|G| = e)."""
-    return power_index(group, np.arange(len(group)), k % len(group))
-
-
 def conj_quandle(group: Carrier, m: int = 1, label: str | None = None) -> OpTable:
     """Twisted conjugation a*b = b^-m a b^m; the exponent is reduced mod the group order."""
-    _require_group(group, "conj_quandle")
+    GROUP_CARRIER.require(group, "conj_quandle")
     c, power = group.cayley, _powers(group, m)
     x, y = _grid(len(group))
     return table_from_array(group, c[c[group.inverse[power][y], x], power[y]],
@@ -124,7 +138,7 @@ def conj_quandle(group: Carrier, m: int = 1, label: str | None = None) -> OpTabl
 
 def core_quandle(group: Carrier, label: str | None = None) -> OpTable:
     """The core operation a*b = b a^-1 b (2b - a on abelian groups)."""
-    _require_group(group, "core_quandle")
+    GROUP_CARRIER.require(group, "core_quandle")
     c = group.cayley
     x, y = _grid(len(group))
     return table_from_array(group, c[c[y, group.inverse[x]], y], label or "core_quandle")
@@ -138,17 +152,11 @@ def _require_phi(phi: GroupAutomorphism, group: Carrier) -> np.ndarray:
 
 def alexander_quandle(group: Carrier, phi: GroupAutomorphism, label: str | None = None) -> OpTable:
     """Twisted difference a*b = phi(a b^-1) b for an automorphism phi."""
-    _require_group(group, "alexander_quandle")
+    GROUP_CARRIER.require(group, "alexander_quandle")
     images, c = _require_phi(phi, group), group.cayley
     x, y = _grid(len(group))
     return table_from_array(group, c[images[c[x, group.inverse[y]]], y],
                             label or f"alexander_quandle({phi.label})")
-
-
-def _require_pairs(carrier: Carrier, who: str) -> Carrier:
-    if carrier.kind != "vector-group-pairs":
-        raise UnsupportedCarrierError(f"{who} needs a vector-group pair carrier, got {carrier.kind}")
-    return carrier.group
 
 
 def _pair_parts(pairs: Carrier) -> tuple:
@@ -159,7 +167,8 @@ def _pair_parts(pairs: Carrier) -> tuple:
 
 def vxg_phi_op(pairs: Carrier, phi: GroupAutomorphism, label: str | None = None) -> OpTable:
     """(a,A) o (b,B) = (A b, phi(A B^-1) B) on vector-group pairs."""
-    group = _require_pairs(pairs, "vxg_phi_op")
+    PAIR_CARRIER.require(pairs, "vxg_phi_op")
+    group = pairs.group
     images, c = _require_phi(phi, group), group.cayley
     (_, xg), (yv, yg) = _pair_parts(pairs)
     table = pairs.action[xg, yv] * len(group) + c[images[c[xg, group.inverse[yg]]], yg]
@@ -168,7 +177,8 @@ def vxg_phi_op(pairs: Carrier, phi: GroupAutomorphism, label: str | None = None)
 
 def vxg_conj_op(pairs: Carrier, n: int, label: str | None = None) -> OpTable:
     """(a,A) o_n (b,B) = (A^n b, A^n B A^-n) on vector-group pairs."""
-    group = _require_pairs(pairs, "vxg_conj_op")
+    PAIR_CARRIER.require(pairs, "vxg_conj_op")
+    group = pairs.group
     power, c = _powers(group, n), group.cayley
     (_, xg), (yv, yg) = _pair_parts(pairs)
     an = power[xg]
@@ -194,12 +204,8 @@ def pair_dimonoid_on(product: Carrier) -> tuple:
 
     (m,n) -| (m',n') = (m, n m' n') and (m,n) |- (m',n') = (m n m', n').
     """
-    if product.kind != "direct-product" or product.factors is None:
-        raise UnsupportedCarrierError("pair_dimonoid needs a direct-product carrier")
-    left, right = product.factors
-    if not left.same_as(right):
-        raise UnsupportedCarrierError("pair_dimonoid needs both product factors equal")
-    monoid = _verified_monoid(left, "pair_dimonoid")
+    MONOID_SQUARE.require(product, "pair_dimonoid")
+    monoid = _verified_monoid(product.factors[0], "pair_dimonoid")
     c, k = monoid.cayley, len(monoid)
     x, y = _grid(len(product))
     (xm, xn), (ym, yn) = np.divmod(x, k), np.divmod(y, k)
@@ -227,7 +233,8 @@ def action_dimonoid(pairs: Carrier, action=None) -> tuple:
     a rule on encodings is given; a given rule is checked exhaustively for
     identity and compatibility before any table is built.
     """
-    group = _require_pairs(pairs, "action_dimonoid")
+    PAIR_CARRIER.require(pairs, "action_dimonoid")
+    group = pairs.group
     act, c = pairs.action, group.cayley
     if action is not None:
         vectors = [v for v, _ in pairs.elements[::len(group)]]
@@ -258,13 +265,11 @@ def action_dimonoid(pairs: Carrier, action=None) -> tuple:
 
 def brace_ops(group: Carrier, variant: str = "trivial") -> tuple:
     """(dot, circ) tables: the trivial brace (circ = dot) or the opposite one (circ = dot flipped)."""
-    _require_group(group, "brace_ops")
+    if variant not in ("trivial", "opposite"):
+        raise ValueError(f"unknown brace variant {variant!r}")
+    GROUP_CARRIER.require(group, f"brace_{variant}")
     dot = table_from_array(group, group.cayley, "dot")
-    if variant == "trivial":
-        return dot, dot.relabel("circ")
-    if variant == "opposite":
-        return dot, opposite_op(dot, "circ")
-    raise ValueError(f"unknown brace variant {variant!r}")
+    return dot, dot.relabel("circ") if variant == "trivial" else opposite_op(dot, "circ")
 
 
 def brace_trivial(group: Carrier) -> tuple:
@@ -334,11 +339,8 @@ def z_parity_brace(carrier: Carrier) -> tuple:
     The parity of a is only well defined modulo an even modulus, so odd
     cyclic carriers are rejected.
     """
-    if carrier.kind != "cyclic-group":
-        raise UnsupportedCarrierError("z_parity_brace needs a cyclic carrier")
+    EVEN_CYCLIC.require(carrier, "z_parity_brace")
     m = len(carrier)
-    if m % 2 != 0:
-        raise OddModulusError(f"parity brace needs an even modulus, got {m}")
     x, y = _grid(m)
     circ = np.where(x % 2 == 0, 1, -1) * y  # a + b for even a, a - b for odd a
     circ += x

@@ -27,16 +27,18 @@ compilation.
 
 Validation builds the declared carrier once, through carriers.build_carrier,
 and keeps it on the draft: the carrier rules and their messages live in
-carriers.py only, and the op checks read the built Carrier. parse_carrier_expr
-parses a carrierExpr alone, for `multigroup enumerate` and group_carrier.
+carriers.py only, and the op checks read the built Carrier. Each construction's
+carrier need and its message live in constructions.py only, so a spec refuses
+a carrier with the library's text. parse_carrier_expr parses a carrierExpr
+alone, for `multigroup enumerate` and group_carrier.
 """
 
 from typing import Callable, NamedTuple
 
-from . import axioms
+from . import axioms, constructions
 from .axioms import LEFT, RIGHT
 from .carriers import Carrier, build_carrier, make_automorphism
-from .errors import NotAGroupError, SpecError, WorkbenchError, error_message
+from .errors import NotAGroupError, SpecError, UnsupportedCarrierError, WorkbenchError, error_message
 from .optables import _Frozen
 from .matrix import Matrix, mat_det
 from .constructions import (
@@ -352,6 +354,7 @@ class _Parser:
 # Validation, compilation and run_check read these two tables. Runners and
 # builders name the public axioms/constructions function inside a lambda, so
 # it is looked up at call time and a wrapper put on that name sees every call.
+# A construction's need is the CarrierNeed its builder checks; validation reports its text.
 # The entry types are NamedTuples, as are the package's other value records:
 # defining a dataclass execs generated source, which every `multigroup` start
 # would pay.
@@ -387,30 +390,6 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-class CarrierNeed(NamedTuple):
-    holds: Callable  # Carrier -> bool
-    message: str  # formatted with ctor= and kind= (the carrier's kind)
-
-
-MATRIX_CARRIER = CarrierNeed(
-    lambda carrier: carrier.kind in ("matrix-set", "matrix-group"),
-    "{ctor} needs a matrix carrier, carrier is {kind}",
-)
-PAIR_CARRIER = CarrierNeed(
-    lambda carrier: carrier.kind == "vector-group-pairs",
-    "{ctor} needs a vectors(n,p) x gl(n,p) carrier, carrier is {kind}",
-)
-GROUP_CARRIER = CarrierNeed(lambda carrier: carrier.is_group, "{ctor} needs a group carrier")
-MONOID_SQUARE = CarrierNeed(
-    lambda carrier: carrier.factors is not None and carrier.factors[0].is_monoid
-    and carrier.factors[0].same_as(carrier.factors[1]),
-    "{ctor} needs a carrier M x M with M a monoid",
-)
-EVEN_CYCLIC = CarrierNeed(
-    lambda carrier: carrier.kind == "cyclic-group" and len(carrier) % 2 == 0,
-    "{ctor} needs a cyclic carrier of even order",
-)
-
 INT, MATRIX, CHOICE, OP_REF, PHI = "int", "matrix", "choice", "op", "phi"
 PHI_KEYS = ("phi", "inner", "power")
 
@@ -435,7 +414,7 @@ class ConstructionSpec(NamedTuple):
     builds it once for all of them.
     """
 
-    need: CarrierNeed | None
+    need: constructions.CarrierNeed | None
     args: tuple  # of Arg
     build: Callable
     parts: tuple = ()
@@ -454,44 +433,44 @@ def _nonsingular(values, nodes, error):
 
 CONSTRUCTIONS = {
     "matrix_op": ConstructionSpec(
-        MATRIX_CARRIER, (Arg("s", INT), Arg("t", INT), Arg("m1", MATRIX), Arg("m2", MATRIX)),
+        constructions.MATRIX_CARRIER, (Arg("s", INT), Arg("t", INT), Arg("m1", MATRIX), Arg("m2", MATRIX)),
         lambda carrier, v: matrix_op(MatrixOpParams(v["s"], v["t"], v["m1"], v["m2"]), carrier),
     ),
     "gl_group_op": ConstructionSpec(
-        MATRIX_CARRIER, (Arg("m", MATRIX),),
+        constructions.MATRIX_CARRIER, (Arg("m", MATRIX),),
         lambda carrier, v: gl_group_op(v["m"], carrier),
         check=_nonsingular,
     ),
     "conj_quandle": ConstructionSpec(
-        GROUP_CARRIER, (Arg("m", INT, default=1),), lambda carrier, v: conj_quandle(carrier, v["m"]),
+        constructions.GROUP_CARRIER, (Arg("m", INT, default=1),), lambda carrier, v: conj_quandle(carrier, v["m"]),
     ),
-    "core_quandle": ConstructionSpec(GROUP_CARRIER, (), lambda carrier, v: core_quandle(carrier)),
+    "core_quandle": ConstructionSpec(constructions.GROUP_CARRIER, (), lambda carrier, v: core_quandle(carrier)),
     "alexander_quandle": ConstructionSpec(
-        GROUP_CARRIER, (Arg("phi", PHI),),
+        constructions.GROUP_CARRIER, (Arg("phi", PHI),),
         lambda carrier, v: alexander_quandle(carrier, make_automorphism(carrier, v["phi"])),
     ),
     "vxg_phi_op": ConstructionSpec(
-        PAIR_CARRIER, (Arg("phi", PHI),),
+        constructions.PAIR_CARRIER, (Arg("phi", PHI),),
         lambda carrier, v: vxg_phi_op(carrier, make_automorphism(carrier.group, v["phi"])),
     ),
     "vxg_conj_op": ConstructionSpec(
-        PAIR_CARRIER, (Arg("n", INT),), lambda carrier, v: vxg_conj_op(carrier, v["n"]),
+        constructions.PAIR_CARRIER, (Arg("n", INT),), lambda carrier, v: vxg_conj_op(carrier, v["n"]),
     ),
     "opposite": ConstructionSpec(None, (Arg("of", OP_REF),), lambda carrier, v: opposite_op(v["of"])),
     "pair_dimonoid": ConstructionSpec(
-        MONOID_SQUARE, (), lambda carrier, v: pair_dimonoid_on(carrier), parts=("dashv", "vdash"),
+        constructions.MONOID_SQUARE, (), lambda carrier, v: pair_dimonoid_on(carrier), parts=("dashv", "vdash"),
     ),
     "action_dimonoid": ConstructionSpec(
-        PAIR_CARRIER, (), lambda carrier, v: action_dimonoid(carrier), parts=("dashv", "vdash"),
+        constructions.PAIR_CARRIER, (), lambda carrier, v: action_dimonoid(carrier), parts=("dashv", "vdash"),
     ),
     "brace_trivial": ConstructionSpec(
-        GROUP_CARRIER, (), lambda carrier, v: brace_ops(carrier, "trivial"), parts=("dot", "circ"),
+        constructions.GROUP_CARRIER, (), lambda carrier, v: brace_ops(carrier, "trivial"), parts=("dot", "circ"),
     ),
     "brace_opposite": ConstructionSpec(
-        GROUP_CARRIER, (), lambda carrier, v: brace_ops(carrier, "opposite"), parts=("dot", "circ"),
+        constructions.GROUP_CARRIER, (), lambda carrier, v: brace_ops(carrier, "opposite"), parts=("dot", "circ"),
     ),
     "z_parity_brace": ConstructionSpec(
-        EVEN_CYCLIC, (), lambda carrier, v: z_parity_brace(carrier), parts=("plus", "circ"),
+        constructions.EVEN_CYCLIC, (), lambda carrier, v: z_parity_brace(carrier), parts=("plus", "circ"),
     ),
 }
 
@@ -527,8 +506,11 @@ class _OpValidator:
                 self.error(tok, f"duplicate argument {name!r}")
             nodes[name] = node
         values = None
-        if spec.need is not None and self.carrier is not None and not spec.need.holds(self.carrier):
-            self.error(op.ctor_token, spec.need.message.format(ctor=op.ctor, kind=self.carrier.kind))
+        try:
+            if spec.need is not None and self.carrier is not None:
+                spec.need.require(self.carrier, op.ctor)
+        except UnsupportedCarrierError as refused:
+            self.error(op.ctor_token, str(refused))
         else:
             resolve = {INT: self.int_arg, MATRIX: self.matrix_arg, CHOICE: self.choice_arg,
                        OP_REF: self.op_arg, PHI: self.phi_arg}

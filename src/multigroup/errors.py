@@ -90,8 +90,8 @@ class NotAnActionError(WorkbenchError):
     """Supplied map is not a group action (identity or compatibility fails)."""
 
 
-class OddModulusError(WorkbenchError):
-    """Parity-dependent construction needs an even modulus."""
+class OddModulusError(UnsupportedCarrierError):
+    """Parity-dependent construction got a carrier other than an even-order cyclic group."""
 
 
 class UnknownClaimError(WorkbenchError):

@@ -27,6 +27,7 @@ from multigroup.carriers import (
 )
 from multigroup.errors import (
     ActionMismatchError,
+    DimensionMismatchError,
     NotBijectiveError,
     NotClosedError,
     NotHomomorphismError,
@@ -311,6 +312,16 @@ def test_matrix_subgroup():
     # 17^16 entries' ranks overflow int64: refused, never wrapped
     with pytest.raises(UnsupportedCarrierError):
         matrix_subgroup([tuple(tuple(int(i == j) for j in range(4)) for i in range(4))], 4, 17)
+
+
+@pytest.mark.parametrize("rows_list, n, wrong", [
+    ([IDENT2, ((1,),)], 2, ((1,),)),  # a 1x1 element beside a 2x2 one
+    ([IDENT2], 3, IDENT2),  # an identity, of the wrong size
+])
+def test_matrix_subgroup_refuses_elements_of_the_wrong_size(rows_list, n, wrong):
+    with pytest.raises(DimensionMismatchError) as got:
+        matrix_subgroup(rows_list, n, 2)
+    assert str(got.value) == f"matrix subgroup element {wrong} is not {n}x{n}"
 
 
 def test_index_roundtrip():

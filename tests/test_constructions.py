@@ -19,6 +19,7 @@ from multigroup.carriers import (
     cyclic_group,
     direct_product,
     gl_group,
+    group_carrier,
     integer_window,
     make_automorphism,
     matrix_set,
@@ -33,6 +34,7 @@ from multigroup.constructions import (
     brace_ops,
     conj_quandle,
     core_quandle,
+    default_vector_action,
     gl_group_op,
     matrix_op,
     opposite_op,
@@ -43,6 +45,7 @@ from multigroup.constructions import (
     z_parity_brace,
     z_parity_window,
 )
+from multigroup.dsl import CONSTRUCTIONS, parse_spec
 from multigroup.errors import (
     DimensionMismatchError,
     ModulusMismatchError,
@@ -323,3 +326,73 @@ def test_parity_brace_rejects_bad_carriers():
         z_parity_brace(cyclic_group(5))
     with pytest.raises(UnsupportedCarrierError):
         z_parity_brace(symmetric_group(3))
+
+
+@pytest.mark.parametrize("spec", ["vectors(2,2) x gl(2,2)", "vectors(1,3) x gl(1,3)", "vectors(2,3) x gl(2,3)"])
+def test_default_vector_action_gives_the_carriers_own_tables(spec):
+    pairs = group_carrier(spec)
+    given = action_dimonoid(pairs, default_vector_action(pairs))
+    for table, want in zip(given, action_dimonoid(pairs)):
+        assert np.array_equal(table.table, want.table)
+
+
+_POWER_BUILDS = {
+    "conj_quandle": lambda k: conj_quandle(symmetric_group(3), k),
+    "vxg_conj_op": lambda k: vxg_conj_op(pair_carrier(2, 2, gl_group(2, 2)), k),
+}
+
+
+@pytest.mark.parametrize("k", [1.5, "2", np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("ctor", sorted(_POWER_BUILDS))
+def test_exponents_that_are_not_integers_are_refused(ctor, k):
+    with pytest.raises(UnsupportedCarrierError) as got:
+        _POWER_BUILDS[ctor](k)
+    assert str(got.value) == f"power({k!r}): the exponent must be an integer"
+
+
+@pytest.mark.parametrize("ctor", sorted(_POWER_BUILDS))
+def test_bool_and_numpy_integer_exponents_are_accepted(ctor):
+    build = _POWER_BUILDS[ctor]
+    assert np.array_equal(build(True).table, build(1).table)
+    assert np.array_equal(build(np.int64(-2)).table, build(-2).table)
+
+
+# One library call per construction; each checks its carrier before it looks
+# at any other argument, so one matrix and one phi serve every carrier.
+_M2 = Matrix.identity(2, F2)
+_PHI = make_automorphism(cyclic_group(2), "identity")
+_LIBRARY_BUILDS = {
+    "matrix_op": lambda carrier: matrix_op(MatrixOpParams(1, 0, _M2, _M2), carrier),
+    "gl_group_op": lambda carrier: gl_group_op(_M2, carrier),
+    "conj_quandle": conj_quandle,
+    "core_quandle": core_quandle,
+    "alexander_quandle": lambda carrier: alexander_quandle(carrier, _PHI),
+    "vxg_phi_op": lambda carrier: vxg_phi_op(carrier, _PHI),
+    "vxg_conj_op": lambda carrier: vxg_conj_op(carrier, 1),
+    "pair_dimonoid": pair_dimonoid_on,
+    "action_dimonoid": action_dimonoid,
+    "brace_trivial": lambda carrier: brace_ops(carrier, "trivial"),
+    "brace_opposite": lambda carrier: brace_ops(carrier, "opposite"),
+    "z_parity_brace": z_parity_brace,
+}
+_REFUSED = [
+    (ctor, spec)
+    for spec in ("cyclic(5)", "symmetric(3)", "matrices(2,2)", "cyclic(2) x cyclic(3)", "window(0,3)",
+                 "vectors(2,2) x gl(2,2)")
+    for ctor in sorted(_LIBRARY_BUILDS)
+    if not CONSTRUCTIONS[ctor].need.holds(group_carrier(spec))
+]
+
+
+def test_every_construction_with_a_need_has_a_library_build():
+    assert sorted(_LIBRARY_BUILDS) == sorted(n for n, c in CONSTRUCTIONS.items() if c.need is not None)
+
+
+@pytest.mark.parametrize("ctor, spec", _REFUSED)
+def test_library_refuses_a_carrier_with_the_specs_text(ctor, spec):
+    draft = parse_spec(f"carrier {spec};\nop o = {ctor}();\ncheck assoc o;\n")
+    [want] = [d.message for d in draft.errors if (d.line, d.column) == (2, 8)]
+    expected = OddModulusError if (ctor, spec) == ("z_parity_brace", "cyclic(5)") else UnsupportedCarrierError
+    with pytest.raises(expected) as got:
+        _LIBRARY_BUILDS[ctor](group_carrier(spec))
+    assert str(got.value) == want
