@@ -350,6 +350,41 @@ CASES = [
         ],
     ),
     (
+        'matrix-not-square-wide',
+        'carrier gl(2,3);\nop g = gl_group_op(m=[[1,2,3],[4,5,6]]);\ncheck group g;\n',
+        [
+            'bad.mg:2:22: error: matrix must be 2x2 for this carrier',
+        ],
+    ),
+    (
+        'matrix-not-square-tall',
+        'carrier gl(2,3);\nop g = gl_group_op(m=[[1],[2]]);\ncheck group g;\n',
+        [
+            'bad.mg:2:22: error: matrix must be 2x2 for this carrier',
+        ],
+    ),
+    (
+        'matrix-size-small',
+        'carrier gl(2,3);\nop g = gl_group_op(m=[[1]]);\ncheck group g;\n',
+        [
+            'bad.mg:2:22: error: matrix must be 2x2 for this carrier',
+        ],
+    ),
+    (
+        'matrix-op-size-second',
+        'carrier gl(2,3);\nop g = matrix_op(s=1,t=0,m1=[[1,0],[0,1]],m2=[[1,0,0],[0,1,0],[0,0,1]]);\ncheck assoc g;\n',
+        [
+            'bad.mg:2:46: error: matrix must be 2x2 for this carrier',
+        ],
+    ),
+    (
+        'matrix-singular-matrix-set',
+        'carrier matrices(3,2);\nop g = gl_group_op(m=[[1,1,0],[1,1,0],[0,0,1]]);\ncheck assoc g;\n',
+        [
+            'bad.mg:2:22: error: matrix constant is singular mod 2',
+        ],
+    ),
+    (
         'part-missing',
         'carrier cyclic(4);\nop b = brace_trivial();\ncheck group b;\n',
         [
