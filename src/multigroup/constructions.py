@@ -80,12 +80,21 @@ EVEN_CYCLIC = CarrierNeed(lambda carrier: carrier.kind == "cyclic-group" and len
                           "{ctor} needs a cyclic carrier of even order", OddModulusError)
 
 
-def _require_matrix_carrier(carrier: Carrier, ctor: str, n: int, p: int) -> None:
-    MATRIX_CARRIER.require(carrier, ctor)
-    if carrier.dim != n:
-        raise DimensionMismatchError(f"carrier holds {carrier.dim}x{carrier.dim} matrices, params are {n}x{n}")
-    if carrier.field.p != p:
-        raise ModulusMismatchError(f"carrier modulus {carrier.field.p} vs parameter modulus {p}")
+def matrix_constant(carrier: Carrier, rows, invertible: bool = False, field=None) -> Matrix:
+    """rows as a constant of a product on the matrix carrier, over field (by default the carrier's).
+
+    A constant has the carrier's matrix size and, for a sandwich (invertible), a nonzero
+    determinant. Builders check their constants, and specs build their literals, here alone.
+    """
+    d, field = carrier.dim, field or carrier.field
+    if len(rows) != d or any(len(row) != d for row in rows):
+        raise DimensionMismatchError(f"matrix must be {d}x{d} for this carrier")
+    if field.p != carrier.field.p:  # never in a spec, whose constants lie over the carrier's field
+        raise ModulusMismatchError(f"carrier modulus {carrier.field.p} vs parameter modulus {field.p}")
+    m = Matrix.from_rows(rows, field)
+    if invertible and mat_det(m) == 0:
+        raise SingularMatrixError(f"matrix constant is singular mod {field.p}")
+    return m
 
 
 def _grid(n: int) -> tuple:
@@ -114,16 +123,17 @@ def _sandwich_table(carrier: Carrier, m: Matrix, label: str) -> OpTable:
 
 def matrix_op(params: MatrixOpParams, carrier: Carrier, label: str | None = None) -> OpTable:
     """The two-parameter product A*B = s A M1 B + t A M2 B = A (s M1 + t M2) B."""
-    _require_matrix_carrier(carrier, "matrix_op", params.m1.n, params.m1.field.p)
+    MATRIX_CARRIER.require(carrier, "matrix_op")
+    for m in (params.m1, params.m2):
+        matrix_constant(carrier, m.rows, field=m.field)
     name = label or f"matrix_op(s={params.s},t={params.t})"
     return _sandwich_table(carrier, mat_add_scaled(params.s, params.m1, params.t, params.m2), name)
 
 
 def gl_group_op(m: Matrix, carrier: Carrier, label: str | None = None) -> OpTable:
     """The sandwich product A*B = A M B; M must be invertible."""
-    _require_matrix_carrier(carrier, "gl_group_op", m.n, m.field.p)
-    if mat_det(m) == 0:
-        raise SingularMatrixError(f"sandwich matrix {m.rows} is singular mod {m.field.p}")
+    MATRIX_CARRIER.require(carrier, "gl_group_op")
+    matrix_constant(carrier, m.rows, invertible=True, field=m.field)
     return _sandwich_table(carrier, m, label or "gl_group_op")
 
 

@@ -40,7 +40,6 @@ from .axioms import LEFT, RIGHT
 from .carriers import Carrier, build_carrier, make_automorphism
 from .errors import NotAGroupError, SpecError, UnsupportedCarrierError, WorkbenchError, error_message
 from .optables import _Frozen
-from .matrix import Matrix, mat_det
 from .constructions import (
     MatrixOpParams,
     action_dimonoid,
@@ -390,13 +389,13 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-INT, MATRIX, CHOICE, OP_REF, PHI = "int", "matrix", "choice", "op", "phi"
+INT, MATRIX, INVERTIBLE, CHOICE, OP_REF, PHI = "int", "matrix", "invertible matrix", "choice", "op", "phi"
 PHI_KEYS = ("phi", "inner", "power")
 
 
 class Arg(NamedTuple):
     name: str
-    kind: str  # INT, MATRIX (sized to the carrier), CHOICE (part=), OP_REF or PHI
+    kind: str  # INT, MATRIX or INVERTIBLE (by constructions.matrix_constant), CHOICE (part=), OP_REF or PHI
     default: int | None = None  # INT only; None makes the argument required
 
     @property
@@ -418,17 +417,10 @@ class ConstructionSpec(NamedTuple):
     args: tuple  # of Arg
     build: Callable
     parts: tuple = ()
-    check: Callable | None = None  # extra static check: (values, argument nodes, error) -> None
 
     @property
     def arguments(self):
         return self.args + ((Arg("part", CHOICE),) if self.parts else ())
-
-
-def _nonsingular(values, nodes, error):
-    m = values["m"]
-    if m is not None and mat_det(m) == 0:
-        error(nodes["m"].token, f"matrix constant is singular mod {m.field.p}")
 
 
 CONSTRUCTIONS = {
@@ -437,9 +429,7 @@ CONSTRUCTIONS = {
         lambda carrier, v: matrix_op(MatrixOpParams(v["s"], v["t"], v["m1"], v["m2"]), carrier),
     ),
     "gl_group_op": ConstructionSpec(
-        constructions.MATRIX_CARRIER, (Arg("m", MATRIX),),
-        lambda carrier, v: gl_group_op(v["m"], carrier),
-        check=_nonsingular,
+        constructions.MATRIX_CARRIER, (Arg("m", INVERTIBLE),), lambda carrier, v: gl_group_op(v["m"], carrier),
     ),
     "conj_quandle": ConstructionSpec(
         constructions.GROUP_CARRIER, (Arg("m", INT, default=1),), lambda carrier, v: conj_quandle(carrier, v["m"]),
@@ -512,11 +502,9 @@ class _OpValidator:
         except UnsupportedCarrierError as refused:
             self.error(op.ctor_token, str(refused))
         else:
-            resolve = {INT: self.int_arg, MATRIX: self.matrix_arg, CHOICE: self.choice_arg,
-                       OP_REF: self.op_arg, PHI: self.phi_arg}
+            resolve = {INT: self.int_arg, MATRIX: self.matrix_arg, INVERTIBLE: self.matrix_arg,
+                       CHOICE: self.choice_arg, OP_REF: self.op_arg, PHI: self.phi_arg}
             values = {arg.name: resolve[arg.kind](op, spec, nodes, arg) for arg in spec.arguments}
-            if spec.check is not None:
-                spec.check(values, nodes, self.error)
         known = {key for arg in spec.arguments for key in arg.keys}
         for name, node in nodes.items():
             if name not in known:
@@ -554,11 +542,11 @@ class _OpValidator:
             return None
         if self.carrier is None:  # nothing to size it by; the carrier error stops compilation
             return None
-        dim = self.carrier.dim
-        if len(rows) != dim or len(rows[0]) != dim:
-            self.error(node.token, f"matrix must be {dim}x{dim} for this carrier")
+        try:
+            return constructions.matrix_constant(self.carrier, rows, invertible=arg.kind == INVERTIBLE)
+        except WorkbenchError as refused:
+            self.error(node.token, str(refused))
             return None
-        return Matrix.from_rows(rows, self.carrier.field)
 
     def choice_arg(self, op, spec, nodes, arg):
         wrong = f"must be one of: {', '.join(spec.parts)}"

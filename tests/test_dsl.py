@@ -22,6 +22,7 @@ from multigroup.dsl import (
     CHOICE,
     CONSTRUCTIONS,
     INT,
+    INVERTIBLE,
     MATRIX,
     OP_REF,
     PHI,
@@ -471,7 +472,7 @@ def _op_decl(draw, name, earlier, fitting):
         elif arg.kind == OP_REF:
             value = draw(st.sampled_from(earlier or ("zz",)))
         else:
-            value = draw({INT: _INTS, MATRIX: _MATRICES, CHOICE: st.sampled_from(spec.parts),
+            value = draw({INT: _INTS, MATRIX: _MATRICES, INVERTIBLE: _MATRICES, CHOICE: st.sampled_from(spec.parts),
                           PHI: _PHIS if key == "phi" else _INTS}[arg.kind])
         args.append(f"{key}={value}")
     if _sometimes(draw):
