@@ -7,6 +7,10 @@ table. No construction evaluates a rule per element pair.
 Each builder checks its carrier through one of the five needs below, which
 hold the text that refuses any other carrier; the spec language's table,
 `dsl.CONSTRUCTIONS`, names the same needs, so a spec refuses with that text.
+Likewise `matrix_constant` holds the rules on a matrix constant (its size,
+and its invertibility for gl_group_op): the matrix builders check their
+constants by it and the spec language builds its matrix literals by it, so a
+library call and a spec refuse a constant with the same text.
 """
 
 from typing import Callable, NamedTuple
@@ -30,7 +34,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedCarrierError,
 )
-from .matrix import Matrix, mat_add_scaled, mat_det
+from .matrix import Matrix, as_integers, mat_add_scaled, mat_det
 from .optables import OpTable, first_true, scan_chunks, table_from_array, unit_indices
 
 
@@ -51,7 +55,7 @@ class MatrixOpParams(_MatrixOpFields):
             raise ModulusMismatchError("mixing matrices live over different fields")
         if m1.n != m2.n:
             raise DimensionMismatchError("mixing matrices have different sizes")
-        p = m1.field.p
+        p, (s, t) = m1.field.p, as_integers((s, t), "scalar")
         return super().__new__(cls, s % p, t % p, m1, m2)
 
 
@@ -249,7 +253,14 @@ def action_dimonoid(pairs: Carrier, action=None) -> tuple:
     if action is not None:
         vectors = [v for v, _ in pairs.elements[::len(group)]]
         position = {v: i for i, v in enumerate(vectors)}
-        act = np.array([[position.get(action(g, v), -1) for v in vectors] for g in group.elements])
+
+        def index(image):  # -1 for an image outside the vectors, an unhashable one included
+            try:
+                return position.get(image, -1)
+            except TypeError:
+                return -1
+
+        act = np.array([[index(action(g, v)) for v in vectors] for g in group.elements])
         moved = first_true(act[group.identity_index] != np.arange(len(vectors)))
         if moved is not None:
             raise NotAnActionError(f"identity must act trivially, moves {vectors[moved[0]]!r}")

@@ -29,8 +29,11 @@ Validation builds the declared carrier once, through carriers.build_carrier,
 and keeps it on the draft: the carrier rules and their messages live in
 carriers.py only, and the op checks read the built Carrier. Each construction's
 carrier need and its message live in constructions.py only, so a spec refuses
-a carrier with the library's text. parse_carrier_expr parses a carrierExpr
-alone, for `multigroup enumerate` and group_carrier.
+a carrier with the library's text. So do the rules on a matrix constant: a
+matrix literal is built by constructions.matrix_constant, and what it raises
+is reported at the literal. Only the literal's own rule, equal row lengths,
+is checked here. parse_carrier_expr parses a carrierExpr alone, for
+`multigroup enumerate` and group_carrier.
 """
 
 from typing import Callable, NamedTuple
@@ -354,6 +357,8 @@ class _Parser:
 # builders name the public axioms/constructions function inside a lambda, so
 # it is looked up at call time and a wrapper put on that name sees every call.
 # A construction's need is the CarrierNeed its builder checks; validation reports its text.
+# A MATRIX or INVERTIBLE argument is built by constructions.matrix_constant, the
+# function the matrix builders check their constants by, so its refusal has their text.
 # The entry types are NamedTuples, as are the package's other value records:
 # defining a dataclass execs generated source, which every `multigroup` start
 # would pay.
@@ -609,8 +614,6 @@ def _at(token: Token, build: Callable):
     """build(), with a WorkbenchError or MemoryError it raises re-raised as a SpecError at token."""
     try:
         return build()
-    except SpecError:
-        raise
     except (WorkbenchError, MemoryError) as err:
         raise SpecError([ParseDiagnostic(ERROR, token.line, token.column, error_message(err))]) from err
 

@@ -1,9 +1,19 @@
 """Square matrices over a prime field, with exact modular arithmetic only."""
 
+import operator
 from typing import NamedTuple
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, SingularMatrixError, WorkbenchError
 from .field import PrimeField, same_field
+
+
+def as_integers(values, what: str) -> tuple:
+    """values as ints by operator.index: bools and numpy integers pass; 2.0, 1.5 and "1" are refused."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise WorkbenchError(f"{what} {bad!r} is not an integer") from None
 
 
 class _MatrixFields(NamedTuple):
@@ -21,7 +31,12 @@ class Matrix(_MatrixFields):
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatchError("matrix must be square and non-empty")
         p = field.p
-        return super().__new__(cls, field, tuple(tuple(v % p for v in row) for row in rows))
+        try:
+            reduced = tuple(tuple(operator.index(v) % p for v in row) for row in rows)
+        except TypeError:
+            as_integers([v for row in rows for v in row], "matrix entry")  # raises, naming the entry
+            raise
+        return super().__new__(cls, field, reduced)
 
     @classmethod
     def from_rows(cls, rows, field: PrimeField) -> "Matrix":

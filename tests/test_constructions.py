@@ -47,6 +47,7 @@ from multigroup.constructions import (
 )
 from multigroup.dsl import CONSTRUCTIONS, parse_spec
 from multigroup.errors import (
+    CarrierMismatchError,
     DimensionMismatchError,
     ModulusMismatchError,
     NotAnActionError,
@@ -54,12 +55,14 @@ from multigroup.errors import (
     OddModulusError,
     SingularMatrixError,
     UnsupportedCarrierError,
+    WorkbenchError,
 )
 from multigroup.field import PrimeField
 from multigroup.matrix import Matrix, mat_add_scaled, mat_det
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+I2 = Matrix.identity(2, F3)
 
 
 def test_matrix_op_matches_scalar_rule():
@@ -281,6 +284,29 @@ def test_action_dimonoid_rejects_non_actions():
         action_dimonoid(pairs, action=twice)
 
 
+@pytest.mark.parametrize("image", [list, np.array], ids=["list", "ndarray"])
+def test_action_dimonoid_refuses_an_unhashable_image_as_outside_the_vectors(image):
+    pairs = pair_carrier(2, 2, gl_group(2, 2))
+    with pytest.raises(NotAnActionError) as got:
+        action_dimonoid(pairs, action=lambda g, x: image(x))
+    assert str(got.value) == "identity must act trivially, moves (0, 0)"
+    e = pairs.group.identity
+    for outside in (image, lambda x: (5, 5)):
+        with pytest.raises(NotAnActionError) as got:
+            action_dimonoid(pairs, action=lambda g, x: x if g == e else outside(x))
+        assert str(got.value) == "g=((0, 1), (1, 0)) moves x=(0, 0) outside the vectors"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alexander_quandle(cyclic_group(5), make_automorphism(cyclic_group(7), "identity")),
+    lambda: vxg_phi_op(pair_carrier(2, 2, gl_group(2, 2)), make_automorphism(cyclic_group(5), "identity")),
+], ids=["alexander_quandle", "vxg_phi_op"])
+def test_an_automorphism_of_another_group_is_refused(build):
+    with pytest.raises(CarrierMismatchError) as got:
+        build()
+    assert str(got.value) == "automorphism is defined over a different group"
+
+
 def test_brace_ops_variants():
     s3 = symmetric_group(3)
     dot, circ = brace_ops(s3, "trivial")
@@ -396,3 +422,48 @@ def test_library_refuses_a_carrier_with_the_specs_text(ctor, spec):
     with pytest.raises(expected) as got:
         _LIBRARY_BUILDS[ctor](group_carrier(spec))
     assert str(got.value) == want
+
+
+# Each case is a constant the carrier refuses, as rows over the carrier's field.
+_CONSTANT_BUILDS = {
+    "gl_group_op": lambda m, carrier: gl_group_op(m, carrier),
+    "matrix_op": lambda m, carrier: matrix_op(MatrixOpParams(1, 0, m, m), carrier),
+}
+_REFUSED_CONSTANTS = [
+    ("gl_group_op", "gl(2,3)", ((1, 0, 0), (0, 1, 0), (0, 0, 1)), DimensionMismatchError),
+    ("matrix_op", "gl(2,3)", ((1, 0, 0), (0, 1, 0), (0, 0, 1)), DimensionMismatchError),
+    ("gl_group_op", "matrices(2,2)", ((1, 1), (1, 1)), SingularMatrixError),
+]
+
+
+@pytest.mark.parametrize("ctor, spec, rows, error", _REFUSED_CONSTANTS,
+                         ids=["gl_group_op-size", "matrix_op-size", "gl_group_op-singular"])
+def test_library_refuses_a_matrix_constant_with_the_specs_text(ctor, spec, rows, error):
+    literal = "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "]"
+    args = f"m={literal}" if ctor == "gl_group_op" else f"s=1,t=0,m1={literal},m2={literal}"
+    draft = parse_spec(f"carrier {spec};\nop o = {ctor}({args});\ncheck assoc o;\n")
+    [want] = {d.message for d in draft.errors}
+    carrier = group_carrier(spec)
+    with pytest.raises(error) as got:
+        _CONSTANT_BUILDS[ctor](Matrix.from_rows(rows, carrier.field), carrier)
+    assert str(got.value) == want
+
+
+@pytest.mark.parametrize("value", [1.5, "1", np.float64(2.0)], ids=repr)
+def test_matrix_values_that_are_not_integers_are_refused(value):
+    with pytest.raises(WorkbenchError) as got:
+        Matrix.from_rows(((1, 0), (0, value)), F3)
+    assert str(got.value) == f"matrix entry {value!r} is not an integer"
+    for s, t in ((value, 0), (0, value)):
+        with pytest.raises(WorkbenchError) as got:
+            MatrixOpParams(s, t, I2, I2)
+        assert str(got.value) == f"scalar {value!r} is not an integer"
+
+
+def test_bool_and_numpy_integer_matrix_values_are_accepted():
+    m = Matrix.from_rows(((True, 0), (0, np.int64(5))), F3)
+    assert m.rows == ((1, 0), (0, 2)) and all(type(v) is int for row in m.rows for v in row)
+    params = MatrixOpParams(np.int64(4), True, I2, I2)
+    assert (params.s, params.t) == (1, 1)
+    assert np.array_equal(matrix_op(params, matrix_set(2, 3)).table,
+                          matrix_op(MatrixOpParams(1, 1, I2, I2), matrix_set(2, 3)).table)
