@@ -18,6 +18,13 @@ With `--threads N`, each line also gives the best wall time of a scan of
 no hit, so every chunk runs; scan_chunks caps the jobs at the CPUs this
 process may use.
 
+A second table, after its own header, times the table layer, best of
+`--repeat` as well: `Carrier.cayley` on three carriers, each construction's
+gather on the carrier the `build` benchmark gives it, and both sides of
+`check_divisibility` on the group table of gl(2,5), which passes, so every
+block is sorted. A Cayley table is dropped from its carrier before each run;
+the tables a step reads (the factors' and the group's) are built beforehand.
+
     PYTHONPATH=src python3 scripts/scan_kernels.py --repeat 30 --threads 2
 """
 
@@ -27,8 +34,8 @@ import tracemalloc
 
 import numpy as np
 
-from multigroup import axioms, optables
-from multigroup.carriers import cyclic_group
+from multigroup import axioms, constructions, optables
+from multigroup.carriers import cyclic_group, group_carrier, make_automorphism
 
 SIZES = (24, 81, 360, 625)
 
@@ -70,6 +77,47 @@ def scan_ms(sides, n_rows, width, jobs, repeat):
     return best_ms(lambda: optables.scan_chunks(worker, n_rows, width, jobs), repeat)
 
 
+def table_steps():
+    """(step, carrier label, run) for every step of the table layer; run() does the step once."""
+    def cayley(spec):
+        carrier = group_carrier(spec)
+        for factor in carrier.factors or ():
+            factor.cayley
+
+        def build():
+            vars(carrier).pop("cayley", None)  # the cached table, so each run builds it
+            return carrier.cayley
+
+        return "cayley", carrier.label, build
+
+    gl, matrices = group_carrier("gl(2,5)"), group_carrier("matrices(2,5)")
+    product, s5 = group_carrier("symmetric(5) x cyclic(4)"), group_carrier("symmetric(5)")
+    pairs, square = group_carrier("vectors(2,3) x gl(2,3)"), group_carrier("cyclic(20) x cyclic(20)")
+    inner = make_automorphism(s5, ("inner", s5[7]))
+    phi = make_automorphism(pairs.group, ("inner", pairs.group[5]))
+    sandwich = constructions.matrix_constant(gl, ((1, 2), (3, 4)), invertible=True)
+    mixer = constructions.matrix_constant(matrices, ((0, 1), (1, 1)))
+    mixing = constructions.MatrixOpParams(1, 2, sandwich, mixer)
+    group = optables.table_from_array(gl, gl.cayley)
+    gathers = [
+        ("gl_group_op", gl, lambda: constructions.gl_group_op(sandwich, gl)),
+        ("matrix_op", matrices, lambda: constructions.matrix_op(mixing, matrices)),
+        ("conj_quandle", gl, lambda: constructions.conj_quandle(gl, 3)),
+        ("core_quandle", product, lambda: constructions.core_quandle(product)),
+        ("alexander_quandle", s5, lambda: constructions.alexander_quandle(s5, inner)),
+        ("vxg_phi_op", pairs, lambda: constructions.vxg_phi_op(pairs, phi)),
+        ("vxg_conj_op", pairs, lambda: constructions.vxg_conj_op(pairs, 2)),
+        ("pair_dimonoid", square, lambda: constructions.pair_dimonoid_on(square)),
+        ("action_dimonoid", pairs, lambda: constructions.action_dimonoid(pairs)),
+    ]
+    return [
+        *(cayley(spec) for spec in ("gl(2,5)", "matrices(2,5)", "symmetric(5) x cyclic(4)")),
+        *((name, carrier.label, run) for name, carrier, run in gathers),
+        *((f"divisibility_{side}", gl.label, lambda side=side: axioms.check_divisibility(group, side))
+          for side in (axioms.LEFT, axioms.RIGHT)),
+    ]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=30, help="timed runs per line (best is kept)")
@@ -95,6 +143,10 @@ def main(argv=None):
                 line += "".join(f" {scan_ms(sides, n_rows, width, jobs, args.repeat):9.3f}"
                                 for jobs in (1, args.threads))
             print(line)
+    print(f"{'table step':20} {'carrier':28} {'best ms':>9}")
+    for step, label, run in table_steps():
+        run()  # builds what the step reads and caches
+        print(f"{step:20} {label:28} {best_ms(run, args.repeat):9.3f}")
 
 
 if __name__ == "__main__":

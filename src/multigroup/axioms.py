@@ -26,10 +26,16 @@ two steps:
   orbit step is skipped: verifying candidates costs more than the rows it
   saves. Once a failing scan finds its first hit, it starts no chunk past
   the one that holds it (optables.scan_chunks). A chunk gathers both sides
-  of the law by take on intp indices made in blocks of at most
-  optables.GATHER_CELLS (see the law shapes), so besides its two sides and
-  their mask it holds one block of indices. Chunks, index blocks and the
-  proofs' blocks all come from optables._row_blocks.
+  of the law through the gather kernel of optables (_take, _take_pairs),
+  by take on intp indices made in blocks of at most optables.GATHER_CELLS,
+  so besides its two sides and their mask it holds one block of indices.
+  Chunks, index blocks and the proofs' blocks all come from
+  optables._row_blocks.
+Divisibility, a pair law, is decided on sorted rows: a row of the table (or
+of its transpose, for the right side) leaves every division equation of its
+pairs with exactly one solution only when it sorts to 0..n-1, and the least
+bad value of a row that does not is read off its first deviation
+(check_divisibility).
 `checked` is the tuple-space size of every stage the check ran, not the
 number of comparisons made: n^3 per triple law, n^2 per pair law and n per
 element law, on pass and on fail alike, proved or scanned. A composite check
@@ -52,6 +58,7 @@ from .optables import (
     VERDICT_FAIL,
     failing,
     first_true,
+    index_dtype,
     inverse_indices,
     passing,
     scan_chunks,
@@ -61,6 +68,8 @@ from .optables import (
     _endomorphism_failure,
     _generators,
     _row_blocks,
+    _take,
+    _take_pairs,
 )
 
 LEFT = "left"
@@ -256,60 +265,12 @@ def _orbit_reps(carrier, ops):
 # ascending intp array; their leading axes are (a, b, c), a counted along rows,
 # and any further axes are compared too.
 #
-# Every gather is an ndarray.take on intp indices. Mixed slice-and-array
-# indexing such as C[rows][:, D] runs element by element when a chunk holds
-# one or two rows, as it does from n = 210 on, where take is 2-5 times faster.
-# take turns an index of another dtype into a whole intp copy first, 8 bytes a
-# cell, so an index of n^2 cells (a whole table, or the flat positions
-# x n + y of a pair gather t[x, y]) is converted or built one row block at a
-# time, at most optables.GATHER_CELLS indices, inside each chunk. That is the
-# scan's own budget, not the proofs' PROOF_CELLS, and it is read when the
-# chunk runs. No intp copy of a table outlives its block: beside a chunk's two
-# sides and its mask, each thread holds one block.
-
-
-def _take(values, index, axis):
-    """values.take(index, axis=axis), with index converted to intp one row block at a time.
-
-    The result has the shape values.shape[:axis] + index.shape +
-    values.shape[axis + 1:]. Rows are those of index with every axis but its
-    last merged, and a block holds as many as fit in GATHER_CELLS indices; an
-    index of one block is taken whole. Indices come from closed tables and
-    are in range, so mode="clip" changes no value; it lets take write
-    straight into a contiguous out block, where the default mode first
-    copies out, and it skips the bounds check.
-    """
-    rows = index.reshape(-1, index.shape[-1])
-    blocks = _row_blocks(len(rows), rows.shape[1], optables.GATHER_CELLS)
-    if len(blocks) == 1:
-        return values.take(index, axis=axis, mode="clip")
-    lead, tail = values.shape[:axis], values.shape[axis + 1:]
-    out = np.empty(lead + rows.shape + tail, dtype=values.dtype)
-    before = (slice(None),) * axis
-    for r0, r1 in blocks:
-        values.take(rows[r0:r1], axis=axis, out=out[before + (slice(r0, r1),)], mode="clip")
-    return out.reshape(lead + index.shape + tail)
-
-
-def _take_pairs(t, first, second):
-    """t[first, second] for index arrays that broadcast to (k, n, n), gathered by take.
-
-    The flat positions first * n + second are built in intp, whole when they
-    fit one block of GATHER_CELLS indices and one block of axis 1 at a time
-    otherwise; first is scaled once, at its own size.
-    """
-    first = np.multiply(first, len(t), dtype=np.intp)
-    flat = t.reshape(-1)
-    k, m, n = shape = np.broadcast(first, second).shape
-    blocks = _row_blocks(m, k * n, optables.GATHER_CELLS)
-    if len(blocks) == 1:
-        return flat.take(first + second, mode="clip")
-    first, second = np.broadcast_to(first, shape), np.broadcast_to(second, shape)
-    out = np.empty(shape, dtype=t.dtype)
-    for b0, b1 in blocks:
-        b = np.s_[:, b0:b1]
-        flat.take(first[b] + second[b], out=out[b], mode="clip")
-    return out
+# Every gather is a take through the gather kernel of optables (_take and
+# _take_pairs), on intp indices converted or built one row block of at most
+# optables.GATHER_CELLS at a time inside each chunk. That is the scan's own
+# budget, not the proofs' PROOF_CELLS, and it is read when the chunk runs. No
+# intp copy of a table outlives its block: beside a chunk's two sides and its
+# mask, each thread holds one block.
 
 
 def _bracket(A, B, C, D):
@@ -343,7 +304,7 @@ def _brace_compatibility(d, c):
 
     def sides(rows):
         csub = c[rows]
-        partial = d[csub, inv[rows][:, None]]        # (g1 o g2) . g1^-1
+        partial = _take_pairs(d, csub, inv[rows][:, None])  # (g1 o g2) . g1^-1
         return _take(csub, d, 1), _take_pairs(d, partial[:, :, None], csub[:, None, :])
 
     return sides
@@ -442,22 +403,31 @@ def check_idempotency(op: OpTable) -> AxiomReport:
     return passing("idempotent", n)
 
 
-def _solution_counts(op: OpTable, side: str) -> np.ndarray:
-    """counts[x, y]: right mode solutions z of x = z*y; left mode solutions u of x*u = y.
+def _first_bad_values(rows: np.ndarray, unique: bool) -> np.ndarray:
+    """The least bad value of every sorted row of n values in 0..n-1, or n for a good row.
 
-    The left count of row x is the histogram of its values, taken by one
-    bincount per row block. The right count is the left count of the
-    transposed table, transposed back; it is a view, in which first_true
-    still finds the row-major first (x, y).
+    A row is good, in both modes, exactly when it is 0..n-1: n cells cover
+    the n values only as a permutation. Else the first cell that differs
+    from its position follows prev, the cell before it (-1 for cell 0). With
+    unique, the least bad value is prev + 1, missing, when the gap from prev
+    is more than 1, and prev, repeated, otherwise. Without it, the least bad
+    value is the least missing one, prev + 1 at the first gap of more than 1
+    in the row between -1 and n.
     """
-    t = op.table if side == LEFT else op.table.T
-    n = len(op)
-    counts = np.empty((n, n), dtype=np.int32)
-    for a0, a1 in _row_blocks(n, 4 * n, optables.PROOF_CELLS):
-        block = t[a0:a1]
-        cells = np.arange(len(block))[:, None] * n + block
-        counts[a0:a1] = np.bincount(cells.ravel(), minlength=block.size).reshape(block.shape)
-    return counts if side == LEFT else counts.T
+    k, n = rows.shape
+    values = np.full(k, n, dtype=np.intp)
+    off = rows != np.arange(n, dtype=rows.dtype)  # an int64 range would widen every cell
+    bad = np.flatnonzero(off.any(axis=1))
+    if len(bad):
+        rows, i = rows[bad], np.arange(len(bad))
+        if unique:
+            at = off[bad].argmax(axis=1)
+        else:  # steps between -1, the sorted row and n lie in 0..n, so they keep the row's dtype
+            edge = rows.dtype.type
+            at = (np.diff(rows, prepend=edge(-1), append=edge(n), axis=1) > 1).argmax(axis=1)
+        previous = np.where(at > 0, rows[i, at - 1], -1)
+        values[bad] = previous + ((rows[i, at] - previous > 1) if unique else 1)
+    return values
 
 
 def check_divisibility(op: OpTable, side: str, unique: bool = True) -> AxiomReport:
@@ -467,16 +437,33 @@ def check_divisibility(op: OpTable, side: str, unique: bool = True) -> AxiomRepo
     (a, b), solutions u of a*u = b. With unique=True exactly one solution is
     required; the failure reason distinguishes a missing solution from a
     non-unique one. With unique=False only existence is required.
+
+    The left side sorts the rows of the table, the right side the rows of
+    its transposed blocks, which are its columns. A block holds PROOF_CELLS
+    cells, sorted in the table's index dtype, and no temporary cell is
+    wider. A pair fails where its value is bad in its sorted row
+    (_first_bad_values). The left witness is the first bad row at its least
+    bad value, and it ends the loop. The right witness is the least bad
+    value over every column, at the least column that holds it. The reason
+    is the number of solutions at the witness.
     """
     _side(side)
-    axiom = f"divisibility_{side}"
-    n = len(op)
-    counts = _solution_counts(op, side)
-    bad = first_true((counts != 1) if unique else (counts == 0))
-    if bad is not None:
-        reason = REASON_NO_SOLUTION if counts[bad] == 0 else REASON_NOT_UNIQUE
-        return failing(axiom, op.carrier, bad, n * n, reason)
-    return passing(axiom, n * n)
+    axiom, n = f"divisibility_{side}", len(op)
+    t = op.table if side == LEFT else op.table.T
+    values = np.full(n, n, dtype=np.intp)
+    for a0, a1 in _row_blocks(n, n, optables.PROOF_CELLS):
+        rows = np.array(t[a0:a1], dtype=index_dtype(n), order="C")
+        rows.sort(axis=1)
+        values[a0:a1] = _first_bad_values(rows, unique)
+        if side == LEFT and values[a0:a1].min() < n:
+            break
+    if values.min() == n:
+        return passing(axiom, n * n)
+    row = int(np.argmax(values < n) if side == LEFT else np.argmin(values))
+    value = int(values[row])
+    reason = REASON_NO_SOLUTION if np.count_nonzero(t[row] == value) == 0 else REASON_NOT_UNIQUE
+    witness = (row, value) if side == LEFT else (value, row)
+    return failing(axiom, op.carrier, witness, n * n, reason)
 
 
 def check_self_distributivity(op: OpTable, side: str, jobs: int = 1) -> AxiomReport:
@@ -605,8 +592,7 @@ def check_multiquandle_pair(op_i: OpTable, op_j: OpTable, jobs: int = 1) -> Axio
 def op_product(op_i: OpTable, op_j: OpTable, label: str | None = None) -> OpTable:
     """The composite operation p(i,j)q = (p *_i q) *_j q as a table."""
     carrier = shared_carrier(op_i, op_j)
-    n = len(carrier)
-    grid = op_j.table[op_i.table, np.arange(n)[None, :]]
+    grid = _take_pairs(op_j.table, op_i.table, np.arange(len(carrier)))
     return table_from_array(carrier, grid, label or f"product({op_i.label},{op_j.label})")
 
 

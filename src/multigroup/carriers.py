@@ -9,10 +9,15 @@ gives the index of elements[i] * elements[j] elementwise over index arrays:
 arithmetic for cyclic groups, the factors' products for direct products, and
 one column decomposition for permutations and matrices. Column c of x y
 depends only on column c of y, so the product's rank is a sum of one
-precomputed gather per column; a dense rank index turns the rank into an
-index when the rank space has at most |Q|^2 cells, a binary search over the
-sorted ranks otherwise. The |Q| x |Q| Cayley table `cayley` is built from the
-product on first use, once per carrier object, and is write-protected.
+precomputed part per column, taken by the table layer's pair gather
+(`optables._take_pairs`); a dense rank index turns the rank into an index
+when the rank space has at most |Q|^2 cells, a binary search over the sorted
+ranks otherwise. The |Q| x |Q| Cayley table `cayley` is built by take on
+first use, once per carrier object, and is write-protected: permutations and
+matrices sum one take along the columns per column part, a row block at a
+time; direct products take each factor's table by rows, then by columns;
+cyclic groups rotate 0..n-1. No table here is gathered by two-array indexing
+t[A, B], which converts whole index arrays to intp and runs 2-3 times slower.
 `mul` multiplies two encodings in the carrier's own arithmetic and finds the
 product by bisection over the elements, whose canonical order is the order
 of their encodings, so one product builds no table at all, and `inv`,
@@ -45,6 +50,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ActionMismatchError,
@@ -58,12 +64,20 @@ from .errors import (
 )
 from .field import PrimeField
 from .matrix import Matrix, mat_inv, mat_mul
-from .optables import _endomorphism_failure, _Frozen, _generators, _row_blocks, first_true, index_dtype
+from .optables import (
+    _endomorphism_failure,
+    _Frozen,
+    _generators,
+    _row_blocks,
+    _take_pairs,
+    first_true,
+    index_dtype,
+)
 
 DEFAULT_GUARD = 10**6
 
-# Cells per Cayley chunk. A chunk's rank sum, column gathers and lookup are a
-# few arrays of at most int64 per cell, half a megabyte each, so building a
+# Cells per Cayley chunk. A chunk's rank sum, its column takes and lookup are
+# a few arrays of at most int64 per cell, half a megabyte each, so building a
 # table adds little to peak memory.
 CAYLEY_CHUNK_CELLS = 65_536
 
@@ -231,11 +245,12 @@ class Carrier(_Frozen):
         """(S, code): the column decomposition of the matrix and permutation products.
 
         Column c of x y depends only on column c of y: A (B e_c) for
-        matrices, p[q[c]] for permutations. code[j, c] numbers column c of
-        elements[j] among the distinct columns U_c found at position c, and
-        S[c][i, u] is what column c of elements[i] U_c[u] adds to the rank
-        of the product. Only the distinct columns are indexed, so S[c] holds
-        at most n min(n, p^d) entries. Ranks below 2^31 are kept as int32.
+        matrices, p[q[c]] for permutations. Each distinct column u found at
+        position c has one column of S, those of position 0 first, and
+        S[i, u] is what column c of elements[i] u adds to the rank of the
+        product; code[j, c] is the S column of column c of elements[j]. Only
+        the distinct columns are indexed, so S holds at most n d min(n, p^d)
+        entries. Ranks below 2^31 are kept as int32.
         """
         d, matrix = self.dim, self.field is not None
         dtype = np.int32 if self._rank_space <= 1 << 31 else np.int64
@@ -243,33 +258,32 @@ class Carrier(_Frozen):
         columns = self.array.transpose(0, 2, 1) if matrix else self.array[:, :, None]
         keys = (columns * weights.T).sum(axis=2)  # [j, c]: column c's own part of the rank
         code = np.empty((len(self), d), dtype=np.intp)
-        tables = []
+        parts, offset = [], 0
         for c in range(d):
-            _, first, code[:, c] = np.unique(keys[:, c], return_index=True, return_inverse=True)
-            distinct = columns[first, c]  # U_c, one column per row
-            if matrix:  # [i, u] -> sum over r of (A_i U_c[u])[r] * weight[r, c]
+            _, first, inverse = np.unique(keys[:, c], return_index=True, return_inverse=True)
+            code[:, c], offset = offset + inverse, offset + len(first)
+            distinct = columns[first, c]  # the distinct columns at c, one per row
+            if matrix:  # [i, u] -> sum over r of (A_i u)[r] * weight[r, c]
                 part = weights[:, c] @ (self.array @ distinct.T % self.field.p)
-            else:  # [i, u] -> p_i[U_c[u]] * weight[c]
+            else:  # [i, u] -> p_i[u] * weight[c]
                 part = self.array[:, distinct[:, 0]] * weights[0, c]
-            tables.append(_frozen(part.astype(dtype)))
-        return tuple(tables), _frozen(code)
+            parts.append(part.astype(dtype))
+        return _frozen(np.concatenate(parts, axis=1)), _frozen(code)
 
     def product(self, i, j) -> np.ndarray:
         """Index of elements[i] * elements[j], elementwise over broadcast index arrays.
 
-        Matrices and permutations sum one gather per column into the
-        product's rank, rank = sum_c S[c][i, code[j, c]] (see `_columns`),
-        and look the rank up. -1 marks a matrix product outside the carrier,
-        which a verified carrier never produces.
+        Matrices and permutations gather S[i, code[j, c]] for every column c
+        in one pair gather and sum the columns' parts into the product's
+        rank (see `_columns`), then look the rank up. -1 marks a matrix
+        product outside the carrier, which a verified carrier never produces.
         """
         if self.kind == "cyclic-group":
             return (np.asarray(i, dtype=np.int64) + j) % len(self)
         if self.kind in ("symmetric-group", "matrix-set", "matrix-group"):
-            tables, code = self._columns
-            rank = tables[0][i, code[j, 0]]
-            for c in range(1, len(tables)):
-                rank += tables[c][i, code[j, c]]
-            return self._index_of_ranks(rank)
+            table, code = self._columns
+            parts = _take_pairs(table, np.expand_dims(i, -1), code.take(j, axis=0))  # [..., c]
+            return self._index_of_ranks(parts.sum(axis=-1, dtype=parts.dtype))
         if self.kind == "direct-product":
             left, right = self.factors
             (li, ri), (lj, rj) = np.divmod(i, len(right)), np.divmod(j, len(right))
@@ -278,31 +292,41 @@ class Carrier(_Frozen):
 
     @cached_property
     def cayley(self) -> np.ndarray:
-        """cayley[i, j] = product(i, j) for all pairs, built once and write-protected.
+        """cayley[i, j] = product(i, j) for all pairs, built once by take and write-protected.
 
-        Direct products combine their factors' tables. Other kinds evaluate
-        their product over chunks of about CAYLEY_CHUNK_CELLS cells; a matrix
-        product outside the carrier raises NotClosedError at the first such
-        pair in row-major order.
+        Direct products take each factor's table by a row take, then a
+        column take. Matrices and permutations build their rank in row blocks
+        of about CAYLEY_CHUNK_CELLS cells, one take along axis 1 per column
+        c, S[a0:a1].take(code[:, c], axis=1), and look it up as `product`
+        does; a matrix product outside the carrier raises NotClosedError at
+        the first such pair in row-major order. Cyclic groups rotate 0..n-1.
         """
         n = len(self)
         if self.kind == "direct-product":
             left, right = self.factors
             li, ri = np.divmod(np.arange(n), len(right))
-            table = left.cayley[li[:, None], li[None, :]].astype(index_dtype(n))
+            table = left.cayley.take(li, axis=0).take(li, axis=1).astype(index_dtype(n))
             table *= len(right)  # every partial sum stays below n
-            table += right.cayley[ri[:, None], ri[None, :]]
+            table += right.cayley.take(ri, axis=0).take(ri, axis=1)
             return _frozen(table)
+        if self.kind == "cyclic-group":  # row i is 0..n-1 rotated left by i
+            every = np.arange(n, dtype=index_dtype(n))
+            return _frozen(sliding_window_view(np.concatenate((every, every[:-1])), n).copy())
+        parts, code = self._columns
+        codes = code.T.copy()  # one contiguous index row per column
         table = np.empty((n, n), dtype=index_dtype(n))
-        rows = np.arange(n)[:, None]
         for a0, a1 in _row_blocks(n, n, CAYLEY_CHUNK_CELLS):
-            block = self.product(rows[a0:a1], rows.T)
+            rank = parts[a0:a1].take(codes[0], axis=1)
+            for column in codes[1:]:
+                rank += parts[a0:a1].take(column, axis=1)
+            block = self._index_of_ranks(rank)
             bad = first_true(block < 0)
             if bad is not None:
                 a, b = a0 + bad[0], bad[1]
                 escaped = self.array[a] @ self.array[b] % self.field.p
                 raise NotClosedError(self[a], self[b], tuple(map(tuple, escaped.tolist())))
             table[a0:a1] = block
+            del rank, block  # so the next block's takes do not sit beside them
         return _frozen(table)
 
     @cached_property
@@ -344,7 +368,7 @@ class Carrier(_Frozen):
             maps = [np.arange(n) * u % n for u in _unit_generators(n)]
         elif self.kind in ("symmetric-group", "matrix-group"):
             c = self.cayley
-            maps = [c[c[g], self.inverse[g]] for g in _generators(c, n).tolist()]
+            maps = [c[:, self.inverse[g]].take(c[g]) for g in _generators(c, n).tolist()]
         else:
             return ()
         every = np.arange(n)

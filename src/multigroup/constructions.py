@@ -2,7 +2,13 @@
 
 Each construction is a gather over its carrier's index arrays: the Cayley
 table, the inverse and power indices and, on vector-group pairs, the action
-table. No construction evaluates a rule per element pair.
+table. No construction evaluates a rule per element pair. Every gather is a
+take, through the gather kernel of optables (_take and _take_pairs) where
+its index is a whole table, so no intp index covers more than one block of
+GATHER_CELLS cells; none is two-array indexing t[A, B]. On vector-group
+pairs and on M x M, a product's coordinates depend on a few of the factors'
+coordinates, so the table of those is gathered once, over the group or the
+monoid, and spread over the pairs by a row take or a broadcast sum.
 
 Each builder checks its carrier through one of the five needs below, which
 hold the text that refuses any other carrier; the spec language's table,
@@ -35,7 +41,16 @@ from .errors import (
     UnsupportedCarrierError,
 )
 from .matrix import Matrix, as_integers, mat_add_scaled, mat_det
-from .optables import OpTable, first_true, scan_chunks, table_from_array, unit_indices
+from .optables import (
+    OpTable,
+    _take,
+    _take_pairs,
+    first_true,
+    index_dtype,
+    scan_chunks,
+    table_from_array,
+    unit_indices,
+)
 
 
 class _MatrixOpFields(NamedTuple):
@@ -101,12 +116,6 @@ def matrix_constant(carrier: Carrier, rows, invertible: bool = False, field=None
     return m
 
 
-def _grid(n: int) -> tuple:
-    """Row and column index arrays of an n x n table: x down the rows, y across."""
-    every = np.arange(n)
-    return every[:, None], every[None, :]
-
-
 def _sandwich_table(carrier: Carrier, m: Matrix, label: str) -> OpTable:
     """A*B = A M B as a row gather: row A is the Cayley row of A M.
 
@@ -122,7 +131,7 @@ def _sandwich_table(carrier: Carrier, m: Matrix, label: str) -> OpTable:
         a = bad[0]
         result = mats[a] @ m_array @ mats[0] % p
         raise NotClosedError(carrier[a], carrier[0], tuple(map(tuple, result.tolist())))
-    return table_from_array(carrier, carrier.cayley[rows], label)
+    return table_from_array(carrier, carrier.cayley.take(rows, axis=0), label)
 
 
 def matrix_op(params: MatrixOpParams, carrier: Carrier, label: str | None = None) -> OpTable:
@@ -141,21 +150,35 @@ def gl_group_op(m: Matrix, carrier: Carrier, label: str | None = None) -> OpTabl
     return _sandwich_table(carrier, m, label or "gl_group_op")
 
 
+def _conjugates(group: Carrier, power: np.ndarray) -> np.ndarray:
+    """t[g, h] = g^k h g^-k, where power[g] is the index of g^k.
+
+    Row g is the Cayley row of g^k, gathered at the column of g^-k.
+    """
+    c = group.cayley
+    return _take_pairs(c, c.take(power, axis=0), group.inverse.take(power)[:, None])
+
+
+def _twisted_differences(group: Carrier, images: np.ndarray) -> np.ndarray:
+    """t[a, b] = phi(a b^-1) b for the automorphism phi with the given index images."""
+    c = group.cayley
+    return _take_pairs(c, _take(images, c.take(group.inverse, axis=1), 0), np.arange(len(group)))
+
+
 def conj_quandle(group: Carrier, m: int = 1, label: str | None = None) -> OpTable:
     """Twisted conjugation a*b = b^-m a b^m; the exponent is reduced mod the group order."""
     GROUP_CARRIER.require(group, "conj_quandle")
-    c, power = group.cayley, _powers(group, m)
-    x, y = _grid(len(group))
-    return table_from_array(group, c[c[group.inverse[power][y], x], power[y]],
+    inverse_powers = group.inverse.take(_powers(group, m))  # b^-m, so row b of t is b^-m a b^m
+    return table_from_array(group, _conjugates(group, inverse_powers).T,
                             label or f"conj_quandle(m={m})")
 
 
 def core_quandle(group: Carrier, label: str | None = None) -> OpTable:
     """The core operation a*b = b a^-1 b (2b - a on abelian groups)."""
     GROUP_CARRIER.require(group, "core_quandle")
-    c = group.cayley
-    x, y = _grid(len(group))
-    return table_from_array(group, c[c[y, group.inverse[x]], y], label or "core_quandle")
+    c = group.cayley  # row b of t: the Cayley row of b at the columns a^-1, then times b
+    t = _take_pairs(c, c.take(group.inverse, axis=1), np.arange(len(group))[:, None])
+    return table_from_array(group, t.T, label or "core_quandle")
 
 
 def _require_phi(phi: GroupAutomorphism, group: Carrier) -> np.ndarray:
@@ -167,37 +190,37 @@ def _require_phi(phi: GroupAutomorphism, group: Carrier) -> np.ndarray:
 def alexander_quandle(group: Carrier, phi: GroupAutomorphism, label: str | None = None) -> OpTable:
     """Twisted difference a*b = phi(a b^-1) b for an automorphism phi."""
     GROUP_CARRIER.require(group, "alexander_quandle")
-    images, c = _require_phi(phi, group), group.cayley
-    x, y = _grid(len(group))
-    return table_from_array(group, c[images[c[x, group.inverse[y]]], y],
+    return table_from_array(group, _twisted_differences(group, _require_phi(phi, group)),
                             label or f"alexander_quandle({phi.label})")
 
 
-def _pair_parts(pairs: Carrier) -> tuple:
-    """((xv, xg), (yv, yg)): the vector and group indices of row pair x and column pair y."""
-    x, y = _grid(len(pairs))
-    return np.divmod(x, len(pairs.group)), np.divmod(y, len(pairs.group))
+def _pair_table(pairs: Carrier, vector: np.ndarray, element: np.ndarray, label: str) -> OpTable:
+    """The table (a,A) o (b,B) = (vector[A, b], element[A, B]) on vector-group pairs.
+
+    Both parts are index tables over the group and the vectors. A row
+    depends on A alone, so each group row is built once, and the table is
+    its row take.
+    """
+    k, dtype = len(pairs.group), index_dtype(len(pairs))
+    rows = vector.astype(dtype)[:, :, None] * k + element[:, None, :]  # [A, b, B]
+    return table_from_array(pairs, rows.reshape(k, -1).take(np.arange(len(pairs)) % k, axis=0), label)
 
 
 def vxg_phi_op(pairs: Carrier, phi: GroupAutomorphism, label: str | None = None) -> OpTable:
     """(a,A) o (b,B) = (A b, phi(A B^-1) B) on vector-group pairs."""
     PAIR_CARRIER.require(pairs, "vxg_phi_op")
-    group = pairs.group
-    images, c = _require_phi(phi, group), group.cayley
-    (_, xg), (yv, yg) = _pair_parts(pairs)
-    table = pairs.action[xg, yv] * len(group) + c[images[c[xg, group.inverse[yg]]], yg]
-    return table_from_array(pairs, table, label or f"vxg_phi_op({phi.label})")
+    images = _require_phi(phi, pairs.group)
+    return _pair_table(pairs, pairs.action, _twisted_differences(pairs.group, images),
+                       label or f"vxg_phi_op({phi.label})")
 
 
 def vxg_conj_op(pairs: Carrier, n: int, label: str | None = None) -> OpTable:
     """(a,A) o_n (b,B) = (A^n b, A^n B A^-n) on vector-group pairs."""
     PAIR_CARRIER.require(pairs, "vxg_conj_op")
     group = pairs.group
-    power, c = _powers(group, n), group.cayley
-    (_, xg), (yv, yg) = _pair_parts(pairs)
-    an = power[xg]
-    table = pairs.action[an, yv] * len(group) + c[c[an, yg], group.inverse[an]]
-    return table_from_array(pairs, table, label or f"vxg_conj_op(n={n})")
+    power = _powers(group, n)
+    return _pair_table(pairs, pairs.action.take(power, axis=0), _conjugates(group, power),
+                       label or f"vxg_conj_op(n={n})")
 
 
 def opposite_op(op: OpTable, label: str | None = None) -> OpTable:
@@ -217,15 +240,17 @@ def pair_dimonoid_on(product: Carrier) -> tuple:
     """Dimonoid tables over an explicit M x M product carrier.
 
     (m,n) -| (m',n') = (m, n m' n') and (m,n) |- (m',n') = (m n m', n').
+    Both read the triple products t[a, b, d] = (a b) d, one take of the
+    monoid's table by itself, and add the untouched coordinate.
     """
     MONOID_SQUARE.require(product, "pair_dimonoid")
     monoid = _verified_monoid(product.factors[0], "pair_dimonoid")
-    c, k = monoid.cayley, len(monoid)
-    x, y = _grid(len(product))
-    (xm, xn), (ym, yn) = np.divmod(x, k), np.divmod(y, k)
-    dashv = table_from_array(product, xm * k + c[c[xn, ym], yn], "pair_dashv")
-    vdash = table_from_array(product, c[c[xm, xn], ym].astype(np.int64) * k + yn, "pair_vdash")
-    return dashv, vdash
+    c, k, n = monoid.cayley, len(monoid), len(product)
+    triple = _take(c, c, 0).astype(index_dtype(n))  # [a, b, d] -> (a b) d
+    every = np.arange(k, dtype=triple.dtype)
+    dashv = (every[:, None, None] * k + triple.reshape(k, n)).reshape(n, n)  # [m, n, (m', n')]
+    vdash = (triple.reshape(n, k, 1) * k + every).reshape(n, n)  # [(m, n), m', n']
+    return table_from_array(product, dashv, "pair_dashv"), table_from_array(product, vdash, "pair_vdash")
 
 
 def pair_dimonoid(monoid: Carrier) -> tuple:
@@ -270,18 +295,18 @@ def action_dimonoid(pairs: Carrier, action=None) -> tuple:
             raise NotAnActionError(f"g={g!r} moves x={v!r} outside the vectors")
 
         def compatibility(g0, g1):  # first (g, h, x) with (gh).x != g.(h.x)
-            hit = first_true(act[c[g0:g1]] != act[np.arange(g0, g1)[:, None, None], act[None]])
+            every = np.arange(g0, g1)[:, None, None]
+            hit = first_true(_take(act, c[g0:g1], 0) != _take_pairs(act, every, act[None]))
             return None if hit is None else (g0 + hit[0],) + hit[1:]
 
         bad = scan_chunks(compatibility, len(group), len(group) * len(vectors))
         if bad is not None:
             g, h, v = group[bad[0]], group[bad[1]], vectors[bad[2]]
             raise NotAnActionError(f"compatibility fails at g={g!r}, h={h!r}, x={v!r}")
-    (xv, xg), (yv, yg) = _pair_parts(pairs)
-    gh = c[xg, yg]
-    dashv = table_from_array(pairs, xv * len(group) + gh, "action_dashv")
-    vdash = table_from_array(pairs, act[xg, yv] * len(group) + gh, "action_vdash")
-    return dashv, vdash
+    k, n = len(group), len(pairs)
+    every = np.arange(n // k, dtype=index_dtype(n))
+    dashv = (every[:, None, None] * k + c.take(np.arange(n) % k, axis=1)).reshape(n, n)  # [a, A, (b, B)]
+    return table_from_array(pairs, dashv, "action_dashv"), _pair_table(pairs, act, c, "action_vdash")
 
 
 def brace_ops(group: Carrier, variant: str = "trivial") -> tuple:
@@ -362,7 +387,7 @@ def z_parity_brace(carrier: Carrier) -> tuple:
     """
     EVEN_CYCLIC.require(carrier, "z_parity_brace")
     m = len(carrier)
-    x, y = _grid(m)
+    x, y = np.ogrid[:m, :m]
     circ = np.where(x % 2 == 0, 1, -1) * y  # a + b for even a, a - b for odd a
     circ += x
     circ %= m

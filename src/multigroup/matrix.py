@@ -67,7 +67,7 @@ class Matrix(_MatrixFields):
         """Matrix times column vector, reduced mod p."""
         if len(vector) != self.n:
             raise DimensionMismatchError(f"vector length {len(vector)} vs matrix size {self.n}")
-        p = self.field.p
+        p, vector = self.field.p, as_integers(vector, "vector entry")
         return tuple(sum(row[k] * vector[k] for k in range(self.n)) % p for row in self.rows)
 
 
@@ -91,7 +91,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_add_scaled(s: int, a: Matrix, t: int, b: Matrix) -> Matrix:
     """s*A + t*B with scalars reduced mod p."""
     field = _check_pair(a, b)
-    p = field.p
+    p, (s, t) = field.p, as_integers((s, t), "scalar")
     rows = tuple(
         tuple((s * x + t * y) % p for x, y in zip(ra, rb))
         for ra, rb in zip(a.rows, b.rows)
@@ -143,6 +143,7 @@ def mat_inv(a: Matrix) -> Matrix:
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
     """Integer power; negative exponents go through the inverse."""
+    (k,) = as_integers((k,), "exponent")
     if k < 0:
         return mat_pow(mat_inv(a), -k)
     result = Matrix.identity(a.n, a.field)

@@ -6,8 +6,11 @@ index of a carrier element. The helpers below work on such grids alone: units
 and inverses and, in row blocks within the proof budget PROOF_CELLS, the first
 pair an index map fails to preserve and a generating set of a magma. Carriers
 use them for their automorphisms and orbit candidates, and the checks for
-their proofs and to verify those candidates. Every budgeted loop, here, in
-axioms and in carriers, takes its row blocks from _row_blocks.
+their proofs and to verify those candidates. The gather kernel (_take,
+_take_pairs) takes table cells by ndarray.take on intp indices built one
+block of GATHER_CELLS at a time; the scans of axioms, the Cayley tables of
+carriers and the constructions all gather through it. Every budgeted loop,
+here, in axioms and in carriers, takes its row blocks from _row_blocks.
 AxiomReports serialize to the stable JSON shape
 {axiom, verdict, witness, checked, reason, exhaustive}; the witness is always
 the lexicographically first violating tuple in carrier order, so reports are
@@ -45,14 +48,16 @@ CHUNK_CELLS = 131_072
 # alone; with 2^15 cells, 0.2-0.3 MB above.
 PROOF_CELLS = 32_768
 
-# The gathers of the law shapes (axioms._take and _take_pairs) build their
-# intp indices in blocks of at most this many cells, 128 KB. numpy lets go of
-# the GIL inside each take, and the Python between blocks holds it, so a
-# second scan thread pays only when blocks are large. Against 8,192-index
-# blocks, 16,384 took the failing scans of cyclic(360) at --jobs 2 from 0.38
-# to 0.35 calibration units at the same process peak, and a full rack_right
-# scan on 1152 elements at --jobs 2 from 2.3 to 1.4 s; 24,576 and 32,768 were
-# no faster on the former and raised its peak by 0.12 and 0.38 MB.
+# The gather kernel below (_take and _take_pairs) builds its intp indices in
+# blocks of at most this many cells, 128 KB. Its users are the scans of the
+# law shapes in axioms, the Cayley tables of carriers and the constructions,
+# so no n^2 table is ever copied to intp whole. numpy lets go of the GIL
+# inside each take, and the Python between blocks holds it, so a second scan
+# thread pays only when blocks are large. Against 8,192-index blocks, 16,384
+# took the failing scans of cyclic(360) at --jobs 2 from 0.38 to 0.35
+# calibration units at the same process peak, and a full rack_right scan on
+# 1152 elements at --jobs 2 from 2.3 to 1.4 s; 24,576 and 32,768 were no
+# faster on the former and raised its peak by 0.12 and 0.38 MB.
 GATHER_CELLS = 16_384
 
 
@@ -103,6 +108,74 @@ def _row_blocks(n: int, width: int, cells: int) -> list:
     if step >= n:  # at most one block, the common case on small tables
         return [(0, n)] if n else []
     return list(zip(range(0, n, step), [*range(step, n, step), n]))
+
+
+# The gather kernel. Mixed slice-and-array indexing such as C[rows][:, D] runs
+# element by element when a scan chunk holds one or two rows, where take is
+# 2-5 times faster; two-array indexing t[A, B] over a whole table converts its
+# index arrays to intp whole, and the Cayley tables and constructions built
+# by take instead took half the time or less. take too turns an index of
+# another dtype into a whole intp copy first, 8 bytes a cell, so an index of
+# n^2 cells (a whole table, or the flat positions x m + y of a pair gather
+# t[x, y]) is converted or built one row block of at most GATHER_CELLS cells
+# at a time, read when the gather runs. Indices come from closed tables and
+# are in range, so mode="clip" changes no value; it lets take write straight
+# into a contiguous out block, where the default mode first copies out, and
+# it skips the bounds check.
+
+
+def _take(values, index, axis):
+    """values.take(index, axis=axis), with index converted to intp one row block at a time.
+
+    The result has the shape values.shape[:axis] + index.shape +
+    values.shape[axis + 1:]. Rows are those of index with every axis but its
+    last merged, and a block holds as many as fit in GATHER_CELLS indices; an
+    index of one block is taken whole.
+    """
+    rows = index.reshape(-1, index.shape[-1])
+    blocks = _row_blocks(len(rows), rows.shape[1], GATHER_CELLS)
+    if len(blocks) == 1:
+        return values.take(index, axis=axis, mode="clip")
+    lead, tail = values.shape[:axis], values.shape[axis + 1:]
+    out = np.empty(lead + rows.shape + tail, dtype=values.dtype)
+    before = (slice(None),) * axis
+    for r0, r1 in blocks:
+        values.take(rows[r0:r1], axis=axis, out=out[before + (slice(r0, r1),)], mode="clip")
+    return out.reshape(lead + index.shape + tail)
+
+
+def _take_pairs(t, first, second):
+    """t[first, second] for index arrays of any broadcast shape, gathered by take.
+
+    t is a 2-D grid, and its flat positions first * m + second (m columns)
+    are built in intp: whole when they fit one block of GATHER_CELLS
+    indices, else one block of the second-to-last axis (the only axis of a
+    1-D shape) at a time. first is scaled once, at its own size, when it
+    holds at most GATHER_CELLS indices, as the scan's rows do; a larger
+    first, a construction's whole inner table, is scaled in each block.
+    """
+    m, flat = t.shape[1], t.reshape(-1)
+    pairs = np.broadcast(first, second)
+    small = np.size(first) <= GATHER_CELLS
+    if small:
+        first = np.multiply(first, m, dtype=np.intp)
+        if pairs.size <= GATHER_CELLS:
+            return flat.take(first + second, mode="clip")
+    shape = pairs.shape
+    axis = max(0, len(shape) - 2)
+    first, second = np.broadcast_to(first, shape), np.broadcast_to(second, shape)
+    out = np.empty(shape, dtype=t.dtype)
+    before = (slice(None),) * axis
+    for b0, b1 in _row_blocks(shape[axis], pairs.size // shape[axis], GATHER_CELLS):
+        b = before + (slice(b0, b1),)
+        if small:
+            positions = first[b] + second[b]
+        else:
+            positions = np.multiply(first[b], m, dtype=np.intp)
+            positions += second[b]
+        flat.take(positions, out=out[b], mode="clip")
+        del positions  # else it lives on beside the next block's, one more block of peak
+    return out
 
 
 def _endomorphism_failure(s: np.ndarray, t: np.ndarray):

@@ -44,7 +44,7 @@ from multigroup.constructions import (
 from multigroup.errors import NoUnitError, NotAGroupError, NotAUnitError
 from multigroup.field import PrimeField
 from multigroup.matrix import Matrix
-from multigroup import axioms, optables
+from multigroup import optables
 from multigroup.optables import build_op_table, table_from_array
 
 
@@ -203,9 +203,26 @@ def naive_solution_counts(t):
     return left, right
 
 
+def naive_divisibility(t, side, unique):
+    """(witness, reason) of check_divisibility from naive_solution_counts; (None, None) on a pass."""
+    counts = np.array(naive_solution_counts(t)[side == RIGHT])
+    hits = np.argwhere(counts != 1 if unique else counts == 0)
+    if not len(hits):
+        return None, None
+    bad = tuple(hits[0].tolist())
+    return bad, "no-solution" if counts[bad] == 0 else "exists-not-unique"
+
+
+def assert_divisibility_as_naive(t):
+    op = table_from_array(cyclic_group(len(t)), t)
+    for side, unique in itertools.product((LEFT, RIGHT), (True, False)):
+        report = check_divisibility(op, side, unique)
+        assert (report.witness, report.reason) == naive_divisibility(t.tolist(), side, unique)
+
+
 @pytest.mark.parametrize("kind", ["group", "random"])
-def test_solution_counts_over_several_row_blocks(kind):
-    # 420 rows take several row blocks of the histogram; one changed cell
+def test_solution_counts_over_several_row_blocks(kind, monkeypatch):
+    # 420 rows take several row blocks of the sort; one changed cell
     # moves a count of a group table from 1 to 0 and another to 2
     n = 420
     x, y = np.ogrid[:n, :n]
@@ -215,16 +232,22 @@ def test_solution_counts_over_several_row_blocks(kind):
         t = np.array(base)
         if cell is not None:
             t[cell] = (t[cell] + 1) % n
-        op = table_from_array(cyclic_group(n), t)
-        for side, want in zip((LEFT, RIGHT), naive_solution_counts(t.tolist())):
-            counts = axioms._solution_counts(op, side)
-            assert counts.dtype == np.int32 and counts.tolist() == want
-            bad = next(((a, b) for a in range(n) for b in range(n) if want[a][b] != 1), None)
-            report = check_divisibility(op, side)
-            assert report.witness == bad
-            if bad is not None:
-                assert report.reason == ("no-solution" if want[bad[0]][bad[1]] == 0
-                                         else "exists-not-unique")
+        assert_divisibility_as_naive(t)
+    # Small tables at one row per block, so the right side takes its least
+    # bad value across blocks: shuffled Latin squares with up to two cells
+    # changed, where values repeat and go missing in every pattern, or
+    # uniform random tables
+    monkeypatch.setattr(optables, "PROOF_CELLS", 1)
+    for n in (1, 2, 3, 4, 5, 7):
+        latin = (np.arange(n)[:, None] + np.arange(n)) % n
+        for _ in range(12):
+            if kind == "random":
+                assert_divisibility_as_naive(rng.integers(0, n, (n, n)))
+                continue
+            t = latin[rng.permutation(n)][:, rng.permutation(n)]
+            for _ in range(rng.integers(0, 3)):
+                t[tuple(rng.integers(0, n, 2))] = rng.integers(0, n)
+            assert_divisibility_as_naive(t)
 
 
 def test_divisibility_rejects_bad_side():

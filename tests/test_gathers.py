@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multigroup import cli, optables
+from multigroup import carriers, cli, optables
 from multigroup.carriers import (
     CAYLEY_CHUNK_CELLS,
     Carrier,
@@ -131,8 +131,11 @@ def same_table(op, rule):
 # --- tables -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", GROUPS + list(MONOIDS))
-def test_cayley_table_and_unit(spec):
+@pytest.mark.parametrize("spec", GROUPS + list(MONOIDS) + ["cyclic(2) x symmetric(3) x gl(2,2)"])
+def test_cayley_table_and_unit(spec, monkeypatch):
+    # one row per Cayley block, so every row block of every kind is its own take;
+    # the last spec nests a direct product as the left factor of another
+    monkeypatch.setattr(carriers, "CAYLEY_CHUNK_CELLS", 1)
     carrier = group_carrier(spec)
     g = Plain(carrier)
     oracle = build_op_table(carrier, g.mul)
@@ -223,7 +226,9 @@ OPEN_SETS = [
 
 
 @pytest.mark.parametrize("elements, p", OPEN_SETS)
-def test_an_absent_product_is_minus_one(elements, p):
+def test_an_absent_product_is_minus_one(elements, p, monkeypatch):
+    # one row per Cayley block, so the NotClosedError names its row past block 0
+    monkeypatch.setattr(carriers, "CAYLEY_CHUNK_CELLS", 1)
     carrier = listed_matrices(elements, p)
     mul, index = mat_mul_mod(p), carrier.index
     want = [[index.get(mul(a, b), -1) for b in carrier] for a in carrier]
@@ -471,14 +476,17 @@ def test_monoid_errors_keep_their_text():
 
 
 def test_one_cayley_build_per_carrier(monkeypatch):
+    # Carrier.cayley builds the table itself, by take, so its builds are counted there
     calls = []
-    product = Carrier.product
+    build = Carrier.cayley.func
 
-    def counting(self, i, j):
+    def counting(self):
         calls.append(self.label)
-        return product(self, i, j)
+        return build(self)
 
-    monkeypatch.setattr(Carrier, "product", counting)
+    cayley = functools.cached_property(counting)
+    cayley.__set_name__(Carrier, "cayley")
+    monkeypatch.setattr(Carrier, "cayley", cayley)
     claim = run_demo("S3-assoc")
     tables = {d["carrier"]: d["tables_checked"] for d in claim["details"] if "carrier" in d}
     assert tables == {"matrices(2,2)": 24, "matrices(2,3)": 54}

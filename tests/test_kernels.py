@@ -82,14 +82,14 @@ def test_sides_equal_naive_lookups_on_large_carriers(shape, k):
 
 def _recording_steps(monkeypatch):
     steps = []
-    real = axioms._row_blocks
+    real = optables._row_blocks
 
     def blocks(n, width, cells):
         got = real(n, width, cells)
         steps.extend(a1 - a0 for a0, a1 in got)
         return got
 
-    monkeypatch.setattr(axioms, "_row_blocks", blocks)
+    monkeypatch.setattr(optables, "_row_blocks", blocks)  # where the gather kernel takes its blocks
     return steps
 
 

@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from multigroup.errors import DimensionMismatchError, SingularMatrixError
+from multigroup.errors import DimensionMismatchError, SingularMatrixError, WorkbenchError
 from multigroup.field import PrimeField
 from multigroup.matrix import (
     Matrix,
@@ -119,6 +120,25 @@ def test_apply_vector():
     assert a.apply((1, 2)) == (0, 2)
     with pytest.raises(DimensionMismatchError):
         a.apply((1, 2, 3))
+
+
+def test_integers_only_in_vectors_scalars_and_exponents():
+    # bools and numpy integers are integers; 1.5, 2.0 and "1" are refused by name,
+    # where a float vector once came back as floats and a float exponent raised TypeError
+    one = Matrix.identity(2, F3)
+    swap = Matrix.from_rows(((0, 1), (1, 0)), F3)
+    assert swap.apply((True, np.int64(2))) == (2, 1)
+    assert mat_add_scaled(np.int8(2), one, True, swap).rows == ((2, 1), (1, 2))
+    assert mat_pow(swap, np.int64(3)).rows == swap.rows
+    for bad in (1.5, 2.0, "1"):
+        with pytest.raises(WorkbenchError, match=f"^vector entry {bad!r} is not an integer$"):
+            one.apply((bad, 0))
+        with pytest.raises(WorkbenchError, match=f"^scalar {bad!r} is not an integer$"):
+            mat_add_scaled(1, one, bad, one)
+        with pytest.raises(WorkbenchError, match=f"^exponent {bad!r} is not an integer$"):
+            mat_pow(one, bad)
+    with pytest.raises(WorkbenchError, match="^scalar 2.5 is not an integer$"):
+        mat_add_scaled(2.5, one, 0, one)
 
 
 def test_size_mismatch_rejected():

@@ -107,9 +107,22 @@ def test_scan_kernel_script_runs_every_shape_in_a_fresh_process():
     assert header.split() == ["shape", "n", "rows", "best", "ms", "peak", "KB",
                               "1-job", "ms", "2-job", "ms"]
     shapes = ["bracket", "mixed_distrib", "left_distrib", "brace_compatibility", "nvalued"]
+    lines, (table_header, *steps) = lines[:20], lines[20:]
     assert [line.split()[:2] for line in lines] == [
         [shape, str(n)] for n in (24, 81, 360, 625) for shape in shapes]
     assert all(len(line.split()) == 7 for line in lines)
+    # then the table layer: Cayley tables, each construction's gather and
+    # both divisibility sides, one best time each
+    assert table_header.split() == ["table", "step", "carrier", "best", "ms"]
+    gl, matrices, product, s5 = "gl(2,5)", "matrices(2,5)", "symmetric(5) x cyclic(4)", "symmetric(5)"
+    pairs, square = "vectors(2,3) x gl(2,3)", "cyclic(20) x cyclic(20)"
+    assert [line.rsplit(None, 1)[0].split(None, 1) for line in steps] == [
+        ["cayley", gl], ["cayley", matrices], ["cayley", product], ["gl_group_op", gl],
+        ["matrix_op", matrices], ["conj_quandle", gl], ["core_quandle", product],
+        ["alexander_quandle", s5], ["vxg_phi_op", pairs], ["vxg_conj_op", pairs],
+        ["pair_dimonoid", square], ["action_dimonoid", pairs], ["divisibility_left", gl],
+        ["divisibility_right", gl]]
+    assert all(float(line.rsplit(None, 1)[1]) >= 0 for line in steps)
 
 
 def test_cli_calls_import_neither_dataclasses_nor_the_executor():
