@@ -60,6 +60,7 @@ from .optables import (
     first_true,
     index_dtype,
     inverse_indices,
+    job_count,
     passing,
     scan_chunks,
     shared_carrier,
@@ -353,8 +354,9 @@ def _decide(axiom, shape, *ops, jobs, reason=None, width=None) -> AxiomReport:
     reads, decides it; width (default n^2) is the cells per row that size
     its chunks. When every row fits in one chunk, every row is scanned and
     the orbit step is skipped: verifying candidates would cost more than
-    the rows it saves.
+    the rows it saves. A jobs that job_count refuses is refused first.
     """
+    jobs = job_count(jobs)
     carrier = ops[0].carrier
     n = len(carrier)
     if not _proved(shape, ops):
@@ -522,6 +524,7 @@ def check_rack_quandle(
     failure is reported with its sub-axiom as the reason.
     """
     _side(side)
+    jobs = job_count(jobs)  # the stages before the distributive one take no jobs
     name = ("quandle_" if require_idempotent else "rack_") + side
 
     def stages():

@@ -55,6 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     ActionMismatchError,
     DimensionMismatchError,
+    NotAnElementError,
     NotBijectiveError,
     NotClosedError,
     NotHomomorphismError,
@@ -166,7 +167,11 @@ class Carrier(_Frozen):
         return {e: i for i, e in enumerate(self.elements)}
 
     def index_of(self, element) -> int:
-        return self.index[element]
+        """The index of element; NotAnElementError, a KeyError, for a non-element."""
+        try:
+            return self.index[element]
+        except KeyError:
+            raise NotAnElementError(element, self.label) from None
 
     @property
     def is_monoid(self) -> bool:
@@ -385,14 +390,14 @@ class Carrier(_Frozen):
         return _frozen(images @ p ** np.arange(d - 1, -1, -1, dtype=np.int64))
 
     def _position(self, element) -> int:
-        """The index of element by bisection; KeyError for a non-element, as from `index`."""
+        """The index of element by bisection; NotAnElementError for a non-element, as from `index_of`."""
         hash(element)  # and TypeError for an unhashable one
         try:
             i = bisect.bisect_left(self.elements, element)
         except TypeError:
             i = len(self)
         if i == len(self) or self.elements[i] != element:
-            raise KeyError(element)
+            raise NotAnElementError(element, self.label)
         return i
 
     def mul(self, a, b):
@@ -400,7 +405,7 @@ class Carrier(_Frozen):
 
         Cyclic groups add mod n, permutations compose, matrices multiply mod
         p and direct products multiply factor-wise. The factors and the
-        product are looked up by bisection (KeyError for a non-element), so
+        product are looked up by bisection (NotAnElementError for a non-element), so
         neither the Cayley table nor the column tables of `product` are built.
         """
         for x in (a, b):

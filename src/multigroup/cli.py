@@ -15,7 +15,8 @@ stdout closes early (as under `| head`) the command stops and exits 1 with
 nothing on stderr. A failed allocation while building a carrier or a table,
 or during a check or a demo claim, ends in one line on stderr and exit 2,
 never in a traceback. With --no-timing the output carries no timings and is
-byte-identical across repeated runs.
+byte-identical across repeated runs. Arguments are read as argparse read
+them (see `parse_args`); bad ones exit 2 with the usage and one error line.
 """
 
 import os
@@ -27,17 +28,18 @@ import os
 # user set is kept, and `import multigroup` in a library sets nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# dsl loads numpy and the library before the modules below: loading
-# argparse, hashlib, json and pathlib first raised a call's peak RSS by
-# 0.2-0.7 MB.
+# dsl loads numpy and the library before the modules below: loading them
+# (with argparse, which the command line used then) first raised a call's
+# peak RSS by 0.2-0.7 MB.
 from .dsl import SpecSource, compile_spec, parse_spec, run_check
 
-import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import demos
 from .carriers import group_carrier
@@ -177,45 +179,217 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multigroup",
-        description="build finite algebraic systems and check their axioms exhaustively",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line as one table: each command's summary, its one positional
+# (name, required, help) and its options, each a (kind, default, help) of
+# bool for a flag, int, or a tuple of choices. The reader and the help text
+# both come from it; both keep what argparse accepted, refused and printed
+# (tests/cli_reference.py holds the argparse parser they replace).
+FORMATS = ("text", "json")
+NO_TIMING = "omit timings for reproducible output"
+COMMANDS = {
+    "verify": ("run the checks declared in a spec file",
+               ("file", True, "path to a spec document"),
+               {"--format": (FORMATS, "text", None), "--no-timing": (bool, False, NO_TIMING),
+                "--jobs": (int, 1, "worker threads for the axiom scans")}),
+    "demo": ("run scripted demonstrations",
+             ("claim", False, "one of: {claims} (default: all)"),
+             {"--format": (FORMATS, "text", None), "--no-timing": (bool, False, NO_TIMING),
+              "--jobs": (int, 1, None)}),
+    "enumerate": ("build a carrier and count its elements",
+                  ("carrier", True,
+                   "carrier expression, e.g. 'gl(2,3)' or 'vectors(2,2) x gl(2,2)'"),
+                  {"--list": (bool, False, "print one element per line")}),
+}
+HELP = ("-h", "--help")
+WIDTH = 78  # argparse's, on 80 columns
 
-    p_verify = sub.add_parser("verify", help="run the checks declared in a spec file")
-    p_verify.add_argument("file", help="path to a spec document")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--no-timing", action="store_true",
-                          help="omit timings for reproducible output")
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker threads for the axiom scans")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_demo = sub.add_parser("demo", help="run scripted demonstrations")
-    p_demo.add_argument("claim", nargs="?", default=None,
-                        help=f"one of: {', '.join(demos.CLAIM_IDS)} (default: all)")
-    p_demo.add_argument("--format", choices=("text", "json"), default="text")
-    p_demo.add_argument("--no-timing", action="store_true",
-                        help="omit timings for reproducible output")
-    p_demo.add_argument("--jobs", type=int, default=1)
-    p_demo.set_defaults(func=cmd_demo)
+def _usage(command) -> str:
+    """The usage line, wrapped as argparse wraps it: positionals on a line of their own."""
+    if command is None:
+        prog, opts, pos = "multigroup", ["[-h]"], f"{_braced(COMMANDS)} ..."
+    else:
+        _, (name, required, _), options = COMMANDS[command]
+        prog, pos = f"multigroup {command}", name if required else f"[{name}]"
+        opts = ["[-h]"] + [f"[{_invocation(option, kind)}]"
+                           for option, (kind, _, _) in options.items()]
+    usage = f"usage: {prog} {' '.join(opts + [pos])}"
+    if len(usage) <= WIDTH:
+        return usage
+    indent = " " * len(f"usage: {prog} ")
+    lines = [f"usage: {prog}"]
+    for part in opts:
+        if len(lines[-1]) + 1 + len(part) > WIDTH:
+            lines.append(indent[:-1])
+        lines[-1] += " " + part
+    return "\n".join(lines + [indent + pos])
 
-    p_enum = sub.add_parser("enumerate", help="build a carrier and count its elements")
-    p_enum.add_argument("carrier", help="carrier expression, e.g. 'gl(2,3)' or 'vectors(2,2) x gl(2,2)'")
-    p_enum.add_argument("--list", action="store_true", help="print one element per line")
-    p_enum.set_defaults(func=cmd_enumerate)
-    return parser
+
+def _braced(choices) -> str:
+    return "{" + ",".join(choices) + "}"
+
+
+def _invocation(option, kind) -> str:
+    """An option as usage and help show it: --no-timing, --format {text,json}, --jobs JOBS."""
+    if kind is bool:
+        return option
+    return f"{option} {_braced(kind) if isinstance(kind, tuple) else option[2:].upper()}"
+
+
+def _help(command) -> str:
+    """The help text argparse printed at 80 columns: usage, then rows of name and help."""
+    import textwrap
+
+    if command is None:
+        head = [_usage(None), "", "build finite algebraic systems and check their axioms exhaustively"]
+        positionals = [(2, _braced(COMMANDS), None)]
+        positionals += [(4, name, summary) for name, (summary, _, _) in COMMANDS.items()]
+        options = {}
+    else:
+        _, (name, _, text), options = COMMANDS[command]
+        head = [_usage(command)]
+        positionals = [(2, name, text.format(claims=", ".join(demos.CLAIM_IDS)))]
+    rows = [(2, "-h, --help", "show this help message and exit")]
+    rows += [(2, _invocation(option, kind), text) for option, (kind, _, text) in options.items()]
+    column = min(max(indent + len(name) for indent, name, _ in positionals + rows) + 2, 24)
+    lines = head
+    for title, section in (("positional arguments", positionals), ("options", rows)):
+        lines += ["", f"{title}:"]
+        for indent, name, text in section:
+            wrapped = textwrap.wrap(text, WIDTH - column) if text else []
+            if wrapped and indent + len(name) + 2 <= column:
+                lines.append(f"{' ' * indent}{name:<{column - indent - 2}}  {wrapped.pop(0)}")
+            else:
+                lines.append(" " * indent + name)
+            lines += [" " * column + line for line in wrapped]
+    return "\n".join(lines)
+
+
+def _refuse(command, message):
+    """Print the usage and one error line on stderr, and exit 2, as argparse did."""
+    print(_usage(command), file=sys.stderr)
+    print(f"multigroup{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_ERROR)
+
+
+def _option(arg, names, command):
+    """(name, value) for an option, with name None for an unknown one; None for a positional.
+
+    As argparse read it: an exact name, NAME=VALUE, a unique prefix of a long
+    name with or without =VALUE, or -h followed by more. A negative number, or
+    a word with a space in it, is a positional.
+    """
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    if arg in names:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in names:
+        return head, value
+    if arg[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            _refuse(command, f"ambiguous option: {arg} could match {', '.join(found)}")
+        if found:
+            return found[0], (value if eq else None)
+    elif arg[:2] in names:  # -hh is -h twice
+        return arg[:2], arg[2:].lstrip("h") or None
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _help_flag(command, value):
+    """-h or --help: print the help and exit 0; with a value, refuse it."""
+    if value is not None:
+        _refuse(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    print(_help(command))
+    raise SystemExit(EXIT_OK)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read argv as the table says; print help and exit 0, or refuse and exit 2.
+
+    Options come in any order, as --opt value or --opt=value or by a unique
+    prefix; the last repeat wins and -- ends the options. Options before the
+    command, other than -h, are refused.
+    """
+    stray = []
+    for at, arg in enumerate(argv):
+        option = _option(arg, HELP, None)
+        if option is None:
+            break
+        if option[0] is None:
+            stray.append(arg)
+        else:
+            _help_flag(None, option[1])
+    else:
+        at = len(argv)
+    if argv[at:] in ([], ["--"]):  # a -- needs a word after it to be read as the command
+        _refuse(None, "the following arguments are required: command")
+    command, rest = argv[at], argv[at + 1:]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _refuse(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, (name, required, _), options = COMMANDS[command]
+    names = HELP + tuple(options)
+    # argparse sorted every argument before it read one, so an ambiguous
+    # option is refused before anything else
+    end = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_option(arg, names, command) for arg in rest[:end]] + [None] * (len(rest) - end)
+    args = {"command": command, name: None}
+    args.update((option[2:].replace("-", "_"), default) for option, (_, default, _) in options.items())
+    taken = None  # the index of the positional's value
+    i = 0
+    while i < len(rest):
+        arg, option = rest[i], kinds[i]
+        i += 1
+        if i - 1 == end:
+            # argparse dropped this -- only next to the positional's value
+            if taken is not None and taken != end - 1:
+                stray.append(arg)
+        elif option is None and taken is None:
+            taken = i - 1
+            args[name] = arg
+        elif option is None or option[0] is None:
+            stray.append(arg)
+        elif option[0] in HELP:
+            _help_flag(command, option[1])
+        else:
+            option, value = option
+            kind = options[option][0]
+            if kind is bool:
+                if value is not None:
+                    _refuse(command, f"argument {option}: ignored explicit argument {value!r}")
+                value = True
+            elif value is None:
+                if i >= end or kinds[i] is not None:
+                    _refuse(command, f"argument {option}: expected one argument")
+                value, i = rest[i], i + 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _refuse(command, f"argument {option}: invalid int value: {value!r}")
+            elif kind is not bool and value not in kind:
+                choices = ", ".join(map(repr, kind))
+                _refuse(command, f"argument {option}: invalid choice: {value!r} (choose from {choices})")
+            args[option[2:].replace("-", "_")] = value
+    if taken is None and required:
+        _refuse(command, f"the following arguments are required: {name}")
+    if stray:
+        _refuse(None, f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     if getattr(args, "jobs", 1) < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return EXIT_ERROR
+    run = {"verify": cmd_verify, "demo": cmd_demo, "enumerate": cmd_enumerate}[args.command]
     try:
-        code = args.func(args)
+        code = run(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull, so that the flush at

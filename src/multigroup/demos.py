@@ -47,7 +47,7 @@ from .constructions import (
 from .errors import UnknownClaimError
 from .field import PrimeField
 from .matrix import Matrix, mat_add_scaled
-from .optables import encode_element, first_true, inverse_indices, table_from_array
+from .optables import encode_element, first_true, inverse_indices, job_count, table_from_array
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -371,5 +371,5 @@ def run_demo(claim_id: str, jobs: int = 1) -> dict:
             f"unknown claim {claim_id!r}; known claims: {', '.join(CLAIM_IDS)}"
         )
     title, runner = DEMOS[claim_id]
-    verdict, details = runner(jobs)
+    verdict, details = runner(job_count(jobs))
     return {"claim": claim_id, "title": title, "verdict": verdict, "details": details}

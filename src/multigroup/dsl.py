@@ -42,7 +42,7 @@ from . import axioms, constructions
 from .axioms import LEFT, RIGHT
 from .carriers import Carrier, build_carrier, make_automorphism
 from .errors import NotAGroupError, SpecError, UnsupportedCarrierError, WorkbenchError, error_message
-from .optables import _Frozen
+from .optables import _Frozen, job_count
 from .constructions import (
     MatrixOpParams,
     action_dimonoid,
@@ -753,10 +753,11 @@ def run_check(compiled: CompiledSpec, check: CheckDecl, jobs: int = 1):
 
     A check whose operands it cannot take raises a WorkbenchError; for
     skew_brace on a non-group that is a NotAGroupError naming the operand.
+    A jobs below 1 raises JobsError, also for the checks that run on one.
     """
     ops = [compiled.ops[name] for name in check.operand_names]
     try:
-        return CHECKS[check.name].run(ops, jobs)
+        return CHECKS[check.name].run(ops, job_count(jobs))
     except NotAGroupError as err:  # raised by skew_brace, which names its tables dot and circ
         operand = check.operand_names[0 if err.which == "dot" else 1]
         raise NotAGroupError(f"operation {operand!r}", err.report) from err

@@ -21,6 +21,20 @@ class NotPrimeError(WorkbenchError, ValueError):
     """A prime field was requested for a modulus that is not prime."""
 
 
+class JobsError(WorkbenchError, ValueError):
+    """A count of jobs is not an integer of at least 1."""
+
+
+class NotAnElementError(WorkbenchError, KeyError):
+    """A carrier was asked for the index of a value that is not one of its elements."""
+
+    def __init__(self, element, label):
+        self.element = element
+        super().__init__(f"{element!r} is not an element of {label}")
+
+    __str__ = Exception.__str__  # KeyError's would print the message as a quoted key
+
+
 class ZeroInverseError(WorkbenchError):
     """Multiplicative inverse of zero requested in a prime field."""
 

@@ -20,13 +20,14 @@ byte-reproducible regardless of how the scan was parallelized.
 from __future__ import annotations
 
 import numbers
+import operator
 import os
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CarrierMismatchError, NotClosedError
+from .errors import CarrierMismatchError, JobsError, NotClosedError
 
 if TYPE_CHECKING:
     from .carriers import Carrier
@@ -309,8 +310,8 @@ class OpTable(_Frozen):
         return int(self.table[i, j])
 
     def apply(self, x, y):
-        idx = self.carrier.index
-        return self.carrier.elements[self.table[idx[x], idx[y]]]
+        index_of = self.carrier.index_of
+        return self.carrier.elements[self.table[index_of(x), index_of(y)]]
 
     def relabel(self, label: str) -> "OpTable":
         op = OpTable(self.carrier, self.table, label)
@@ -458,6 +459,17 @@ def failing(
     return AxiomReport(axiom, VERDICT_FAIL, witness, checked, reason)
 
 
+def job_count(jobs) -> int:
+    """jobs as an int by operator.index, bools and numpy integers included; JobsError below 1."""
+    try:
+        count = operator.index(jobs)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise JobsError(f"jobs must be an integer of at least 1, not {jobs!r}")
+    return count
+
+
 def scan_chunks(worker: Callable, n_rows: int, cells_per_row: int, jobs: int = 1):
     """Run worker(a0, a1) over fixed chunks in order and return the first hit.
 
@@ -482,7 +494,7 @@ def scan_chunks(worker: Callable, n_rows: int, cells_per_row: int, jobs: int = 1
     threads than CPUs only add memory and switching.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    jobs = min(jobs, cpus or 1)
+    jobs = min(job_count(jobs), cpus or 1)
     ranges = _row_blocks(n_rows, cells_per_row, CHUNK_CELLS)
     found = worker(*ranges[0]) if ranges else None
     if found is not None or len(ranges) <= 1:

@@ -45,7 +45,7 @@ from multigroup.errors import NoUnitError, NotAGroupError, NotAUnitError
 from multigroup.field import PrimeField
 from multigroup.matrix import Matrix
 from multigroup import optables
-from multigroup.optables import build_op_table, table_from_array
+from multigroup.optables import OpTable, build_op_table, table_from_array
 
 
 def table_of(n, fn, label="op"):
@@ -779,3 +779,59 @@ def test_group_check_decides_units_and_inverses_on_indices():
     assert check_group(table_from_array(z6, z6.cayley, "plus")).passed
     assert "index" not in vars(z6)
     assert find_inverses(times, 1)[0].witness == report.witness
+
+
+JOB_TAKERS = {
+    "assoc": lambda op, jobs: check_associativity(op, jobs=jobs),
+    "interchange": lambda op, jobs: check_interchange(op, op, jobs=jobs),
+    "distrib": lambda op, jobs: check_self_distributivity(op, RIGHT, jobs=jobs),
+    "group": lambda op, jobs: check_group(op, jobs=jobs),
+    "rack": lambda op, jobs: check_rack_quandle(op, RIGHT, require_idempotent=True, jobs=jobs),
+    "dimonoid": lambda op, jobs: check_dimonoid(op, op, jobs=jobs),
+    "skew_brace": lambda op, jobs: check_skew_brace(op, op, jobs=jobs),
+    "multiquandle": lambda op, jobs: check_multiquandle_pair(op, op, jobs=jobs),
+    "nvalued": lambda op, jobs: check_nvalued_associativity([op, op], jobs=jobs),
+    "scan_chunks": lambda op, jobs: optables.scan_chunks(lambda a0, a1: None, len(op), 1, jobs),
+}
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, np.float64(2.0), "2", None])
+@pytest.mark.parametrize("name", JOB_TAKERS)
+def test_jobs_that_is_no_integer_of_at_least_one_is_refused_before_any_work(name, jobs,
+                                                                           monkeypatch):
+    from multigroup import axioms
+    from multigroup.errors import JobsError, WorkbenchError
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before jobs was read")
+
+    for stage in ("_proved", "check_idempotency", "check_divisibility", "scan_chunks"):
+        monkeypatch.setattr(axioms, stage, work)
+    op = OpTable(cyclic_group(3), cyclic_group(3).cayley)
+    with pytest.raises(JobsError) as err:
+        JOB_TAKERS[name](op, jobs)
+    assert str(err.value) == f"jobs must be an integer of at least 1, not {jobs!r}"
+    assert isinstance(err.value, ValueError) and isinstance(err.value, WorkbenchError)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, True, np.int64(2)])
+@pytest.mark.parametrize("name", JOB_TAKERS)
+def test_integer_jobs_are_taken(name, jobs):
+    op = OpTable(cyclic_group(3), cyclic_group(3).cayley)
+    report = JOB_TAKERS[name](op, jobs)
+    assert report is None if name == "scan_chunks" else report.checked > 0
+
+
+def test_demos_and_spec_checks_read_jobs_before_any_work(monkeypatch):
+    from multigroup import demos, dsl
+    from multigroup.errors import JobsError
+
+    monkeypatch.setitem(demos.DEMOS, "S3-assoc", ("title", lambda jobs: 1 / 0))
+    with pytest.raises(JobsError):
+        demos.run_demo("S3-assoc", jobs=0)
+    compiled = dsl.compile_spec(dsl.parse_spec(dsl.SpecSource(
+        "carrier cyclic(3);\nop s = core_quandle();\ncheck idempotent s;\n")))
+    # idempotency runs on one thread whatever jobs says, and still refuses a bad one
+    with pytest.raises(JobsError):
+        dsl.run_check(compiled, compiled.checks[0], jobs=0)
+    assert dsl.run_check(compiled, compiled.checks[0], jobs=2).passed

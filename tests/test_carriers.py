@@ -138,6 +138,23 @@ def test_single_powers_refuse_what_they_cannot_take():
     assert [group_power(z4, 1, k) for k in (-5, 0, 10**30)] == [3, 0, 0]
 
 
+def test_non_elements_raise_a_domain_error_that_is_a_key_error():
+    from multigroup.axioms import find_inverses
+    from multigroup.errors import NotAnElementError, WorkbenchError
+    from multigroup.optables import OpTable
+
+    c5 = cyclic_group(5)
+    op = OpTable(c5, c5.cayley)
+    for lookup in (lambda: c5.index_of(99), lambda: op.apply(99, 99), lambda: op.apply(1, 99),
+                   lambda: find_inverses(op, 99), lambda: element_order(c5, 99),
+                   lambda: c5.inv(99)):
+        with pytest.raises(NotAnElementError) as err:
+            lookup()
+        assert isinstance(err.value, KeyError) and isinstance(err.value, WorkbenchError)
+        assert (str(err.value), err.value.element) == ("99 is not an element of cyclic(5)", 99)
+    assert op.apply(3, 4) == 2 and c5.index_of(4) == 4
+
+
 def test_symmetric_bounds():
     with pytest.raises(UnsupportedCarrierError):
         symmetric_group(6)

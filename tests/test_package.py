@@ -277,3 +277,17 @@ def test_cli_starts_no_blas_thread_pool(tmp_path, entry):
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_cli_keeps_a_thread_count_the_user_set(tmp_path, entry):
     assert _cli_child(tmp_path, entry, {"OPENBLAS_NUM_THREADS": "3"})[1] == "3"
+
+
+@pytest.mark.parametrize("call", [
+    ENTRY_POINTS["module"],
+    "from multigroup.cli import main\nmain(['demo', 'S3-unit', '--no-timing'])\n",
+], ids=["module-verify", "cli-main-demo"])
+def test_cli_calls_load_no_argument_parser(tmp_path, call):
+    # argparse and gettext took 2 ms of import, and gettext imported locale,
+    # 1.2-1.8 ms more, the first time argparse translated a message
+    spec = tmp_path / "pass.mg"
+    spec.write_text(PASSING, encoding="utf-8")
+    out = _run(f"SPEC = {str(spec)!r}\n" + call +
+               "import sys\nprint([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n")
+    assert out.splitlines()[-1] == "[]"
