@@ -524,7 +524,7 @@ def check_rack_quandle(
     failure is reported with its sub-axiom as the reason.
     """
     _side(side)
-    jobs = job_count(jobs)  # the stages before the distributive one take no jobs
+    jobs = job_count(jobs)  # before the stages that take no jobs run
     name = ("quandle_" if require_idempotent else "rack_") + side
 
     def stages():

@@ -390,7 +390,7 @@ class Carrier(_Frozen):
         return _frozen(images @ p ** np.arange(d - 1, -1, -1, dtype=np.int64))
 
     def _position(self, element) -> int:
-        """The index of element by bisection; NotAnElementError for a non-element, as from `index_of`."""
+        """The index of element by bisection; NotAnElementError for a non-element."""
         hash(element)  # and TypeError for an unhashable one
         try:
             i = bisect.bisect_left(self.elements, element)
@@ -405,8 +405,9 @@ class Carrier(_Frozen):
 
         Cyclic groups add mod n, permutations compose, matrices multiply mod
         p and direct products multiply factor-wise. The factors and the
-        product are looked up by bisection (NotAnElementError for a non-element), so
-        neither the Cayley table nor the column tables of `product` are built.
+        product are looked up by bisection (NotAnElementError for a
+        non-element), so neither the Cayley table nor the column tables of
+        `product` are built.
         """
         for x in (a, b):
             self._position(x)

@@ -494,7 +494,7 @@ def scan_chunks(worker: Callable, n_rows: int, cells_per_row: int, jobs: int = 1
     threads than CPUs only add memory and switching.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    jobs = min(job_count(jobs), cpus or 1)
+    jobs = min(jobs, cpus or 1)
     ranges = _row_blocks(n_rows, cells_per_row, CHUNK_CELLS)
     found = worker(*ranges[0]) if ranges else None
     if found is not None or len(ranges) <= 1:
