@@ -220,7 +220,7 @@ def _usage(command) -> str:
     lines = [f"usage: {prog}"]
     for part in opts:
         if len(lines[-1]) + 1 + len(part) > WIDTH:
-            lines.append(indent[:-1])
+            lines.append(indent[:-1])  # the space added below lines the part up
         lines[-1] += " " + part
     return "\n".join(lines + [indent + pos])
 
@@ -342,14 +342,14 @@ def parse_args(argv) -> SimpleNamespace:
     taken = None  # the index of the positional's value
     i = 0
     while i < len(rest):
-        arg, option = rest[i], kinds[i]
+        at, arg, option = i, rest[i], kinds[i]
         i += 1
-        if i - 1 == end:
+        if at == end:
             # argparse dropped this -- only next to the positional's value
             if taken is not None and taken != end - 1:
                 stray.append(arg)
         elif option is None and taken is None:
-            taken = i - 1
+            taken = at
             args[name] = arg
         elif option is None or option[0] is None:
             stray.append(arg)
