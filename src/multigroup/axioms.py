@@ -48,7 +48,7 @@ across repeated runs and across thread counts.
 import numpy as np
 
 from . import optables
-from .errors import NotAGroupError, NotAUnitError
+from .errors import ChoiceError, NotAGroupError, NotAUnitError
 from .optables import (
     AxiomReport,
     Multiset,
@@ -79,7 +79,7 @@ RIGHT = "right"
 
 def _side(side: str) -> str:
     if side not in (LEFT, RIGHT):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise ChoiceError(f"side must be 'left' or 'right', got {side!r}")
     return side
 
 
@@ -601,7 +601,7 @@ def op_product(op_i: OpTable, op_j: OpTable, label: str | None = None) -> OpTabl
 
 def _ops_carrier(ops):
     if not ops:
-        raise ValueError("need at least one operation")
+        raise ChoiceError("need at least one operation")
     return shared_carrier(*ops)
 
 

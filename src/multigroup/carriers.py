@@ -43,7 +43,6 @@ matrices, and 2-tuples for products and vector-group pairs.
 import bisect
 import itertools
 import math
-import numbers
 import os
 from collections.abc import Sequence
 from functools import cached_property
@@ -62,9 +61,11 @@ from .errors import (
     NoUnitError,
     TooLargeError,
     UnsupportedCarrierError,
+    as_integer,
+    is_integer,
 )
 from .field import PrimeField
-from .matrix import Matrix, mat_inv, mat_mul
+from .matrix import Matrix, identity_rows, mat_inv, mat_mul
 from .optables import (
     _endomorphism_failure,
     _Frozen,
@@ -179,6 +180,8 @@ class Carrier(_Frozen):
 
     @cached_property
     def identity_index(self) -> int:
+        if self.identity is None:
+            raise NoUnitError(f"{self.label} has no unit")
         return self._position(self.identity)
 
     def same_as(self, other: "Carrier") -> bool:
@@ -476,13 +479,12 @@ def power_index(carrier: Carrier, i, k) -> np.ndarray:
 
 def _powers(group: Carrier, k) -> np.ndarray:
     """Index of g^k for every g; k must be an integer, and is reduced mod |G| (g^|G| = e)."""
-    if not isinstance(k, numbers.Integral):
-        raise UnsupportedCarrierError(f"power({k!r}): the exponent must be an integer")
-    return power_index(group, np.arange(len(group)), k % len(group))
+    return power_index(group, np.arange(len(group)), as_integer(k, "exponent") % len(group))
 
 
 def cyclic_group(n: int) -> Carrier:
     """Z_n under addition; elements 0..n-1."""
+    n = as_integer(n, "order")
     if n < 1:
         raise _usage_error("cyclic")
     _guard_size(n, f"cyclic({n})")
@@ -491,15 +493,12 @@ def cyclic_group(n: int) -> Carrier:
 
 def symmetric_group(n: int) -> Carrier:
     """S_n in one-line notation, composition (p*q)(i) = p[q[i]]."""
+    n = as_integer(n, "degree")
     if not 1 <= n <= 5:
         raise _usage_error("symmetric")
     elements = tuple(sorted(itertools.permutations(range(n))))
     return Carrier("symmetric-group", elements, f"symmetric({n})", identity=tuple(range(n)),
                    is_group=True, dim=n)
-
-
-def _identity_rows(n: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier:
@@ -513,6 +512,7 @@ def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier
     set is a monoid under multiplication but not a group.
     """
     kind, name = ("matrix-group", "gl") if invertible_only else ("matrix-set", "matrices")
+    n, p = as_integer(n, "dimension"), as_integer(p, "modulus")
     if n < 1:
         raise _usage_error(name)
     _guard_power(p, n * n, f"enumerating {n}x{n} matrices mod {p}")
@@ -527,7 +527,7 @@ def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier
             det += term * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
         stack = stack[det % p != 0]
     elements = tuple(tuple(map(tuple, m.tolist())) for m in stack)
-    return Carrier(kind, elements, f"{name}({n},{p})", identity=_identity_rows(n),
+    return Carrier(kind, elements, f"{name}({n},{p})", identity=identity_rows(n),
                    is_group=invertible_only, field=fld, dim=n)
 
 
@@ -547,20 +547,20 @@ def matrix_subgroup(rows_list, n: int, p: int, label: str | None = None) -> Carr
     inverses and products: NotClosedError names the first inverse, else the
     first product in row-major order, outside the set.
     """
-    fld = PrimeField(p)
+    n, fld = as_integer(n, "dimension"), PrimeField(p)
     elements = tuple(sorted({Matrix.from_rows(r, fld).rows for r in rows_list}))
     wrong = next((a for a in elements if len(a) != n), None)
     if wrong is not None:
         raise DimensionMismatchError(f"matrix subgroup element {wrong} is not {n}x{n}")
-    if _identity_rows(n) not in elements:
-        raise NoUnitError(f"matrix subgroup mod {p} must contain the identity")
+    if not elements or identity_rows(n) not in elements:  # an empty list has no unit, whatever n
+        raise NoUnitError(f"matrix subgroup mod {fld.p} must contain the identity")
     member = set(elements)
     for a in elements:
         inverse = mat_inv(Matrix(fld, a)).rows
         if inverse not in member:
             raise NotClosedError(a, a, inverse)
-    label = label or f"matrix-subgroup({n},{p},{len(elements)})"
-    carrier = Carrier("matrix-group", elements, label, identity=_identity_rows(n), is_group=True,
+    label = label or f"matrix-subgroup({n},{fld.p},{len(elements)})"
+    carrier = Carrier("matrix-group", elements, label, identity=identity_rows(n), is_group=True,
                       field=fld, dim=n)
     carrier.cayley  # verifies closure under products
     return carrier
@@ -583,6 +583,7 @@ def pair_carrier(vdim: int, p: int, group: Carrier) -> Carrier:
     Ordered lexicographically, vector first. The matrix dimension and modulus
     must match the vector space, else the standard action is undefined.
     """
+    vdim, p = as_integer(vdim, "dimension"), as_integer(p, "modulus")
     if group.kind != "matrix-group":
         raise ActionMismatchError(f"pair carrier needs a matrix group, got {group.kind}")
     if (group.dim, group.field.p) != (vdim, p):
@@ -596,6 +597,7 @@ def pair_carrier(vdim: int, p: int, group: Carrier) -> Carrier:
 
 def integer_window(lo: int, hi: int) -> Carrier:
     """Exact integers lo..hi inclusive; no algebraic structure attached."""
+    lo, hi = as_integer(lo, "window bound"), as_integer(hi, "window bound")
     if lo > hi:
         raise _usage_error("window")
     _guard_size(hi - lo + 1, f"window({lo},{hi})")
@@ -709,6 +711,7 @@ def group_exponent(carrier: Carrier) -> int:
 
 def group_power(carrier: Carrier, element, k: int):
     """element^k in the carrier's group, with negative exponents via inverses."""
+    k = as_integer(k, "exponent")
     if k < 0:
         carrier._position(element)
         element, k = carrier.inv(element), -k
@@ -757,7 +760,7 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "power":
         images, label = _powers(group, rule[1]), f"power({rule[1]})"
     elif isinstance(rule, Sequence) or getattr(rule, "ndim", None) == 1:
-        if len(rule) != n or not all(isinstance(i, numbers.Integral) and 0 <= i < n for i in rule):
+        if len(rule) != n or not all(is_integer(i) and 0 <= i < n for i in rule):
             raise NotBijectiveError(f"image list must be a permutation of 0..{n - 1}")
         images, label = np.array(rule, dtype=np.int64), "explicit"
     else:

@@ -31,6 +31,7 @@ from .carriers import (
 )
 from .errors import (
     CarrierMismatchError,
+    ChoiceError,
     DimensionMismatchError,
     ModulusMismatchError,
     NoUnitError,
@@ -39,8 +40,9 @@ from .errors import (
     OddModulusError,
     SingularMatrixError,
     UnsupportedCarrierError,
+    as_integer,
 )
-from .matrix import Matrix, as_integers, mat_add_scaled, mat_det
+from .matrix import Matrix, mat_add_scaled, mat_det
 from .optables import (
     OpTable,
     _take,
@@ -70,7 +72,7 @@ class MatrixOpParams(_MatrixOpFields):
             raise ModulusMismatchError("mixing matrices live over different fields")
         if m1.n != m2.n:
             raise DimensionMismatchError("mixing matrices have different sizes")
-        p, (s, t) = m1.field.p, as_integers((s, t), "scalar")
+        p, s, t = m1.field.p, as_integer(s, "scalar"), as_integer(t, "scalar")
         return super().__new__(cls, s % p, t % p, m1, m2)
 
 
@@ -312,7 +314,7 @@ def action_dimonoid(pairs: Carrier, action=None) -> tuple:
 def brace_ops(group: Carrier, variant: str = "trivial") -> tuple:
     """(dot, circ) tables: the trivial brace (circ = dot) or the opposite one (circ = dot flipped)."""
     if variant not in ("trivial", "opposite"):
-        raise ValueError(f"unknown brace variant {variant!r}")
+        raise ChoiceError(f"unknown brace variant {variant!r}")
     GROUP_CARRIER.require(group, f"brace_{variant}")
     dot = table_from_array(group, group.cayley, "dot")
     return dot, dot.relabel("circ") if variant == "trivial" else opposite_op(dot, "circ")
@@ -328,6 +330,7 @@ def brace_opposite(group: Carrier) -> tuple:
 
 def parity_circ(a: int, b: int) -> int:
     """a o b = a + b for even a, a - b for odd a, on exact integers."""
+    a, b = as_integer(a, "argument"), as_integer(b, "argument")
     return a + b if a % 2 == 0 else a - b
 
 
@@ -347,25 +350,26 @@ class ZParityWindow(_WindowFields):
     __slots__ = ()
 
     def __new__(cls, lo: int, hi: int):
+        lo, hi = as_integer(lo, "window bound"), as_integer(hi, "window bound")
         if lo > hi:
-            raise ValueError(f"empty window ({lo}, {hi})")
+            raise ChoiceError(f"empty window ({lo}, {hi})")
         return super().__new__(cls, lo, hi)
 
     def contains(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
+        return self.lo <= as_integer(value, "argument") <= self.hi
 
-    def _check(self, *values):
+    def _check(self, *values) -> tuple:
+        """values as integers; ChoiceError for one outside the window."""
         for v in values:
             if not self.contains(v):
-                raise ValueError(f"{v} is outside the window [{self.lo}, {self.hi}]")
+                raise ChoiceError(f"{v} is outside the window [{self.lo}, {self.hi}]")
+        return tuple(as_integer(v, "argument") for v in values)
 
     def plus(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return a + b
+        return sum(self._check(a, b))
 
     def circ(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return parity_circ(a, b)
+        return parity_circ(*self._check(a, b))
 
     # dimonoid-style aliases: -| is the parity product, |- is addition
     def dashv(self, a: int, b: int) -> int:

@@ -1,12 +1,43 @@
-"""Exception types shared across the workbench.
+"""Exception types shared across the workbench, and its one integer rule.
 
-Every error raised by the library derives from WorkbenchError so callers
-(notably the CLI) can distinguish domain failures from programming bugs.
+The library raises a WorkbenchError for every value it cannot take, so
+callers (notably the CLI) can tell domain failures from programming bugs. An
+object of the wrong kind (an int where a carrier goes) is a programming bug
+and may raise TypeError or AttributeError: direct_product(cyclic_group(2), 3)
+does. A value is an integer when operator.index accepts it (bools and numpy
+integers, not 1.5, 2.0 or "1"); as_integer reads every integer parameter.
 """
+
+import operator
 
 
 class WorkbenchError(Exception):
     """Base class for all workbench errors."""
+
+
+class NotAnIntegerError(WorkbenchError, TypeError):
+    """A parameter that must be an integer is not one."""
+
+
+class ChoiceError(WorkbenchError, ValueError):
+    """An argument is none the call takes: an unknown choice, an empty input, or out of range."""
+
+
+def as_integer(value, what: str) -> int:
+    """value as an int by operator.index; NotAnIntegerError names what and the value otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise NotAnIntegerError(f"{what} {value!r} is not an integer") from None
+
+
+def is_integer(value) -> bool:
+    """Whether as_integer accepts value."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def error_message(err: Exception) -> str:

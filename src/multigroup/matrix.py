@@ -1,19 +1,13 @@
 """Square matrices over a prime field, with exact modular arithmetic only."""
 
-import operator
 from typing import NamedTuple
 
-from .errors import DimensionMismatchError, SingularMatrixError, WorkbenchError
+from .errors import DimensionMismatchError, SingularMatrixError, as_integer
 from .field import PrimeField, same_field
 
 
-def as_integers(values, what: str) -> tuple:
-    """values as ints by operator.index: bools and numpy integers pass; 2.0, 1.5 and "1" are refused."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        bad = next(v for v in values if not hasattr(type(v), "__index__"))
-        raise WorkbenchError(f"{what} {bad!r} is not an integer") from None
+def identity_rows(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 class _MatrixFields(NamedTuple):
@@ -31,11 +25,7 @@ class Matrix(_MatrixFields):
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatchError("matrix must be square and non-empty")
         p = field.p
-        try:
-            reduced = tuple(tuple(operator.index(v) % p for v in row) for row in rows)
-        except TypeError:
-            as_integers([v for row in rows for v in row], "matrix entry")  # raises, naming the entry
-            raise
+        reduced = tuple(tuple(as_integer(v, "matrix entry") % p for v in row) for row in rows)
         return super().__new__(cls, field, reduced)
 
     @classmethod
@@ -44,10 +34,11 @@ class Matrix(_MatrixFields):
 
     @classmethod
     def identity(cls, n: int, field: PrimeField) -> "Matrix":
-        return cls(field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls(field, identity_rows(as_integer(n, "dimension")))
 
     @classmethod
     def zero(cls, n: int, field: PrimeField) -> "Matrix":
+        n = as_integer(n, "dimension")
         return cls(field, tuple((0,) * n for _ in range(n)))
 
     @property
@@ -67,7 +58,7 @@ class Matrix(_MatrixFields):
         """Matrix times column vector, reduced mod p."""
         if len(vector) != self.n:
             raise DimensionMismatchError(f"vector length {len(vector)} vs matrix size {self.n}")
-        p, vector = self.field.p, as_integers(vector, "vector entry")
+        p, vector = self.field.p, [as_integer(v, "vector entry") for v in vector]
         return tuple(sum(row[k] * vector[k] for k in range(self.n)) % p for row in self.rows)
 
 
@@ -91,7 +82,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_add_scaled(s: int, a: Matrix, t: int, b: Matrix) -> Matrix:
     """s*A + t*B with scalars reduced mod p."""
     field = _check_pair(a, b)
-    p, (s, t) = field.p, as_integers((s, t), "scalar")
+    p, s, t = field.p, as_integer(s, "scalar"), as_integer(t, "scalar")
     rows = tuple(
         tuple((s * x + t * y) % p for x, y in zip(ra, rb))
         for ra, rb in zip(a.rows, b.rows)
@@ -123,7 +114,7 @@ def mat_det(a: Matrix) -> int:
 def mat_inv(a: Matrix) -> Matrix:
     """Inverse by Gauss-Jordan; the result is verified by multiplication before return."""
     p, n = a.field.p, a.n
-    aug = [list(a.rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    aug = [[*row, *unit] for row, unit in zip(a.rows, identity_rows(n))]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
         if pivot is None:
@@ -136,14 +127,14 @@ def mat_inv(a: Matrix) -> Matrix:
                 factor = aug[r][col]
                 aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
     result = Matrix(a.field, tuple(tuple(row[n:]) for row in aug))
-    if mat_mul(a, result).rows != Matrix.identity(n, a.field).rows:
+    if mat_mul(a, result).rows != identity_rows(n):
         raise SingularMatrixError("inverse verification failed")  # pragma: no cover
     return result
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
     """Integer power; negative exponents go through the inverse."""
-    (k,) = as_integers((k,), "exponent")
+    k = as_integer(k, "exponent")
     if k < 0:
         return mat_pow(mat_inv(a), -k)
     result = Matrix.identity(a.n, a.field)

@@ -19,15 +19,13 @@ byte-reproducible regardless of how the scan was parallelized.
 
 from __future__ import annotations
 
-import numbers
-import operator
 import os
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CarrierMismatchError, JobsError, NotClosedError
+from .errors import CarrierMismatchError, ChoiceError, JobsError, NotClosedError, as_integer, is_integer
 
 if TYPE_CHECKING:
     from .carriers import Carrier
@@ -338,7 +336,7 @@ def table_from_array(carrier: Carrier, array, label: str = "op") -> OpTable:
             real = arr.real
             bad = (real < 0) | (real >= n) | (real != np.floor(real)) | (arr.imag != 0)
         elif kind == "O":
-            index = np.frompyfunc(lambda v: isinstance(v, numbers.Integral) and 0 <= v < n, 1, 1)
+            index = np.frompyfunc(lambda v: is_integer(v) and 0 <= v < n, 1, 1)
             bad = ~index(arr).astype(bool)
         else:
             bad = np.ones(arr.shape, dtype=bool)
@@ -388,7 +386,7 @@ class Multiset(NamedTuple):
     def from_indices(cls, indices: Iterable) -> "Multiset":
         counts: dict = {}
         for i in indices:
-            i = int(i)
+            i = as_integer(i, "multiset index")
             counts[i] = counts.get(i, 0) + 1
         return cls(tuple(sorted(counts.items())))
 
@@ -396,10 +394,11 @@ class Multiset(NamedTuple):
     def from_entries(cls, pairs: Iterable) -> "Multiset":
         counts: dict = {}
         for i, m in pairs:
+            i, m = as_integer(i, "multiset index"), as_integer(m, "multiplicity")
             if m < 0:
-                raise ValueError("multiplicities must be non-negative")
+                raise ChoiceError("multiplicities must be non-negative")
             if m:
-                counts[int(i)] = counts.get(int(i), 0) + int(m)
+                counts[i] = counts.get(i, 0) + m
         return cls(tuple(sorted(counts.items())))
 
     @property
@@ -460,11 +459,8 @@ def failing(
 
 
 def job_count(jobs) -> int:
-    """jobs as an int by operator.index, bools and numpy integers included; JobsError below 1."""
-    try:
-        count = operator.index(jobs)
-    except TypeError:
-        count = 0
+    """jobs as an int by errors.as_integer, bools and numpy integers included; JobsError below 1."""
+    count = as_integer(jobs, "jobs") if is_integer(jobs) else 0
     if count < 1:
         raise JobsError(f"jobs must be an integer of at least 1, not {jobs!r}")
     return count

@@ -28,6 +28,7 @@ from multigroup.carriers import (
 from multigroup.errors import (
     ActionMismatchError,
     DimensionMismatchError,
+    NotAnIntegerError,
     NotBijectiveError,
     NotClosedError,
     NotHomomorphismError,
@@ -130,8 +131,9 @@ def test_single_powers_refuse_what_they_cannot_take():
                    lambda: group_power(monoid, monoid.identity, -1)):
         with pytest.raises(UnsupportedCarrierError):
             refuse()
-    with pytest.raises(KeyError):
-        group_power(window, 1, 0)  # no unit
+    with pytest.raises(NoUnitError) as got:
+        group_power(window, 1, 0)
+    assert str(got.value) == "window(0,3) has no unit"
     with pytest.raises(TypeError):
         z4.inv([1])
     assert group_power(monoid, ((1, 1), (0, 1)), 3) == ((1, 1), (0, 1))
@@ -311,7 +313,11 @@ def test_explicit_images_may_be_an_integer_array():
 def test_rules_it_cannot_read_are_refused():
     # a non-integer power once raised a bare numpy TypeError
     z3 = cyclic_group(3)
-    for rule in (("power", 2.5), ("power", "2"), ("inner", [1]), "inverse", None, 5):
+    for k in (2.5, "2"):
+        with pytest.raises(NotAnIntegerError) as got:
+            make_automorphism(z3, ("power", k))
+        assert str(got.value) == f"exponent {k!r} is not an integer"
+    for rule in (("inner", [1]), "inverse", None, 5):
         with pytest.raises(UnsupportedCarrierError):
             make_automorphism(z3, rule)
     assert make_automorphism(z3, ("power", np.int64(2))).images == (0, 2, 1)

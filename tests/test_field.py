@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from multigroup.errors import ModulusMismatchError, ZeroInverseError
-from multigroup.field import PrimeField, is_prime, same_field
+from multigroup.errors import ModulusMismatchError, TooLargeError, ZeroInverseError
+from multigroup.field import PSI_12, PrimeField, is_prime, same_field
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -22,6 +24,43 @@ def egcd_inverse(a, p):
 def test_is_prime_small_values():
     expected = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     assert {n for n in range(50) if is_prime(n)} == expected
+
+
+def trial_division(n):
+    """The reference: n >= 2 with no divisor d, 2 <= d <= sqrt(n)."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return n >= 2
+
+
+def test_is_prime_agrees_with_trial_division_below_ten_to_the_five():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [n for n in range(2, 10**5) if trial_division(n)]
+
+
+@pytest.mark.parametrize("factors, passes", [
+    ((151, 751, 28351), (2, 3, 5, 7)),
+    ((149491, 747451, 34233211), (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+])
+def test_strong_pseudoprimes_to_the_first_bases_are_called_composite(factors, passes):
+    n = math.prod(factors)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in passes:  # n is a strong probable prime to each of these bases
+        x = pow(a, d, n)
+        assert x in (1, n - 1) or n - 1 in [pow(x, 2**r, n) for r in range(1, s)]
+    assert not is_prime(n)
+
+
+def test_large_primes_are_decided_fast_and_moduli_past_psi_12_are_refused():
+    assert is_prime(10**14 + 31) and is_prime(2**61 - 1) and not is_prime(PSI_12 - 1)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    for p in (PSI_12, PSI_12 + 2, 10**40):
+        with pytest.raises(TooLargeError, match=f"^primality is decided only below {PSI_12}$"):
+            PrimeField(p)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, 49])
