@@ -1,7 +1,7 @@
 """Engine checks against independent brute-force oracles.
 
-Every vectorized check is compared, verdict and witness both, with a plain
-triple-loop reimplementation on small carriers, and frozen counterexamples
+Every vectorized check is compared, verdict and witness both, with the plain
+loops of tests/reference.py on small carriers, and frozen counterexamples
 pin the lexicographic witness order.
 """
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from multigroup.axioms import (
     LEFT,
     RIGHT,
@@ -52,14 +53,9 @@ def table_of(n, fn, label="op"):
     return build_op_table(cyclic_group(n), lambda a, b: fn(a, b) % n, label=label)
 
 
-def oracle_triples(n, bad):
-    """First violating triple in lex order, or None."""
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if bad(x, y, z):
-                    return (x, y, z)
-    return None
+def lists_of(n, fn):
+    """The table of fn mod n as nested lists, built without the package."""
+    return [[fn(a, b) % n for b in range(n)] for a in range(n)]
 
 
 # --- associativity -------------------------------------------------------------
@@ -86,9 +82,7 @@ def test_associativity_against_oracle():
     for n, fn in cases:
         op = table_of(n, fn)
         report = check_associativity(op)
-        want = oracle_triples(
-            n, lambda x, y, z: fn(fn(x, y) % n, z) % n != fn(x, fn(y, z) % n) % n
-        )
+        want = reference.law_failure(reference.assoc(lists_of(n, fn)), n)
         assert (report.witness == want) and (report.passed == (want is None))
 
 
@@ -113,9 +107,9 @@ def test_interchange_against_oracle():
     }
     tables = {k: table_of(n, fn, k) for k, fn in ops.items()}
     for ki, kj in itertools.product(ops, repeat=2):
-        fi, fj = ops[ki], ops[kj]
         report = check_interchange(tables[ki], tables[kj])
-        want = oracle_triples(n, lambda x, y, z: fj(fi(x, y), z) != fi(x, fj(y, z)))
+        want = reference.law_failure(
+            reference.interchange(lists_of(n, ops[ki]), lists_of(n, ops[kj])), n)
         assert report.witness == want, (ki, kj)
 
 
@@ -177,47 +171,16 @@ def test_divisibility_against_oracle():
         op = table_of(n, fn)
         for side in (LEFT, RIGHT):
             report = check_divisibility(op, side, unique=True)
-            bad = None
-            for first in range(n):
-                for second in range(n):
-                    if side == RIGHT:
-                        count = sum(1 for z in range(n) if fn(z, second) == first)
-                    else:
-                        count = sum(1 for u in range(n) if fn(first, u) == second)
-                    if count != 1:
-                        bad = (first, second)
-                        break
-                if bad:
-                    break
+            _, bad, _, _ = reference.divisibility(lists_of(n, fn), side)
             assert report.witness == bad
-
-
-def naive_solution_counts(t):
-    """(left, right): left[x][y] counts the u with x*u = y, right[x][y] the z with z*y = x."""
-    n = len(t)
-    left, right = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            left[x][t[x][y]] += 1
-            right[t[x][y]][y] += 1
-    return left, right
-
-
-def naive_divisibility(t, side, unique):
-    """(witness, reason) of check_divisibility from naive_solution_counts; (None, None) on a pass."""
-    counts = np.array(naive_solution_counts(t)[side == RIGHT])
-    hits = np.argwhere(counts != 1 if unique else counts == 0)
-    if not len(hits):
-        return None, None
-    bad = tuple(hits[0].tolist())
-    return bad, "no-solution" if counts[bad] == 0 else "exists-not-unique"
 
 
 def assert_divisibility_as_naive(t):
     op = table_from_array(cyclic_group(len(t)), t)
     for side, unique in itertools.product((LEFT, RIGHT), (True, False)):
         report = check_divisibility(op, side, unique)
-        assert (report.witness, report.reason) == naive_divisibility(t.tolist(), side, unique)
+        _, witness, reason, _ = reference.divisibility(t.tolist(), side, unique)
+        assert (report.witness, report.reason) == (witness, reason)
 
 
 @pytest.mark.parametrize("kind", ["group", "random"])
@@ -275,16 +238,12 @@ def test_self_distributivity_against_oracle():
         lambda a, b: b,
     ]
     for fn in cases:
-        op = table_of(n, fn)
+        op, t = table_of(n, fn), lists_of(n, fn)
         right = check_self_distributivity(op, RIGHT)
-        want_r = oracle_triples(
-            n, lambda x, y, z: fn(fn(x, y) % n, z) % n != fn(fn(x, z) % n, fn(y, z) % n) % n
-        )
+        want_r = reference.law_failure(reference.mixed_distrib(t, t), n)
         assert right.witness == want_r
         left = check_self_distributivity(op, LEFT)
-        want_l = oracle_triples(
-            n, lambda x, y, z: fn(x, fn(y, z) % n) % n != fn(fn(x, y) % n, fn(x, z) % n) % n
-        )
+        want_l = reference.law_failure(reference.left_distrib(t), n)
         assert left.witness == want_l
 
 
@@ -395,15 +354,9 @@ def test_dimonoid_against_oracle():
     vdash = table_of(n, vdash_fn, "take-right")
     report = check_dimonoid(dashv, vdash)
     # axioms 1..5 with the projection pair hold (the bar-unit laws differ)
-    axioms_fns = [
-        lambda x, y, z: dashv_fn(dashv_fn(x, y), z) != dashv_fn(x, dashv_fn(y, z)),
-        lambda x, y, z: dashv_fn(dashv_fn(x, y), z) != dashv_fn(x, vdash_fn(y, z)),
-        lambda x, y, z: dashv_fn(vdash_fn(x, y), z) != vdash_fn(x, dashv_fn(y, z)),
-        lambda x, y, z: vdash_fn(dashv_fn(x, y), z) != vdash_fn(x, vdash_fn(y, z)),
-        lambda x, y, z: vdash_fn(vdash_fn(x, y), z) != vdash_fn(x, vdash_fn(y, z)),
-    ]
+    laws = reference.dimonoid_axioms(lists_of(n, dashv_fn), lists_of(n, vdash_fn))
     assert report.passed == all(
-        oracle_triples(n, fn) is None for fn in axioms_fns
+        reference.law_failure(law, n) is None for law in laws
     )
 
 
@@ -451,11 +404,8 @@ def test_skew_brace_against_oracle():
 
     circ = table_of(n, circ_fn, "parity")
     report = check_skew_brace(dot, circ)
-    want = oracle_triples(
-        n,
-        lambda g1, g2, g3: circ_fn(g1, (g2 + g3) % n)
-        != (circ_fn(g1, g2) - g1 + circ_fn(g1, g3)) % n,
-    )
+    want = reference.law_failure(reference.brace_compatibility(
+        lists_of(n, lambda a, b: a + b), lists_of(n, circ_fn)), n)
     assert report.witness == want
     assert report.passed == (want is None)
 
@@ -521,13 +471,7 @@ def test_nvalued_associativity_against_oracle():
     fns = [lambda a, b: (a + b) % n, lambda a, b: max(a, b)]
     ops = [table_of(n, fn) for fn in fns]
     report = check_nvalued_associativity(ops)
-
-    def multiset_bad(a, b, c):
-        left = sorted(fj(fi(a, b), c) % n for fi in fns for fj in fns)
-        right = sorted(fj(a, fi(b, c)) % n for fi in fns for fj in fns)
-        return left != right
-
-    want = oracle_triples(n, multiset_bad)
+    want = reference.law_failure(reference.multiset_assoc(*(lists_of(n, fn) for fn in fns)), n)
     assert report.witness == want
     assert report.passed == (want is None)
 
@@ -559,58 +503,37 @@ def test_jobs_do_not_change_reports():
     assert pairs == repeats
 
 
-def oracle_report(n, laws):
-    """(verdict, witness, reason, checked) for (reason, bad) laws checked in order."""
-    for k, (reason, bad) in enumerate(laws, 1):
-        hit = oracle_triples(n, bad)
-        if hit is not None:
-            return ("fail", hit, reason, k * n**3)
-    return ("pass", None, None, len(laws) * n**3)
-
-
 def single_op_cases(op, t):
-    """(run(jobs), oracle laws) for the one-table triple checks; t is the table as lists."""
+    """(run(jobs), reference laws) for the one-table triple checks; t is the table as lists."""
     return [
-        (lambda jobs: check_associativity(op, jobs=jobs),
-         [(None, lambda x, y, z: t[t[x][y]][z] != t[x][t[y][z]])]),
+        (lambda jobs: check_associativity(op, jobs=jobs), [(None, reference.assoc(t))]),
         (lambda jobs: check_self_distributivity(op, RIGHT, jobs=jobs),
-         [(None, lambda x, y, z: t[t[x][y]][z] != t[t[x][z]][t[y][z]])]),
+         [(None, reference.mixed_distrib(t, t))]),
         (lambda jobs: check_self_distributivity(op, LEFT, jobs=jobs),
-         [(None, lambda x, y, z: t[x][t[y][z]] != t[t[x][y]][t[x][z]])]),
+         [(None, reference.left_distrib(t))]),
     ]
 
 
 def op_pair_cases(op_i, op_j, ti, tj):
-    """(run(jobs), oracle laws) for the two-table triple checks."""
-    d, v = ti, tj
-
-    def multiset_bad(x, y, z):
-        left = sorted(g[f[x][y]][z] for f in (ti, tj) for g in (ti, tj))
-        return left != sorted(g[x][f[y][z]] for f in (ti, tj) for g in (ti, tj))
-
+    """(run(jobs), reference laws) for the two-table triple checks."""
+    dimonoid = reference.dimonoid_axioms(ti, tj)
     return [
         (lambda jobs: check_interchange(op_i, op_j, jobs=jobs),
-         [(None, lambda x, y, z: tj[ti[x][y]][z] != ti[x][tj[y][z]])]),
-        (lambda jobs: check_dimonoid(op_i, op_j, jobs=jobs), [
-            ("axiom-1", lambda x, y, z: d[d[x][y]][z] != d[x][d[y][z]]),
-            ("axiom-2", lambda x, y, z: d[d[x][y]][z] != d[x][v[y][z]]),
-            ("axiom-3", lambda x, y, z: d[v[x][y]][z] != v[x][d[y][z]]),
-            ("axiom-4", lambda x, y, z: v[d[x][y]][z] != v[x][v[y][z]]),
-            ("axiom-5", lambda x, y, z: v[v[x][y]][z] != v[x][v[y][z]]),
-        ]),
-        (lambda jobs: check_multiquandle_pair(op_i, op_j, jobs=jobs), [
-            ("mixed-distrib-ij", lambda x, y, z: tj[ti[x][y]][z] != ti[tj[x][z]][tj[y][z]]),
-            ("mixed-distrib-ji", lambda x, y, z: ti[tj[x][y]][z] != tj[ti[x][z]][ti[y][z]]),
-        ]),
+         [(None, reference.interchange(ti, tj))]),
+        (lambda jobs: check_dimonoid(op_i, op_j, jobs=jobs),
+         [(f"axiom-{k}", law) for k, law in enumerate(dimonoid, 1)]),
+        (lambda jobs: check_multiquandle_pair(op_i, op_j, jobs=jobs),
+         [("mixed-distrib-ij", reference.mixed_distrib(ti, tj)),
+          ("mixed-distrib-ji", reference.mixed_distrib(tj, ti))]),
         (lambda jobs: check_nvalued_associativity([op_i, op_j], jobs=jobs),
-         [(None, multiset_bad)]),
+         [(None, reference.multiset_assoc(ti, tj))]),
     ]
 
 
-def skew_brace_case(plus, op_c, c, n):
-    """skew_brace over Z/n addition; the oracle takes the inverse of x as -x."""
+def skew_brace_case(plus, op_c, d, c):
+    """skew_brace over the group plus; d and c are the two tables as lists."""
     return (lambda jobs: check_skew_brace(plus, op_c, jobs=jobs),
-            [("compatibility", lambda x, y, z: c[x][(y + z) % n] != (c[x][y] - x + c[x][z]) % n)])
+            [("compatibility", reference.brace_compatibility(d, c))])
 
 
 def test_multi_chunk_scans_match_oracle(monkeypatch):
@@ -644,9 +567,9 @@ def test_multi_chunk_scans_match_oracle(monkeypatch):
         for ki, kj in itertools.product(("plus", "core", "left", "zero", "shift", "perturbed", "random"), repeat=2):
             cases += op_pair_cases(ops[ki], ops[kj], lists[ki], lists[kj])
         for k in ("plus", "conjugate"):
-            cases.append(skew_brace_case(ops["plus"], ops[k], lists[k], n))
+            cases.append(skew_brace_case(ops["plus"], ops[k], lists["plus"], lists[k]))
         for run, laws in cases:
-            want = oracle_report(n, laws)
+            want = reference.report(n, laws)
             for jobs in (1, 2):
                 report = run(jobs)
                 assert (report.verdict, report.witness, report.reason, report.checked) == want
@@ -670,32 +593,26 @@ def random_tables(draw):
 @settings(max_examples=60, deadline=None)
 def test_assoc_witness_is_sound(op):
     report = check_associativity(op)
-    t = op.table
+    law = reference.assoc(op.table.tolist())
     n = len(op)
     if report.passed:
-        assert oracle_triples(n, lambda x, y, z: t[t[x, y], z] != t[x, t[y, z]]) is None
+        assert reference.law_failure(law, n) is None
     else:
-        x, y, z = report.witness
-        assert t[t[x, y], z] != t[x, t[y, z]]
-        assert report.witness == oracle_triples(
-            n, lambda a, b, c: t[t[a, b], c] != t[a, t[b, c]]
-        )
+        left, right = law(*report.witness)
+        assert left != right
+        assert report.witness == reference.law_failure(law, n)
 
 
 @given(random_tables())
 @settings(max_examples=40, deadline=None)
 def test_divisibility_witness_is_sound(op):
-    t = op.table
-    n = len(op)
+    counts = reference.solution_counts(op.table.tolist())
     for side in (LEFT, RIGHT):
         report = check_divisibility(op, side, unique=True)
         if report.passed:
             continue
         first, second = report.witness
-        if side == RIGHT:
-            count = sum(1 for z in range(n) if t[z, second] == first)
-        else:
-            count = sum(1 for u in range(n) if t[first, u] == second)
+        count = counts[side == RIGHT][first][second]
         if report.reason == "no-solution":
             assert count == 0
         else:
@@ -731,23 +648,18 @@ def unital_tables(draw):
     return table_from_array(z, first, "first"), table_from_array(z, second, "second"), e
 
 
-def naive_units(rows, cols):
-    n = len(rows)
-    return [e for e in range(n) if all(rows[e][x] == x and cols[x][e] == x for x in range(n))]
-
-
 @given(unital_tables())
 @settings(max_examples=150, deadline=None)
 def test_unit_and_inverse_searches_match_naive_loops(tables):
     op, other, e = tables
     t, s = op.table.tolist(), other.table.tolist()
     n = len(t)
-    assert find_units(op) == naive_units(t, t)
-    assert find_bar_units(other, op) == naive_units(t, s)
+    assert find_units(op) == reference.units(t)
+    assert find_bar_units(other, op) == reference.units(t, s)
 
     monoid = Carrier("cyclic-group", tuple(range(n)), "m", identity=e)
     monoid.__dict__["cayley"] = op.table  # the random table as the carrier's product
-    if e in naive_units(t, t):
+    if e in reference.units(t):
         assert _verified_monoid(monoid, "m") is monoid
     else:
         with pytest.raises(NoUnitError):
@@ -757,8 +669,7 @@ def test_unit_and_inverse_searches_match_naive_loops(tables):
         return
 
     report, mapping = find_inverses(op, e)
-    want = [next((b for b in range(n) if t[a][b] == e and t[b][a] == e), None)
-            for a in range(n)]
+    want = reference.inverses(t, e)
     assert mapping == dict(enumerate(want))
     missing = [a for a in range(n) if want[a] is None]
     assert report.passed == (not missing)

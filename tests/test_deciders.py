@@ -7,7 +7,8 @@ tables their verdicts must equal plain triple loops exactly. The tables come
 from random magmas, relabelled transformation semigroups and their one-cell
 perturbations, left-zero, right-zero and null bands, and tables with repeated
 rows or columns. The orbit step, which reduces every triple law to orbit
-representatives, is held to naive loops further down.
+representatives, is held to naive loops further down. Every naive loop is in
+tests/reference.py.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from multigroup import axioms, carriers, optables
 from multigroup.carriers import cyclic_group, direct_product, group_carrier, symmetric_group
 from multigroup.cli import main
@@ -25,26 +27,6 @@ from multigroup.optables import table_from_array
 
 GOLDEN = Path(__file__).parent / "golden"
 UNBOUNDED = 1 << 62
-
-
-def naive_interchange(ti, tj):
-    n = len(ti)
-    return all(
-        tj[ti[x][y]][z] == ti[x][tj[y][z]] for x in range(n) for y in range(n) for z in range(n)
-    )
-
-
-def naive_assoc(t):
-    return naive_interchange(t, t)
-
-
-def naive_closure(t, gens):
-    members = set(gens)
-    while True:
-        more = {t[a][b] for a in members for b in members} - members
-        if not more:
-            return members
-        members |= more
 
 
 def _relabel(draw, table):
@@ -147,7 +129,8 @@ def test_light_test_equals_naive_assoc(keys, chunk, t):
     t = frozen(t)
     with pytest.MonkeyPatch.context() as patch:
         _patch(patch, keys, chunk)
-        assert axioms._associative(t, UNBOUNDED) == naive_assoc(t.tolist())
+        naive = reference.law_failure(reference.assoc(t.tolist()), len(t)) is None
+        assert axioms._associative(t, UNBOUNDED) == naive
 
 
 @pytest.mark.parametrize("keys, chunk", VARIANTS)
@@ -168,7 +151,8 @@ def test_left_ideal_cover_equals_naive_interchange(keys, chunk, data):
             x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
             tj[x, y] = data.draw(st.integers(0, n - 1))
     ti, tj = frozen(ti), frozen(tj)
-    want = naive_assoc(ti.tolist()) and naive_interchange(ti.tolist(), tj.tolist())
+    want = all(reference.law_failure(law, n) is None for law in (
+        reference.assoc(ti.tolist()), reference.interchange(ti.tolist(), tj.tolist())))
     with pytest.MonkeyPatch.context() as patch:
         _patch(patch, keys, chunk)
         proved = axioms._associative(ti, UNBOUNDED) and axioms._interchanges(ti, tj, UNBOUNDED)
@@ -183,7 +167,7 @@ def test_generators_generate(chunk, t):
     with pytest.MonkeyPatch.context() as patch:
         _patch(patch, None, chunk)
         gens = optables._generators(t, UNBOUNDED).tolist()
-    assert naive_closure(t.tolist(), gens) == set(range(len(t)))
+    assert reference.closure(t.tolist(), gens) == set(range(len(t)))
     products = {v for row in t.tolist() for v in row}
     assert {g for g in range(len(t)) if g not in products} <= set(gens)
 
@@ -198,11 +182,11 @@ def greedy_generators(t, limit):
     n = len(t)
     products = {v for row in t for v in row}
     gens = [g for g in range(n) if g not in products]
-    generated = naive_closure(t, gens)
+    generated = reference.closure(t, gens)
     for g in sorted(range(n), key=lambda x: -len(set(t[x]))):
         if g not in generated:
             gens.append(g)
-            generated = naive_closure(t, gens)
+            generated = reference.closure(t, gens)
     return gens if len(gens) <= limit else None
 
 
@@ -239,11 +223,6 @@ def test_class_reps_cover_every_row_exactly(keys, chunk, t):
                 assert len(reps) == len(set(rows))
 
 
-def naive_right_unit(rows):
-    n = len(rows)
-    return any(all(rows[x][e] == x for x in range(n)) for e in range(n))
-
-
 @given(tables(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_class_reps_equal_naive_classes_with_and_without_a_right_unit(t, data):
@@ -257,7 +236,7 @@ def test_class_reps_equal_naive_classes_with_and_without_a_right_unit(t, data):
         first = {}
         for x, row in enumerate(rows):
             first.setdefault(row, x)
-        assert axioms._has_right_unit(table) == naive_right_unit(rows)
+        assert axioms._has_right_unit(table) == bool(reference.right_units(rows))
         assert axioms._class_reps(table).tolist() == sorted(first.values())
 
 
@@ -266,8 +245,8 @@ def test_cover_needs_an_associative_inner_table():
     # yet (1*1)*2 = 0 and 1*(1*2) = 1: only the associativity test refutes it
     ti = frozen([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
     tj = frozen(ti.copy())
-    assert not naive_assoc(ti.tolist())
-    assert not naive_interchange(ti.tolist(), tj.tolist())
+    assert reference.law_failure(reference.assoc(ti.tolist()), 3) is not None
+    assert reference.law_failure(reference.interchange(ti.tolist(), tj.tolist()), 3) is not None
     assert axioms._interchanges(ti, tj, UNBOUNDED) and not axioms._associative(ti, UNBOUNDED)
     op_i, op_j = (table_from_array(cyclic_group(3), t, name) for t, name in ((ti, "i"), (tj, "j")))
     report = axioms.check_interchange(op_i, op_j)
@@ -321,7 +300,8 @@ def test_light_test_stops_when_no_generator_fits(monkeypatch):
     monkeypatch.setattr(axioms, "_generators", lambda t, limit: searches.append(limit))
     for op in ops:
         assert not axioms._associative(op.table, len(carrier) ** 3 // 8)
-        assert axioms.check_associativity(op).passed == naive_assoc(op.table.tolist())
+        naive = reference.law_failure(reference.assoc(op.table.tolist()), len(carrier))
+        assert axioms.check_associativity(op).passed == (naive is None)
     assert searches == []
 
 
@@ -516,28 +496,6 @@ def test_cutting_the_ladder_keeps_the_pinned_reports(spec, cut, capsys, monkeypa
 # definition, orbits by closure, laws over every triple.
 
 
-def naive_automorphism(s, t):
-    n = len(t)
-    return all(t[s[x]][s[y]] == s[t[x][y]] for x in range(n) for y in range(n))
-
-
-def naive_orbit_reps(perms, n):
-    reps, seen = [], set()
-    for x in range(n):
-        if x in seen:
-            continue
-        orbit, frontier = {x}, [x]
-        while frontier:
-            y = frontier.pop()
-            for s in perms:
-                if s[y] not in orbit:
-                    orbit.add(s[y])
-                    frontier.append(s[y])
-        seen |= orbit
-        reps.append(x)
-    return reps
-
-
 def _group_maps(carrier):
     """Every element of the group the carrier's candidates generate, as index lists."""
     every = tuple(range(len(carrier)))
@@ -601,49 +559,24 @@ def carrier_tables(draw):
     return carrier, *(table_from_array(carrier, t, "t") for t in (first, second))
 
 
-def _naive_law(shape, tables, carrier):
-    """holds(x, y, z): whether the law of the shape holds at one triple, by plain lookups."""
-    ta, tb = (t.tolist() for t in tables)
-    if shape == "bracket":
-        A, B, C, D = ta, tb, tb, ta
-        return lambda x, y, z: A[B[x][y]][z] == C[x][D[y][z]]
-    if shape == "bracket-mixed":
-        A, B, C, D = ta, ta, ta, tb
-        return lambda x, y, z: A[B[x][y]][z] == C[x][D[y][z]]
-    if shape == "mixed":
-        return lambda x, y, z: tb[ta[x][y]][z] == ta[tb[x][z]][tb[y][z]]
-    if shape == "left":
-        return lambda x, y, z: ta[x][ta[y][z]] == ta[ta[x][y]][ta[x][z]]
-    if shape == "brace":
-        d = carrier.cayley.tolist()
-        inv = carrier.inverse.tolist()
-        return lambda x, y, z: ta[x][d[y][z]] == d[d[ta[x][y]][inv[x]]][ta[x][z]]
-    if shape == "nvalued":
-        ops = (ta, tb)
-
-        def holds(x, y, z):
-            left = sorted(j[i[x][y]][z] for i in ops for j in ops)
-            right = sorted(i[x][j[y][z]] for i in ops for j in ops)
-            return left == right
-        return holds
-    raise AssertionError(shape)
-
-
 def _law_parts(shape, ops, carrier):
-    """(shape, the OpTables it reads, cells per row) of the law shape in axioms."""
+    """(shape, the OpTables it reads, cells per row) of the law shape in axioms, and its reference law."""
     ta, tb = ops
     n = len(carrier)
+    a, b = ta.table.tolist(), tb.table.tolist()
     if shape == "bracket":
-        return axioms._bracket, (ta, tb, tb, ta), None
+        return axioms._bracket, (ta, tb, tb, ta), None, reference.bracket(a, b, b, a)
     if shape == "bracket-mixed":
-        return axioms._bracket, (ta, ta, ta, tb), None
+        return axioms._bracket, (ta, ta, ta, tb), None, reference.bracket(a, a, a, b)
     if shape == "mixed":
-        return axioms._mixed_distrib, (ta, tb), None
+        return axioms._mixed_distrib, (ta, tb), None, reference.mixed_distrib(a, b)
     if shape == "left":
-        return axioms._left_distrib, (ta,), None
+        return axioms._left_distrib, (ta,), None, reference.left_distrib(a)
     if shape == "brace":
-        return axioms._brace_compatibility, (table_from_array(carrier, carrier.cayley, "d"), ta), None
-    return axioms._nvalued, (ta, tb), 4 * n * n
+        d = table_from_array(carrier, carrier.cayley, "d")
+        return (axioms._brace_compatibility, (d, ta), None,
+                reference.brace_compatibility(d.table.tolist(), a))
+    return axioms._nvalued, (ta, tb), 4 * n * n, reference.multiset_assoc(a, b)
 
 
 SHAPES = ["bracket", "bracket-mixed", "mixed", "left", "brace", "nvalued"]
@@ -658,13 +591,12 @@ def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
     carrier, ta, tb = drawn
     cells, jobs = chunks
     n = len(carrier)
-    law, read, width = _law_parts(shape, (ta, tb), carrier)
+    law, read, width, naive = _law_parts(shape, (ta, tb), carrier)
     sides = law(*(op.table for op in read))
-    holds = _naive_law(shape, (ta.table, tb.table), carrier)
-    failures = (w for w in np.ndindex(n, n, n) if not holds(*w))
-    first = next(failures, None)
+    first = reference.law_failure(naive, n)
     perms = [s for s in carrier.automorphism_candidates
-             if all(naive_automorphism(s.tolist(), op.table.tolist()) for op in read)]
+             if all(reference.endomorphism_failure(s.tolist(), op.table.tolist()) is None
+                    for op in read)]
     with pytest.MonkeyPatch.context() as patch:
         if cells is not None:
             patch.setattr(optables, "CHUNK_CELLS", cells)
@@ -673,7 +605,7 @@ def test_orbit_step_equals_naive_triple_loops(shape, drawn, chunks):
         reps = axioms._orbit_reps(carrier, read)
         report = axioms._decide("law", law, *read, jobs=jobs, width=width)
         on_reps = axioms._first_failure(sides, reps, width or n * n, jobs)
-    assert reps.tolist() == naive_orbit_reps([s.tolist() for s in perms], n)
+    assert reps.tolist() == reference.orbit_reps([s.tolist() for s in perms], n)
     assert on_reps == first
     assert report.passed == (first is None)
     if first is not None:
@@ -812,11 +744,11 @@ def test_witness_is_the_representative_not_its_position(case, witness, monkeypat
     # 12 the eighth, so a hit at position 5 or 7 is reported as row 6 or 12
     op = _row_law_table(case)
     t = op.table.tolist()
-    assert all(naive_automorphism(s.tolist(), t) for s in op.carrier.automorphism_candidates)
+    assert all(reference.endomorphism_failure(s.tolist(), t) is None
+               for s in op.carrier.automorphism_candidates)
     reps = axioms._orbit_reps(op.carrier, [op]).tolist()
     assert reps == [0, 1, 2, 3, 4, 6, 8, 12]
-    first = next((x, y, z) for x, y, z in np.ndindex(24, 24, 24)
-                 if t[t[x][y]][z] != t[x][t[y][z]])
+    first = reference.law_failure(reference.assoc(t), 24)
     assert first == witness and reps.index(witness[0]) != witness[0]
     # all of Z_24's rows fit in one chunk, where every row is scanned; one
     # cell less keeps the orbit step
@@ -838,6 +770,6 @@ def test_pinned_alexander_quandle_drops_a_conjugation(spec):
     candidates = carrier.automorphism_candidates
     kept = [s for s in candidates if optables._endomorphism_failure(s, alex) is None]
     assert 0 < len(kept) < len(candidates)
-    assert all(naive_automorphism(s.tolist(), alex.tolist()) for s in kept)
-    assert axioms._orbit_reps(carrier, [op]).tolist() == naive_orbit_reps(
+    assert all(reference.endomorphism_failure(s.tolist(), alex.tolist()) is None for s in kept)
+    assert axioms._orbit_reps(carrier, [op]).tolist() == reference.orbit_reps(
         [s.tolist() for s in kept], len(carrier))

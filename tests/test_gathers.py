@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from multigroup import carriers, cli, optables
 from multigroup.carriers import (
     CAYLEY_CHUNK_CELLS,
@@ -349,10 +350,6 @@ def test_pair_dimonoid(spec):
 # --- construction-time errors -------------------------------------------------------
 
 
-def first_failure(pairs, bad):
-    return next(((a, b) for a in pairs for b in pairs if bad(a, b)), None)
-
-
 @pytest.mark.parametrize("spec", ["gl(2,2)", "gl(2,3)"])
 def test_singular_sandwich_fails_at_the_first_pair(spec):
     carrier = group_carrier(spec)
@@ -392,7 +389,7 @@ def plain_subgroup_error(rows_list, n, p):
         inverse = next(b for b in every if mul(a, b) == ident)
         if inverse not in elements:
             return str(NotClosedError(a, a, inverse))
-    hit = first_failure(elements, lambda a, b: mul(a, b) not in elements)
+    hit = reference.first_failure(lambda a, b: mul(a, b) not in elements, elements, 2)
     return None if hit is None else str(NotClosedError(*hit, mul(*hit)))
 
 
@@ -424,7 +421,8 @@ def test_homomorphism_failure_names_the_first_pair(spec, images):
     group = group_carrier(spec)
     mul = Plain(group).mul
     phi = lambda x: group.elements[images[group.elements.index(x)]]
-    a, b = first_failure(group.elements, lambda a, b: phi(mul(a, b)) != mul(phi(a), phi(b)))
+    a, b = reference.first_failure(lambda a, b: phi(mul(a, b)) != mul(phi(a), phi(b)),
+                                   group.elements, 2)
     with pytest.raises(NotHomomorphismError) as got:
         make_automorphism(group, images)
     assert str(got.value) == f"explicit breaks the homomorphism law at ({a!r}, {b!r})"

@@ -5,7 +5,8 @@ of GATHER_CELLS, the scan's own budget, read when a chunk runs; the proofs
 and table helpers keep PROOF_CELLS, and neither budget moves the other's
 blocks. Their sides are held here to plain list lookups on n >= 256, where a
 block holds a few rows of an n^2 index, so every gather crosses block
-boundaries; with GATHER_CELLS patched to one cell, every block is one row.
+boundaries, by the laws of tests/reference.py; with GATHER_CELLS patched to
+one cell, every block is one row.
 Their traced memory is held to the mixed-indexing kernel they replaced,
 which keeps no intp copy of a table, and a scan on two threads to twice
 what it holds on one.
@@ -16,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from multigroup import axioms, optables
 from multigroup.carriers import cyclic_group
 from multigroup.optables import table_from_array
@@ -30,26 +32,18 @@ def _tables(n, seed):
     return carrier, a, b
 
 
-def _naive_sides(shape, carrier, a, b, x):
-    """(left, right) of the law at first coordinate x, as nested lists over (y, z)."""
-    n = len(a)
+def _naive_law(shape, carrier, a, b):
+    """The law of the shape in tests/reference.py, on the tables as lists."""
     ta, tb = a.tolist(), b.tolist()
-    ys = range(n)
-    if shape == "bracket":  # (x b y) a z = x b (y a z)
-        return ([[ta[tb[x][y]][z] for z in ys] for y in ys],
-                [[tb[x][ta[y][z]] for z in ys] for y in ys])
-    if shape == "mixed":  # (x a y) b z = (x b z) a (y b z)
-        return ([[tb[ta[x][y]][z] for z in ys] for y in ys],
-                [[ta[tb[x][z]][tb[y][z]] for z in ys] for y in ys])
-    if shape == "left":  # x a (y a z) = (x a y) a (x a z)
-        return ([[ta[x][ta[y][z]] for z in ys] for y in ys],
-                [[ta[ta[x][y]][ta[x][z]] for z in ys] for y in ys])
-    if shape == "brace":  # x a (y + z) = (x a y) + (-x) + (x a z) on Z_n
-        return ([[ta[x][(y + z) % n] for z in ys] for y in ys],
-                [[(ta[x][y] - x + ta[x][z]) % n for z in ys] for y in ys])
-    ops = (ta, tb)  # nvalued: sorted multisets of both bracketings over both tables
-    return ([[sorted(j[i[x][y]][z] for i in ops for j in ops) for z in ys] for y in ys],
-            [[sorted(i[x][j[y][z]] for i in ops for j in ops) for z in ys] for y in ys])
+    if shape == "bracket":
+        return reference.bracket(ta, tb, tb, ta)
+    if shape == "mixed":
+        return reference.mixed_distrib(ta, tb)
+    if shape == "left":
+        return reference.left_distrib(ta)
+    if shape == "brace":
+        return reference.brace_compatibility(carrier.cayley.tolist(), ta)
+    return reference.multiset_assoc(ta, tb)
 
 
 def _sides(shape, carrier, a, b):
@@ -74,8 +68,9 @@ def test_sides_equal_naive_lookups_on_large_carriers(shape, k):
     rows = np.sort(np.random.default_rng(k).choice(N, size=k, replace=False))
     left, right = _sides(shape, carrier, a, b)(rows)
     assert left.shape[:3] == right.shape[:3] == (k, N, N)
+    law = _naive_law(shape, carrier, a, b)
     for i, x in enumerate(rows.tolist()):
-        want_left, want_right = _naive_sides(shape, carrier, a, b, x)
+        want_left, want_right = reference.plane(law, N, x)
         assert left[i].tolist() == want_left
         assert right[i].tolist() == want_right
 

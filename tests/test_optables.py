@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from multigroup import optables
 from multigroup.carriers import cyclic_group, matrix_set, symmetric_group
 from multigroup.constructions import MatrixOpParams, matrix_op
@@ -364,13 +365,7 @@ def test_scan_chunks_threads_agree_with_one_thread_under_fast_switching(monkeypa
 
 # The endomorphism test that make_automorphism and the orbit step share:
 # `optables._endomorphism_failure(s, t)` is the first (x, y) in row-major
-# order with t[s x, s y] != s(t[x, y]), held to naive loops.
-
-
-def naive_endomorphism_failure(s, t):
-    n = len(t)
-    pairs = ((x, y) for x in range(n) for y in range(n))
-    return next(((x, y) for x, y in pairs if t[s[x]][s[y]] != s[t[x][y]]), None)
+# order with t[s x, s y] != s(t[x, y]), held to tests/reference.py.
 
 
 @st.composite
@@ -403,7 +398,7 @@ def maps_and_tables(draw):
 def test_endomorphism_failure_equals_naive_loops(cells, drawn):
     # cells: the real proof budget, or one so small that every row is its own block
     s, t = drawn
-    want = naive_endomorphism_failure(s.tolist(), t.tolist())
+    want = reference.endomorphism_failure(s.tolist(), t.tolist())
     with pytest.MonkeyPatch.context() as patch:
         if cells is not None:
             patch.setattr(optables, "PROOF_CELLS", cells)
