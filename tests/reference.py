@@ -6,7 +6,9 @@ package, so no oracle shares code with what it checks. A law maps a triple
 to its two sides, (left, right), and holds where they are equal. A report is
 (verdict, witness, reason, checked) as in AxiomReport, with index witnesses:
 the first failing tuple in lexicographic order, and n^3 checked per triple
-law, n^2 per pair law.
+law, n^2 per pair law and n per element law. A staged check stops at its
+first failing stage and sums `checked` over the stages it ran. CHECKS holds
+every check of the spec language by name.
 """
 
 import itertools
@@ -71,13 +73,28 @@ def plane(law, n, x):
     return [[s[0] for s in row] for row in sides], [[s[1] for s in row] for row in sides]
 
 
+def outcome(hit, checked, reason=None):
+    """The report of a check of `checked` tuples whose first failure is hit (None on a pass)."""
+    return ("pass", None, None, checked) if hit is None else ("fail", hit, reason, checked)
+
+
+def triple_law(law, n, reason=None):
+    return outcome(law_failure(law, n), n**3, reason)
+
+
+def staged(stages):
+    """The report of lazy (label, report) stages up to the first failing one, as label or "label: reason"."""
+    checked = 0
+    for label, (verdict, witness, reason, count) in stages:
+        checked += count
+        if verdict == "fail":
+            return ("fail", witness, label if reason is None else f"{label}: {reason}", checked)
+    return ("pass", None, None, checked)
+
+
 def report(n, laws):
-    """The report of (reason, law) stages over every triple, up to the first failing one."""
-    for k, (reason, law) in enumerate(laws, 1):
-        hit = law_failure(law, n)
-        if hit is not None:
-            return ("fail", hit, reason, k * n**3)
-    return ("pass", None, None, len(laws) * n**3)
+    """The report of (reason, law) stages over every triple."""
+    return staged((reason, triple_law(law, n)) for reason, law in laws)
 
 
 def solution_counts(t):
@@ -96,10 +113,9 @@ def divisibility(t, side, unique=True):
     n = len(t)
     counts = solution_counts(t)[side == "right"]
     hit = first_failure(lambda x, y: counts[x][y] != 1 if unique else counts[x][y] == 0, range(n), 2)
-    if hit is None:
-        return ("pass", None, None, n * n)
-    reason = "no-solution" if counts[hit[0]][hit[1]] == 0 else "exists-not-unique"
-    return ("fail", hit, reason, n * n)
+    reason = None if hit is None else (
+        "no-solution" if counts[hit[0]][hit[1]] == 0 else "exists-not-unique")
+    return outcome(hit, n * n, reason)
 
 
 def units(t, right=None):
@@ -150,3 +166,65 @@ def orbit_reps(perms, n):
         seen |= orbit
         reps.append(x)
     return reps
+
+
+# --- the checks of the spec language ------------------------------------------------
+
+
+def idempotent(t):
+    return outcome(first_failure(lambda x: t[x][x] != x, range(len(t)), 1), len(t))
+
+
+def group(t):
+    """assoc, then a two-sided unit (witness () when there is none), then an inverse of every element."""
+    n = len(t)
+
+    def stages():
+        yield "assoc", triple_law(assoc(t), n)
+        found = units(t)
+        yield "no-unit", outcome(None if found else (), n)
+        inv = inverses(t, found[0])
+        yield "inverses", outcome(first_failure(lambda a: inv[a] is None, range(n), 1), n * n)
+
+    return staged(stages())
+
+
+def rack(t, side, quandle):
+    """Idempotency (quandles only), unique divisibility and self-distributivity, on one side."""
+    def stages():
+        if quandle:
+            yield "idempotent", idempotent(t)
+        yield f"divisibility_{side}", divisibility(t, side)
+        law = mixed_distrib(t, t) if side == "right" else left_distrib(t)
+        yield f"distrib_{side}", triple_law(law, len(t))
+
+    return staged(stages())
+
+
+def skew_brace(d, c):
+    """Compatibility of the groups d and c; ValueError when either is no group."""
+    if "fail" in (group(d)[0], group(c)[0]):
+        raise ValueError("skew_brace needs two groups")
+    return triple_law(brace_compatibility(d, c), len(d), "compatibility")
+
+
+CHECKS = {
+    "assoc": lambda t: triple_law(assoc(t), len(t)),
+    "interchange": lambda ti, tj: triple_law(interchange(ti, tj), len(ti)),
+    "idempotent": idempotent,
+    "divisibility_left": lambda t: divisibility(t, "left"),
+    "divisibility_right": lambda t: divisibility(t, "right"),
+    "distrib_left": lambda t: triple_law(left_distrib(t), len(t)),
+    "distrib_right": lambda t: triple_law(mixed_distrib(t, t), len(t)),
+    "group": group,
+    "rack_left": lambda t: rack(t, "left", False),
+    "rack_right": lambda t: rack(t, "right", False),
+    "quandle_left": lambda t: rack(t, "left", True),
+    "quandle_right": lambda t: rack(t, "right", True),
+    "dimonoid": lambda d, v: report(len(d), [(f"axiom-{k}", law)
+                                             for k, law in enumerate(dimonoid_axioms(d, v), 1)]),
+    "skew_brace": skew_brace,
+    "multiquandle": lambda a, b: report(len(a), [("mixed-distrib-ij", mixed_distrib(a, b)),
+                                                 ("mixed-distrib-ji", mixed_distrib(b, a))]),
+    "nvalued_assoc": lambda *ts: triple_law(multiset_assoc(*ts), len(ts[0])),
+}
