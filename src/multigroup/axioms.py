@@ -48,7 +48,7 @@ across repeated runs and across thread counts.
 import numpy as np
 
 from . import optables
-from .errors import ChoiceError, NotAGroupError, NotAUnitError
+from .errors import ChoiceError, NotAGroupError, NotAUnitError, integer_text
 from .optables import (
     AxiomReport,
     Multiset,
@@ -79,7 +79,7 @@ RIGHT = "right"
 
 def _side(side: str) -> str:
     if side not in (LEFT, RIGHT):
-        raise ChoiceError(f"side must be 'left' or 'right', got {side!r}")
+        raise ChoiceError(f"side must be 'left' or 'right', got {integer_text(side, repr)}")
     return side
 
 

@@ -62,6 +62,7 @@ from .errors import (
     TooLargeError,
     UnsupportedCarrierError,
     as_integer,
+    integer_text,
     is_integer,
 )
 from .field import PrimeField
@@ -147,9 +148,11 @@ class Carrier(_Frozen):
                  dim: int | None = None, factors: tuple | None = None,
                  group: "Carrier | None" = None):
         if kind not in KINDS:
-            raise UnsupportedCarrierError(f"unknown carrier kind {kind!r}")
+            raise UnsupportedCarrierError(f"unknown carrier kind {integer_text(kind, repr)}")
         vars(self).update(kind=kind, elements=elements, label=label, identity=identity,
                           is_group=is_group, field=field, dim=dim, factors=factors, group=group)
+        if field is not None:
+            self._refuse_wide_products()
 
     def __repr__(self):
         return f"<Carrier {self.label}>"
@@ -208,6 +211,19 @@ class Carrier(_Frozen):
         if base**size > np.iinfo(np.int64).max:
             raise UnsupportedCarrierError(f"{self.label}: elements too large to rank in int64")
         return base ** np.arange(size - 1, -1, -1, dtype=np.int64)
+
+    def _refuse_wide_products(self) -> None:
+        """Refuse a modulus whose matrix products pass int64, before any table is built.
+
+        Matrix and vector products (_columns, action, the sandwich tables of
+        constructions) sum dim products of entries below p in int64 and
+        reduce mod p after each product, so dim * (p - 1)^2 must not pass
+        2^63 - 1. On 1x1 matrices, p = 3037000493 is the largest prime it allows.
+        """
+        p = self.field.p
+        if self.dim * (p - 1) ** 2 > np.iinfo(np.int64).max:
+            raise UnsupportedCarrierError(
+                f"{self.label}: modulus {p} is too large for int64 matrix products")
 
     def _ranks(self, values) -> np.ndarray:
         """Rank of each matrix or permutation on the trailing axes of values (entries as digits)."""
@@ -487,7 +503,7 @@ def cyclic_group(n: int) -> Carrier:
     n = as_integer(n, "order")
     if n < 1:
         raise _usage_error("cyclic")
-    _guard_size(n, f"cyclic({n})")
+    _guard_size(n, f"cyclic({integer_text(n)})")
     return Carrier("cyclic-group", tuple(range(n)), f"cyclic({n})", identity=0, is_group=True)
 
 
@@ -515,7 +531,8 @@ def enumerate_matrices(n: int, p: int, invertible_only: bool = False) -> Carrier
     n, p = as_integer(n, "dimension"), as_integer(p, "modulus")
     if n < 1:
         raise _usage_error(name)
-    _guard_power(p, n * n, f"enumerating {n}x{n} matrices mod {p}")
+    n_text, p_text = integer_text(n), integer_text(p)
+    _guard_power(p, n * n, f"enumerating {n_text}x{n_text} matrices mod {p_text}")
     fld = PrimeField(p)
     stack = np.indices((p,) * (n * n), dtype=np.int64).reshape(n * n, -1).T.reshape(-1, n, n)
     if invertible_only:
@@ -551,7 +568,8 @@ def matrix_subgroup(rows_list, n: int, p: int, label: str | None = None) -> Carr
     elements = tuple(sorted({Matrix.from_rows(r, fld).rows for r in rows_list}))
     wrong = next((a for a in elements if len(a) != n), None)
     if wrong is not None:
-        raise DimensionMismatchError(f"matrix subgroup element {wrong} is not {n}x{n}")
+        raise DimensionMismatchError(
+            f"matrix subgroup element {wrong} is not {integer_text(n)}x{integer_text(n)}")
     if not elements or identity_rows(n) not in elements:  # an empty list has no unit, whatever n
         raise NoUnitError(f"matrix subgroup mod {fld.p} must contain the identity")
     member = set(elements)
@@ -600,8 +618,9 @@ def integer_window(lo: int, hi: int) -> Carrier:
     lo, hi = as_integer(lo, "window bound"), as_integer(hi, "window bound")
     if lo > hi:
         raise _usage_error("window")
-    _guard_size(hi - lo + 1, f"window({lo},{hi})")
-    return Carrier("integer-window", tuple(range(lo, hi + 1)), f"window({lo},{hi})")
+    label = f"window({integer_text(lo)},{integer_text(hi)})"
+    _guard_size(hi - lo + 1, label)
+    return Carrier("integer-window", tuple(range(lo, hi + 1)), label)
 
 
 class AtomSpec(NamedTuple):
@@ -614,7 +633,7 @@ def _vectors(n: int, p: int) -> None:
     """Check a vectors(n,p) atom; the cross with gl(n,p) builds its carrier."""
     if n < 1:
         raise _usage_error("vectors")
-    _guard_power(p, n, f"vectors({n},{p})")
+    _guard_power(p, n, f"vectors({integer_text(n)},{integer_text(p)})")
     PrimeField(p)
 
 
@@ -747,24 +766,25 @@ def make_automorphism(group: Carrier, rule) -> GroupAutomorphism:
     every = np.arange(n)
     if isinstance(rule, str):
         if rule != "identity":
-            raise UnsupportedCarrierError(f"unknown automorphism rule {rule!r}")
+            raise UnsupportedCarrierError(f"unknown automorphism rule {integer_text(rule, repr)}")
         images, label = every, "identity"
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "inner":
         g = rule[1]
         try:
             gi = group.index_of(g)
         except (KeyError, TypeError):  # not an element, or not hashable like one
-            raise UnsupportedCarrierError(f"inner({g!r}): element not in {group.label}") from None
+            raise UnsupportedCarrierError(
+                f"inner({integer_text(g, repr)}): element not in {group.label}") from None
         images = group.product(group.product(gi, every), group.inverse[gi])
         label = f"inner({gi})"
     elif isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "power":
-        images, label = _powers(group, rule[1]), f"power({rule[1]})"
+        images, label = _powers(group, rule[1]), f"power({integer_text(rule[1])})"
     elif isinstance(rule, Sequence) or getattr(rule, "ndim", None) == 1:
         if len(rule) != n or not all(is_integer(i) and 0 <= i < n for i in rule):
             raise NotBijectiveError(f"image list must be a permutation of 0..{n - 1}")
         images, label = np.array(rule, dtype=np.int64), "explicit"
     else:
-        raise UnsupportedCarrierError(f"unknown automorphism rule {rule!r}")
+        raise UnsupportedCarrierError(f"unknown automorphism rule {integer_text(rule, repr)}")
 
     if not np.array_equal(np.sort(images), every):
         raise NotBijectiveError(f"{label} is not a bijection on {group.label}")

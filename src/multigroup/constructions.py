@@ -41,6 +41,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedCarrierError,
     as_integer,
+    integer_text,
 )
 from .matrix import Matrix, mat_add_scaled, mat_det
 from .optables import (
@@ -131,7 +132,7 @@ def _sandwich_table(carrier: Carrier, m: Matrix, label: str) -> OpTable:
     bad = first_true(rows < 0)
     if bad is not None:
         a = bad[0]
-        result = mats[a] @ m_array @ mats[0] % p
+        result = mats[a] @ m_array % p @ mats[0] % p
         raise NotClosedError(carrier[a], carrier[0], tuple(map(tuple, result.tolist())))
     return table_from_array(carrier, carrier.cayley.take(rows, axis=0), label)
 
@@ -141,7 +142,7 @@ def matrix_op(params: MatrixOpParams, carrier: Carrier, label: str | None = None
     MATRIX_CARRIER.require(carrier, "matrix_op")
     for m in (params.m1, params.m2):
         matrix_constant(carrier, m.rows, field=m.field)
-    name = label or f"matrix_op(s={params.s},t={params.t})"
+    name = label or f"matrix_op(s={integer_text(params.s)},t={integer_text(params.t)})"
     return _sandwich_table(carrier, mat_add_scaled(params.s, params.m1, params.t, params.m2), name)
 
 
@@ -172,7 +173,7 @@ def conj_quandle(group: Carrier, m: int = 1, label: str | None = None) -> OpTabl
     GROUP_CARRIER.require(group, "conj_quandle")
     inverse_powers = group.inverse.take(_powers(group, m))  # b^-m, so row b of t is b^-m a b^m
     return table_from_array(group, _conjugates(group, inverse_powers).T,
-                            label or f"conj_quandle(m={m})")
+                            label or f"conj_quandle(m={integer_text(m)})")
 
 
 def core_quandle(group: Carrier, label: str | None = None) -> OpTable:
@@ -222,7 +223,7 @@ def vxg_conj_op(pairs: Carrier, n: int, label: str | None = None) -> OpTable:
     group = pairs.group
     power = _powers(group, n)
     return _pair_table(pairs, pairs.action.take(power, axis=0), _conjugates(group, power),
-                       label or f"vxg_conj_op(n={n})")
+                       label or f"vxg_conj_op(n={integer_text(n)})")
 
 
 def opposite_op(op: OpTable, label: str | None = None) -> OpTable:
@@ -314,7 +315,7 @@ def action_dimonoid(pairs: Carrier, action=None) -> tuple:
 def brace_ops(group: Carrier, variant: str = "trivial") -> tuple:
     """(dot, circ) tables: the trivial brace (circ = dot) or the opposite one (circ = dot flipped)."""
     if variant not in ("trivial", "opposite"):
-        raise ChoiceError(f"unknown brace variant {variant!r}")
+        raise ChoiceError(f"unknown brace variant {integer_text(variant, repr)}")
     GROUP_CARRIER.require(group, f"brace_{variant}")
     dot = table_from_array(group, group.cayley, "dot")
     return dot, dot.relabel("circ") if variant == "trivial" else opposite_op(dot, "circ")
@@ -352,7 +353,7 @@ class ZParityWindow(_WindowFields):
     def __new__(cls, lo: int, hi: int):
         lo, hi = as_integer(lo, "window bound"), as_integer(hi, "window bound")
         if lo > hi:
-            raise ChoiceError(f"empty window ({lo}, {hi})")
+            raise ChoiceError(f"empty window ({integer_text(lo)}, {integer_text(hi)})")
         return super().__new__(cls, lo, hi)
 
     def contains(self, value: int) -> bool:
@@ -362,7 +363,8 @@ class ZParityWindow(_WindowFields):
         """values as integers; ChoiceError for one outside the window."""
         for v in values:
             if not self.contains(v):
-                raise ChoiceError(f"{v} is outside the window [{self.lo}, {self.hi}]")
+                raise ChoiceError(f"{integer_text(v)} is outside the window "
+                                  f"[{integer_text(self.lo)}, {integer_text(self.hi)}]")
         return tuple(as_integer(v, "argument") for v in values)
 
     def plus(self, a: int, b: int) -> int:

@@ -44,7 +44,7 @@ from .constructions import (
     z_parity_brace,
     z_parity_window,
 )
-from .errors import UnknownClaimError
+from .errors import UnknownClaimError, integer_text
 from .field import PrimeField
 from .matrix import Matrix, mat_add_scaled
 from .optables import encode_element, first_true, inverse_indices, job_count, table_from_array
@@ -368,7 +368,7 @@ CLAIM_IDS = tuple(DEMOS)
 def run_demo(claim_id: str, jobs: int = 1) -> dict:
     if claim_id not in DEMOS:
         raise UnknownClaimError(
-            f"unknown claim {claim_id!r}; known claims: {', '.join(CLAIM_IDS)}"
+            f"unknown claim {integer_text(claim_id, repr)}; known claims: {', '.join(CLAIM_IDS)}"
         )
     title, runner = DEMOS[claim_id]
     verdict, details = runner(job_count(jobs))

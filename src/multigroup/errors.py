@@ -5,9 +5,11 @@ callers (notably the CLI) can tell domain failures from programming bugs. An
 object of the wrong kind (an int where a carrier goes) is a programming bug
 and may raise TypeError or AttributeError: direct_product(cyclic_group(2), 3)
 does. A value is an integer when operator.index accepts it (bools and numpy
-integers, not 1.5, 2.0 or "1"); as_integer reads every integer parameter.
+integers, not 1.5, 2.0 or "1"); as_integer reads every integer parameter,
+and integer_text formats every integer that a label or message may hold.
 """
 
+import math
 import operator
 
 
@@ -40,6 +42,25 @@ def is_integer(value) -> bool:
     return True
 
 
+def integer_text(value, show=str) -> str:
+    """show(value), or "<N-digit integer>" for an int that Python refuses to convert.
+
+    Python converts an int of more than 4300 digits to decimal text only
+    when sys.set_int_max_str_digits allows it, and raises ValueError
+    otherwise; the digit count is found without converting.
+    """
+    try:
+        return show(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+    size = abs(value)
+    digits = int((size.bit_length() - 1) * math.log10(2))  # at most the count
+    while size >= 10**digits:
+        digits += 1
+    return f"{'-' if value < 0 else ''}<{digits}-digit integer>"
+
+
 def error_message(err: Exception) -> str:
     """The text to report for a WorkbenchError or MemoryError.
 
@@ -61,7 +82,7 @@ class NotAnElementError(WorkbenchError, KeyError):
 
     def __init__(self, element, label):
         self.element = element
-        super().__init__(f"{element!r} is not an element of {label}")
+        super().__init__(f"{integer_text(element, repr)} is not an element of {label}")
 
     __str__ = Exception.__str__  # KeyError's would print the message as a quoted key
 
@@ -107,7 +128,8 @@ class NotClosedError(WorkbenchError):
 
     def __init__(self, x, y, result):
         self.x, self.y, self.result = x, y, result
-        super().__init__(f"operation not closed: {x!r} * {y!r} = {result!r} is outside the carrier")
+        super().__init__(f"operation not closed: {x!r} * {y!r} = {integer_text(result, repr)} "
+                         "is outside the carrier")
 
 
 class CarrierMismatchError(WorkbenchError):

@@ -6,7 +6,8 @@ element values stay cheap to store in bulk.
 
 from typing import NamedTuple
 
-from .errors import ModulusMismatchError, NotPrimeError, TooLargeError, ZeroInverseError, as_integer
+from .errors import (ModulusMismatchError, NotPrimeError, TooLargeError, ZeroInverseError, as_integer,
+                     integer_text)
 
 # Miller-Rabin on the first twelve prime bases is exact below psi_12, the least strong
 # pseudoprime to all twelve (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -40,7 +41,7 @@ class PrimeField(_PrimeFieldFields):
     def __new__(cls, p: int):
         p = as_integer(p, "modulus")
         if not is_prime(p):
-            raise NotPrimeError(f"modulus {p} is not prime")
+            raise NotPrimeError(f"modulus {integer_text(p)} is not prime")
         return super().__new__(cls, p)
 
     def element(self, value: int) -> int:

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CarrierMismatchError, ChoiceError, JobsError, NotClosedError, as_integer, is_integer
+from .errors import (CarrierMismatchError, ChoiceError, JobsError, NotClosedError, as_integer,
+                     integer_text, is_integer)
 
 if TYPE_CHECKING:
     from .carriers import Carrier
@@ -462,7 +463,7 @@ def job_count(jobs) -> int:
     """jobs as an int by errors.as_integer, bools and numpy integers included; JobsError below 1."""
     count = as_integer(jobs, "jobs") if is_integer(jobs) else 0
     if count < 1:
-        raise JobsError(f"jobs must be an integer of at least 1, not {jobs!r}")
+        raise JobsError(f"jobs must be an integer of at least 1, not {integer_text(jobs, repr)}")
     return count
 
 

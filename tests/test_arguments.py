@@ -142,6 +142,48 @@ def test_bad_choices_and_empty_inputs_raise_a_domain_error_that_is_a_value_error
     assert isinstance(got.value, WorkbenchError) and isinstance(got.value, ValueError)
 
 
+# Python refuses to convert an int of more than 4300 digits to decimal text;
+# every label and message names such an integer by its digit count instead
+H = 10**5000
+TOO_LONG = "<5001-digit integer>"
+GUARD = "needs more than 2^64 candidates, above the guard of 1000000"
+PAST_THE_TEXT_LIMIT = [
+    (lambda: cyclic_group(H), f"cyclic({TOO_LONG}) {GUARD}"),
+    (lambda: integer_window(0, H), f"window(0,{TOO_LONG}) {GUARD}"),
+    (lambda: integer_window(-H, 0), f"window(-{TOO_LONG},0) {GUARD}"),
+    (lambda: gl_group(1, H), f"enumerating 1x1 matrices mod {TOO_LONG} {GUARD}"),
+    (lambda: gl_group(H, 2), f"enumerating {TOO_LONG}x{TOO_LONG} matrices mod 2 {GUARD}"),
+    (lambda: matrix_set(2, -H), f"enumerating 2x2 matrices mod -{TOO_LONG} {GUARD}"),
+    (lambda: PrimeField(-H), f"modulus -{TOO_LONG} is not prime"),
+    (lambda: ZParityWindow(H, 0), f"empty window ({TOO_LONG}, 0)"),
+    (lambda: ZParityWindow(0, 3).plus(H, 1), f"{TOO_LONG} is outside the window [0, 3]"),
+    (lambda: cyclic_group(3).index_of(H), f"{TOO_LONG} is not an element of cyclic(3)"),
+    # H = 0 mod 5, so x -> x^H sends every element to 0
+    (lambda: make_automorphism(cyclic_group(5), ("power", H)),
+     f"power({TOO_LONG}) is not a bijection on cyclic(5)"),
+]
+
+
+@pytest.mark.parametrize("call, message", PAST_THE_TEXT_LIMIT, ids=[m for _, m in PAST_THE_TEXT_LIMIT])
+def test_integers_past_the_text_limit_are_named_by_their_digit_count(call, message):
+    with pytest.raises(WorkbenchError) as got:
+        with mock.patch.dict(os.environ, {"MULTIGROUP_GUARD": "1000000"}):
+            call()
+    assert str(got.value) == message
+
+
+def test_exponents_past_the_text_limit_are_reduced_and_labelled():
+    from multigroup.errors import integer_text
+
+    z5 = cyclic_group(5)
+    assert conj_quandle(z5, H).label == f"conj_quandle(m={TOO_LONG})"
+    assert np.array_equal(conj_quandle(z5, H).table, conj_quandle(z5, 0).table)
+    phi = make_automorphism(z5, ("power", H + 2))  # H + 2 = 2 mod 5
+    assert (phi.label, phi.images) == (f"power({TOO_LONG})", (0, 2, 4, 1, 3))
+    assert [integer_text(v) for v in (10**4300 - 1, 10**4300, -(10**4300 + 1))] == \
+        [str(10**4300 - 1), "<4301-digit integer>", "-<4301-digit integer>"]
+
+
 def test_no_module_but_errors_states_the_integer_rule():
     # the rule is written once, in errors.py; every other module reads integers by as_integer
     src = Path(multigroup.__file__).parent
@@ -153,8 +195,10 @@ def test_no_module_but_errors_states_the_integer_rule():
 # --- every public callable against bad values ---------------------------------
 
 # Integers far out of any range, and values the integer rule refuses. bool and
-# numpy integers are integers; huge ones test the guards and the prime test.
-HUGE = st.sampled_from([10**30, -(10**30), 2**64, 2**61 - 1, 318_665_857_834_031_151_167_461])
+# numpy integers are integers; huge ones test the guards and the prime test,
+# and those past 4300 digits every label and message that formats them.
+HUGE = st.sampled_from([10**30, -(10**30), 2**64, 2**61 - 1, 318_665_857_834_031_151_167_461,
+                        10**5000, -(10**5000)])
 BAD = st.one_of(
     st.floats(), st.floats().map(np.float64), st.text(max_size=3), st.booleans(), st.none(),
     st.integers(-(2**70), -1), HUGE,

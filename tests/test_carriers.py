@@ -337,6 +337,22 @@ def test_matrix_subgroup():
         matrix_subgroup([tuple(tuple(int(i == j) for j in range(4)) for i in range(4))], 4, 17)
 
 
+@pytest.mark.parametrize("p", [3037000493, 3037000507])
+def test_matrix_products_stay_within_int64(p):
+    # entries below p multiply in int64, so (p - 1)^2 must fit: 3037000493 is
+    # the largest prime for which it does and 3037000507 the next one, where
+    # {1, -1} once came out not closed from a wrapped product
+    if p == 3037000493:
+        assert matrix_subgroup([((1,),), ((p - 1,),)], 1, p).cayley.tolist() == [[0, 1], [1, 0]]
+        return
+    with pytest.raises(UnsupportedCarrierError) as got:
+        matrix_subgroup([((1,),), ((p - 1,),)], 1, p)
+    assert str(got.value) == \
+        f"matrix-subgroup(1,{p},2): modulus {p} is too large for int64 matrix products"
+    with pytest.raises(UnsupportedCarrierError, match=f"modulus {p} "):
+        Carrier("matrix-set", (((1,),),), "listed", field=PrimeField(p), dim=1)
+
+
 @pytest.mark.parametrize("rows_list, n, wrong", [
     ([IDENT2, ((1,),)], 2, ((1,),)),  # a 1x1 element beside a 2x2 one
     ([IDENT2], 3, IDENT2),  # an identity, of the wrong size

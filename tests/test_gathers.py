@@ -376,6 +376,16 @@ def test_sandwich_outside_a_listed_group_names_the_product_mod_p():
     assert str(got.value) == str(want.value)
 
 
+def test_sandwich_product_is_reduced_after_each_factor():
+    # on {-2, -1} mod the largest prime that 1x1 products allow, A M = -2 * -1
+    # escapes; A M B = -4 is named, where (p - 2)(p - 1)(p - 2) would pass int64
+    p = 3037000493
+    carrier = listed_matrices([((p - 2,),), ((p - 1,),)], p)
+    with pytest.raises(NotClosedError) as got:
+        gl_group_op(Matrix(PrimeField(p), ((p - 1,),)), carrier)
+    assert got.value.result == ((p - 4,),)
+
+
 def plain_subgroup_error(rows_list, n, p):
     """The first identity, inverse or product failure of a listed matrix set, as text."""
     mul = mat_mul_mod(p)
