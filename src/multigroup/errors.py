@@ -47,11 +47,15 @@ def integer_text(value, show=str) -> str:
 
     Python converts an int of more than 4300 digits to decimal text only
     when sys.set_int_max_str_digits allows it, and raises ValueError
-    otherwise; the digit count is found without converting.
+    otherwise; the digit count is found without converting. A tuple holding
+    such an int is written item by item, each as its repr would be.
     """
     try:
         return show(value)
     except ValueError:
+        if type(value) is tuple:
+            items = ", ".join(integer_text(item, repr) for item in value)
+            return f"({items},)" if len(value) == 1 else f"({items})"
         if not isinstance(value, int):
             raise
     size = abs(value)

@@ -53,7 +53,14 @@ from multigroup.constructions import (
     z_parity_window,
 )
 from multigroup.dsl import SpecSource, compile_spec, parse_spec
-from multigroup.errors import ChoiceError, NoUnitError, NotAnIntegerError, WorkbenchError
+from multigroup.errors import (
+    ChoiceError,
+    NoUnitError,
+    NotAnElementError,
+    NotAnIntegerError,
+    UnsupportedCarrierError,
+    WorkbenchError,
+)
 from multigroup.field import PrimeField
 from multigroup.matrix import Matrix
 from multigroup.optables import AxiomReport, Multiset, OpTable, build_op_table
@@ -172,6 +179,25 @@ def test_integers_past_the_text_limit_are_named_by_their_digit_count(call, messa
     assert str(got.value) == message
 
 
+# a non-element that is a tuple is written item by item, each huge int by its digit count
+TUPLES_PAST_THE_TEXT_LIMIT = [
+    (lambda: cyclic_group(3).index_of((H,)), NotAnElementError,
+     f"({TOO_LONG},) is not an element of cyclic(3)"),
+    (lambda: make_automorphism(symmetric_group(3), ("inner", (H, 0, 1))), UnsupportedCarrierError,
+     f"inner(({TOO_LONG}, 0, 1)): element not in symmetric(3)"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", TUPLES_PAST_THE_TEXT_LIMIT,
+                         ids=[m for _, _, m in TUPLES_PAST_THE_TEXT_LIMIT])
+def test_tuples_holding_integers_past_the_text_limit_name_them_by_their_digit_count(
+        call, error, message):
+    with pytest.raises(WorkbenchError) as got:
+        call()
+    assert type(got.value) is error
+    assert str(got.value) == message
+
+
 def test_exponents_past_the_text_limit_are_reduced_and_labelled():
     from multigroup.errors import integer_text
 
@@ -182,6 +208,7 @@ def test_exponents_past_the_text_limit_are_reduced_and_labelled():
     assert (phi.label, phi.images) == (f"power({TOO_LONG})", (0, 2, 4, 1, 3))
     assert [integer_text(v) for v in (10**4300 - 1, 10**4300, -(10**4300 + 1))] == \
         [str(10**4300 - 1), "<4301-digit integer>", "-<4301-digit integer>"]
+    assert integer_text(((H, "a"), (), -H), repr) == f"(({TOO_LONG}, 'a'), (), -{TOO_LONG})"
 
 
 def test_no_module_but_errors_states_the_integer_rule():
