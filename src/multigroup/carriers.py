@@ -93,6 +93,7 @@ KINDS = (
     "vector-group-pairs",
     "integer-window",
 )
+_RANKED = ("symmetric-group", "matrix-set", "matrix-group")  # the kinds with ranks and columns
 
 
 def carrier_guard() -> int:
@@ -194,6 +195,10 @@ class Carrier(_Frozen):
         if not self.is_group:
             raise UnsupportedCarrierError("element orders need a group carrier")
 
+    def _require_ranks(self) -> None:
+        if self.kind not in _RANKED:
+            raise UnsupportedCarrierError("only permutation and matrix carriers rank their elements")
+
     @cached_property
     def array(self) -> np.ndarray:
         """The elements as one int array: (N, n, n) for matrices, (N, n) for permutations."""
@@ -234,6 +239,7 @@ class Carrier(_Frozen):
     @cached_property
     def ranks(self) -> np.ndarray:
         """The elements' ranks, ascending because the canonical order is lexicographic."""
+        self._require_ranks()
         return _frozen(self._ranks(self.array))
 
     @cached_property
@@ -262,6 +268,7 @@ class Carrier(_Frozen):
         A dense rank index serves the lookup when the rank space has at most
         n^2 cells; otherwise a binary search over the sorted ranks does.
         """
+        self._require_ranks()
         return self._index_of_ranks(self._ranks(values))
 
     @cached_property
@@ -304,7 +311,7 @@ class Carrier(_Frozen):
         """
         if self.kind == "cyclic-group":
             return (np.asarray(i, dtype=np.int64) + j) % len(self)
-        if self.kind in ("symmetric-group", "matrix-set", "matrix-group"):
+        if self.kind in _RANKED:
             table, code = self._columns
             parts = _take_pairs(table, np.expand_dims(i, -1), code.take(j, axis=0))  # [..., c]
             return self._index_of_ranks(parts.sum(axis=-1, dtype=parts.dtype))
@@ -336,6 +343,8 @@ class Carrier(_Frozen):
         if self.kind == "cyclic-group":  # row i is 0..n-1 rotated left by i
             every = np.arange(n, dtype=index_dtype(n))
             return _frozen(sliding_window_view(np.concatenate((every, every[:-1])), n).copy())
+        if self.kind not in _RANKED:
+            raise UnsupportedCarrierError(f"{self.label} has no product")
         parts, code = self._columns
         codes = code.T.copy()  # one contiguous index row per column
         table = np.empty((n, n), dtype=index_dtype(n))

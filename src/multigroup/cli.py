@@ -16,7 +16,10 @@ nothing on stderr. A failed allocation while building a carrier or a table,
 or during a check or a demo claim, ends in one line on stderr and exit 2,
 never in a traceback. With --no-timing the output carries no timings and is
 byte-identical across repeated runs. Arguments are read as argparse read
-them (see `parse_args`); bad ones exit 2 with the usage and one error line.
+them, by the hand reader `parse_args`; bad ones exit 2 with the usage and one
+error line. Help, usage and refusal lines are printed by an argparse parser
+built for them, so only those calls import argparse, and a valid call never
+does.
 """
 
 import os
@@ -181,9 +184,10 @@ def cmd_enumerate(args) -> int:
 
 # The command line as one table: each command's summary, its one positional
 # (name, required, help) and its options, each a (kind, default, help) of
-# bool for a flag, int, or a tuple of choices. The reader and the help text
-# both come from it; both keep what argparse accepted, refused and printed
-# (tests/cli_reference.py holds the argparse parser they replace).
+# bool for a flag, int, or a tuple of choices. The reader (`parse_args`) and
+# the parser that prints help, usage and refusals (`_parser`) both come from
+# it. The reader keeps what argparse accepted and refused (tests/cli_reference.py
+# holds the argparse parser it replaces); only help and refusals import argparse.
 FORMATS = ("text", "json")
 NO_TIMING = "omit timings for reproducible output"
 COMMANDS = {
@@ -201,75 +205,36 @@ COMMANDS = {
                   {"--list": (bool, False, "print one element per line")}),
 }
 HELP = ("-h", "--help")
-WIDTH = 78  # argparse's, on 80 columns
 
 
-def _usage(command) -> str:
-    """The usage line, wrapped as argparse wraps it: positionals on a line of their own."""
-    if command is None:
-        prog, opts, pos = "multigroup", ["[-h]"], f"{_braced(COMMANDS)} ..."
-    else:
-        _, (name, required, _), options = COMMANDS[command]
-        prog, pos = f"multigroup {command}", name if required else f"[{name}]"
-        opts = ["[-h]"] + [f"[{_invocation(option, kind)}]"
-                           for option, (kind, _, _) in options.items()]
-    usage = f"usage: {prog} {' '.join(opts + [pos])}"
-    if len(usage) <= WIDTH:
-        return usage
-    indent = " " * len(f"usage: {prog} ")
-    lines = [f"usage: {prog}"]
-    for part in opts:
-        if len(lines[-1]) + 1 + len(part) > WIDTH:
-            lines.append(indent[:-1])  # the space added below lines the part up
-        lines[-1] += " " + part
-    return "\n".join(lines + [indent + pos])
+def _parser(command):
+    """The argparse parser of `command`, or of the top level for None, built from the table.
 
+    Only a help text or a refusal builds it, so a valid call imports neither
+    argparse nor the gettext it loads. It prints and never parses: `parse_args`
+    decides what argv means. Every parser lays its text out at 78 columns,
+    argparse's width on 80, whatever the terminal, and in no colour.
+    """
+    import argparse
+    import functools
 
-def _braced(choices) -> str:
-    return "{" + ",".join(choices) + "}"
-
-
-def _invocation(option, kind) -> str:
-    """An option as usage and help show it: --no-timing, --format {text,json}, --jobs JOBS."""
-    if kind is bool:
-        return option
-    return f"{option} {_braced(kind) if isinstance(kind, tuple) else option[2:].upper()}"
-
-
-def _help(command) -> str:
-    """The help text argparse printed at 80 columns: usage, then rows of name and help."""
-    import textwrap
-
-    if command is None:
-        head = [_usage(None), "", "build finite algebraic systems and check their axioms exhaustively"]
-        positionals = [(2, _braced(COMMANDS), None)]
-        positionals += [(4, name, summary) for name, (summary, _, _) in COMMANDS.items()]
-        options = {}
-    else:
-        _, (name, _, text), options = COMMANDS[command]
-        head = [_usage(command)]
-        positionals = [(2, name, text.format(claims=", ".join(demos.CLAIM_IDS)))]
-    rows = [(2, "-h, --help", "show this help message and exit")]
-    rows += [(2, _invocation(option, kind), text) for option, (kind, _, text) in options.items()]
-    column = min(max(indent + len(name) for indent, name, _ in positionals + rows) + 2, 24)
-    lines = head
-    for title, section in (("positional arguments", positionals), ("options", rows)):
-        lines += ["", f"{title}:"]
-        for indent, name, text in section:
-            wrapped = textwrap.wrap(text, WIDTH - column) if text else []
-            if wrapped and indent + len(name) + 2 <= column:
-                lines.append(f"{' ' * indent}{name:<{column - indent - 2}}  {wrapped.pop(0)}")
+    layout = functools.partial(argparse.HelpFormatter, width=78)
+    plain = {"color": False} if sys.version_info >= (3, 14) else {}
+    top = argparse.ArgumentParser(
+        prog="multigroup", formatter_class=layout, **plain,
+        description="build finite algebraic systems and check their axioms exhaustively")
+    commands = top.add_subparsers(dest="command", required=True)
+    for name, (summary, (positional, required, text), options) in COMMANDS.items():
+        parser = commands.add_parser(name, help=summary, formatter_class=layout, **plain)
+        parser.add_argument(positional, nargs=None if required else "?",
+                            help=text.format(claims=", ".join(demos.CLAIM_IDS)))
+        for option, (kind, _, text) in options.items():
+            if kind is bool:
+                parser.add_argument(option, action="store_true", help=text)
             else:
-                lines.append(" " * indent + name)
-            lines += [" " * column + line for line in wrapped]
-    return "\n".join(lines)
-
-
-def _refuse(command, message):
-    """Print the usage and one error line on stderr, and exit 2, as argparse did."""
-    print(_usage(command), file=sys.stderr)
-    print(f"multigroup{' ' + command if command else ''}: error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_ERROR)
+                parser.add_argument(option, choices=kind if isinstance(kind, tuple) else None,
+                                    help=text)
+    return top if command is None else commands.choices[command]
 
 
 def _option(arg, names, command):
@@ -289,7 +254,7 @@ def _option(arg, names, command):
     if arg[1] == "-":
         found = [name for name in names if name.startswith(head)]
         if len(found) > 1:
-            _refuse(command, f"ambiguous option: {arg} could match {', '.join(found)}")
+            _parser(command).error(f"ambiguous option: {arg} could match {', '.join(found)}")
         if found:
             return found[0], (value if eq else None)
     elif arg[:2] in names:  # -hh is -h twice
@@ -302,8 +267,8 @@ def _option(arg, names, command):
 def _help_flag(command, value):
     """-h or --help: print the help and exit 0; with a value, refuse it."""
     if value is not None:
-        _refuse(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    print(_help(command))
+        _parser(command).error(f"argument -h/--help: ignored explicit argument {value!r}")
+    _parser(command).print_help()
     raise SystemExit(EXIT_OK)
 
 
@@ -326,11 +291,11 @@ def parse_args(argv) -> SimpleNamespace:
     else:
         at = len(argv)
     if argv[at:] in ([], ["--"]):  # a -- needs a word after it to be read as the command
-        _refuse(None, "the following arguments are required: command")
+        _parser(None).error("the following arguments are required: command")
     command, rest = argv[at], argv[at + 1:]
     if command not in COMMANDS:
         choices = ", ".join(map(repr, COMMANDS))
-        _refuse(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+        _parser(None).error(f"argument command: invalid choice: {command!r} (choose from {choices})")
     _, (name, required, _), options = COMMANDS[command]
     names = HELP + tuple(options)
     # argparse sorted every argument before it read one, so an ambiguous
@@ -360,25 +325,25 @@ def parse_args(argv) -> SimpleNamespace:
             kind = options[option][0]
             if kind is bool:
                 if value is not None:
-                    _refuse(command, f"argument {option}: ignored explicit argument {value!r}")
+                    _parser(command).error(f"argument {option}: ignored explicit argument {value!r}")
                 value = True
             elif value is None:
                 if i >= end or kinds[i] is not None:
-                    _refuse(command, f"argument {option}: expected one argument")
+                    _parser(command).error(f"argument {option}: expected one argument")
                 value, i = rest[i], i + 1
             if kind is int:
                 try:
                     value = int(value)
                 except ValueError:
-                    _refuse(command, f"argument {option}: invalid int value: {value!r}")
+                    _parser(command).error(f"argument {option}: invalid int value: {value!r}")
             elif kind is not bool and value not in kind:
                 choices = ", ".join(map(repr, kind))
-                _refuse(command, f"argument {option}: invalid choice: {value!r} (choose from {choices})")
+                _parser(command).error(f"argument {option}: invalid choice: {value!r} (choose from {choices})")
             args[option[2:].replace("-", "_")] = value
     if taken is None and required:
-        _refuse(command, f"the following arguments are required: {name}")
+        _parser(command).error(f"the following arguments are required: {name}")
     if stray:
-        _refuse(None, f"unrecognized arguments: {' '.join(stray)}")
+        _parser(None).error(f"unrecognized arguments: {' '.join(stray)}")
     return SimpleNamespace(**args)
 
 

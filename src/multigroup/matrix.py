@@ -90,44 +90,43 @@ def mat_add_scaled(s: int, a: Matrix, t: int, b: Matrix) -> Matrix:
     return Matrix(field, rows)
 
 
-def mat_det(a: Matrix) -> int:
-    """Determinant by Gaussian elimination with modular pivots, exact for any prime."""
-    p, n = a.field.p, a.n
-    rows = [list(r) for r in a.rows]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] % p != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det % p
-        det = det * rows[col][col] % p
-        inv_p = a.field.inv(rows[col][col])
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv_p % p
-            if factor:
-                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[col])]
-    return det % p
+def _eliminate(a: Matrix):
+    """Gauss-Jordan on [A | I] mod p: (det A, the rows of A^-1), or (0, None) if A is singular.
 
-
-def mat_inv(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan; the result is verified by multiplication before return."""
+    The determinant is the product of the pivots, negated by each row swap.
+    """
     p, n = a.field.p, a.n
     aug = [[*row, *unit] for row, unit in zip(a.rows, identity_rows(n))]
+    det = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
-            raise SingularMatrixError(f"matrix {a.rows} is singular mod {p}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+            return 0, None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det = det * aug[col][col] % p
         inv_p = a.field.inv(aug[col][col])
         aug[col] = [x * inv_p % p for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
-    result = Matrix(a.field, tuple(tuple(row[n:]) for row in aug))
-    if mat_mul(a, result).rows != identity_rows(n):
+    return det, tuple(tuple(row[n:]) for row in aug)
+
+
+def mat_det(a: Matrix) -> int:
+    """Determinant by Gaussian elimination with modular pivots, exact for any prime."""
+    return _eliminate(a)[0]
+
+
+def mat_inv(a: Matrix) -> Matrix:
+    """Inverse by Gauss-Jordan; the result is verified by multiplication before return."""
+    inverse = _eliminate(a)[1]
+    if inverse is None:
+        raise SingularMatrixError(f"matrix {a.rows} is singular mod {a.field.p}")
+    result = Matrix(a.field, inverse)
+    if mat_mul(a, result).rows != identity_rows(a.n):
         raise SingularMatrixError("inverse verification failed")  # pragma: no cover
     return result
 

@@ -428,6 +428,24 @@ def test_inverse_needs_a_group_carrier(spec):
         assert str(got.value) == "element orders need a group carrier"
 
 
+@pytest.mark.parametrize("spec, has_product", [
+    ("cyclic(3)", True), ("cyclic(2) x cyclic(3)", True), ("window(0,2)", False),
+    ("vectors(1,2) x gl(1,2)", False)])
+def test_members_a_carrier_cannot_support_are_refused(spec, has_product):
+    # ranks and lookup read permutations and matrices only; the Cayley table needs a product
+    carrier = group_carrier(spec)
+    for member in (lambda: carrier.ranks, lambda: carrier.lookup(carrier.elements[:1])):
+        with pytest.raises(UnsupportedCarrierError) as got:
+            member()
+        assert str(got.value) == "only permutation and matrix carriers rank their elements"
+    if has_product:
+        assert carrier.cayley.shape == (len(carrier), len(carrier))
+    else:
+        with pytest.raises(UnsupportedCarrierError) as got:
+            carrier.cayley
+        assert str(got.value) == f"{carrier.label} has no product"
+
+
 def test_lower_layers_never_import_axioms():
     # carriers, constructions and the table layer sit below the checks
     source = Path(carriers.__file__).parent

@@ -3,11 +3,16 @@
 The argv table and the oracle are in tests/cli_reference.py, which keeps the
 argparse parser the command line once used. `main` runs here with its three
 commands replaced by a recorder, so a case yields the exit code and the
-fields a command would have received, and nothing runs.
+fields a command would have received, and nothing runs. Help texts and
+refusal lines are also read from a fresh interpreter, where the first
+import of argparse happens.
 """
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -183,6 +188,27 @@ def test_refusal_lines(argv, capsys, monkeypatch):
         cli.main(argv.split())
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", "\n".join(REFUSALS[argv]) + "\n")
+
+
+def _fresh(argv, columns):
+    """(exit code, stdout, stderr) of `python -m multigroup argv` with COLUMNS set or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+    if columns is not None:
+        env["COLUMNS"] = columns
+    proc = subprocess.run([sys.executable, "-m", "multigroup", *argv.split()],
+                          capture_output=True, text=True, timeout=60, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("columns", ["40", None], ids=["COLUMNS=40", "COLUMNS-unset"])
+def test_help_in_a_fresh_process_keeps_its_width(columns):
+    # the first import of argparse, laid out at 78 columns whatever the terminal says
+    assert _fresh("verify -h", columns) == (0, HELP_TEXTS["verify -h"], "")
+
+
+def test_refusal_in_a_fresh_process():
+    argv = "verify s.mg --jobs x"
+    assert _fresh(argv, "40") == (2, "", "\n".join(REFUSALS[argv]) + "\n")
 
 
 def test_jobs_below_one_is_read_as_a_value_and_refused(capsys):

@@ -103,8 +103,8 @@ def _counted(monkeypatch, module, name):
     # distinct s*m1 + t*m2: 10 of 24 at p = 2, 29 of 54 at p = 3; Light's test
     # runs once a sum, and every one of the 78 tables is still checked
     ("S3-assoc", "PASS", 10 + 29, 10 + 29, 6 * 4 + 6 * 9),
-    # 8 of 16 and 21 of 36, plus the doubled identity sum built on its own
-    ("S3-unit", "REFUTED-AS-STATED", 8 + 21 + 1, 0, 0),
+    # 8 of 16 and 21 of 36; the doubled identity sum is one of the p = 3 sweep's
+    ("S3-unit", "REFUTED-AS-STATED", 8 + 21, 0, 0),
 ])
 def test_twisted_sweeps_build_and_prove_each_distinct_sum_once(
         monkeypatch, claim, verdict, built, proved, checked):
